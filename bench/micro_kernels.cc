@@ -112,9 +112,13 @@ void BM_BuildSubTree(benchmark::State& state) {
   prepared.prefix = "";
   prepared.leaves = canon.sa;
   prepared.branches.resize(canon.sa.size());
+  // The prefix is empty, so B[0].c2 carries L[0]'s first symbol.
+  prepared.branches[0].c2 = text[canon.sa[0]];
   prepared.branches[0].defined = true;
   for (std::size_t i = 1; i < canon.sa.size(); ++i) {
     prepared.branches[i].offset = lcp[i];
+    prepared.branches[i].c1 = text[canon.sa[i - 1] + lcp[i]];
+    prepared.branches[i].c2 = text[canon.sa[i] + lcp[i]];
     prepared.branches[i].defined = true;
   }
   for (auto _ : state) {

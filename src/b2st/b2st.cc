@@ -34,12 +34,21 @@ struct SaEntry {
 };
 static_assert(sizeof(SaEntry) == 48, "entry layout is serialized verbatim");
 
+/// Where two suffixes first differ: the order, the LCP, and the two
+/// symbols at that depth (the B entry's c1/c2 when the pair is adjacent).
+struct Mismatch {
+  bool a_less = false;
+  uint64_t lcp = 0;
+  char a_symbol = 0;
+  char b_symbol = 0;
+};
+
 /// Streams the suffixes at `a` and `b` from `offset` onward until they
-/// differ; returns the total LCP and the order. Distinct suffixes always
-/// differ before either ends (unique terminal).
+/// differ. Distinct suffixes always differ before either ends (unique
+/// terminal).
 Status StreamedCompare(StringReader* reader_a, StringReader* reader_b,
-                       uint64_t a, uint64_t b, uint64_t offset, bool* a_less,
-                       uint64_t* lcp) {
+                       uint64_t a, uint64_t b, uint64_t offset,
+                       Mismatch* out) {
   char buf_a[256];
   char buf_b[256];
   while (true) {
@@ -52,8 +61,10 @@ Status StreamedCompare(StringReader* reader_a, StringReader* reader_b,
     uint32_t m = std::min(got_a, got_b);
     for (uint32_t i = 0; i < m; ++i) {
       if (buf_a[i] != buf_b[i]) {
-        *a_less = buf_a[i] < buf_b[i];
-        *lcp = offset + i;
+        out->a_less = buf_a[i] < buf_b[i];
+        out->lcp = offset + i;
+        out->a_symbol = buf_a[i];
+        out->b_symbol = buf_b[i];
         return Status::OK();
       }
     }
@@ -242,27 +253,31 @@ StatusOr<B2stResult> B2stBuilder::Build(const TextInfo& text) {
   };
 
   // Key-based comparison with disk fallback. Returns a<b and, if the
-  // entries are adjacent in the output, their LCP.
-  auto compare = [&](const SaEntry& a, const SaEntry& b, bool* a_less,
-                     uint64_t* lcp) -> Status {
+  // entries are adjacent in the output, their LCP and branch symbols.
+  auto compare = [&](const SaEntry& a, const SaEntry& b,
+                     Mismatch* out) -> Status {
     uint32_t m = std::min(a.key_len, b.key_len);
     uint32_t i = 0;
     while (i < m && a.key[i] == b.key[i]) ++i;
     if (i < m) {
-      *a_less = static_cast<unsigned char>(a.key[i]) <
-                static_cast<unsigned char>(b.key[i]);
-      *lcp = i;
+      out->a_less = static_cast<unsigned char>(a.key[i]) <
+                    static_cast<unsigned char>(b.key[i]);
+      out->lcp = i;
+      out->a_symbol = a.key[i];
+      out->b_symbol = b.key[i];
       return Status::OK();
     }
     if (m < kKeyBytes) {
       // The shorter key ended at the text end (terminal included): keys
       // cannot be equal-and-exhausted for distinct suffixes.
-      *a_less = a.key_len < b.key_len;
-      *lcp = i;
+      out->a_less = a.key_len < b.key_len;
+      out->lcp = i;
+      out->a_symbol = i < a.key_len ? a.key[i] : 0;
+      out->b_symbol = i < b.key_len ? b.key[i] : 0;
       return Status::OK();
     }
     return StreamedCompare(lcp_reader_a.get(), lcp_reader_b.get(), a.position,
-                           b.position, kKeyBytes, a_less, lcp);
+                           b.position, kKeyBytes, out);
   };
 
   while (true) {
@@ -273,22 +288,20 @@ StatusOr<B2stResult> B2stBuilder::Build(const TextInfo& text) {
         best = static_cast<int>(k);
         continue;
       }
-      bool less = false;
-      uint64_t lcp = 0;
+      Mismatch order;
       ERA_RETURN_NOT_OK(compare(streams[k].head(),
                                 streams[static_cast<std::size_t>(best)].head(),
-                                &less, &lcp));
-      if (less) best = static_cast<int>(k);
+                                &order));
+      if (order.a_less) best = static_cast<int>(k);
     }
     if (best < 0) break;
     EntryStream& winner = streams[static_cast<std::size_t>(best)];
     const SaEntry head = winner.head();
 
-    uint64_t lcp = 0;
+    Mismatch adjacent;
     if (have_prev) {
-      bool less = false;
-      ERA_RETURN_NOT_OK(compare(prev, head, &less, &lcp));
-      if (!less) {
+      ERA_RETURN_NOT_OK(compare(prev, head, &adjacent));
+      if (!adjacent.a_less) {
         return Status::Internal("merge order violated");
       }
       if (current.leaves.size() >= layout.fm) {
@@ -297,7 +310,11 @@ StatusOr<B2stResult> B2stBuilder::Build(const TextInfo& text) {
     }
 
     BranchInfo branch;
-    branch.offset = lcp;
+    branch.offset = adjacent.lcp;
+    branch.c1 = adjacent.a_symbol;
+    // B[0] of a forest tree: its prefix is empty, so c2 carries the first
+    // symbol of L[0] (see BranchInfo).
+    branch.c2 = current.leaves.empty() ? head.key[0] : adjacent.b_symbol;
     branch.defined = true;
     current.branches.push_back(branch);
     current.leaves.push_back(head.position);

@@ -64,6 +64,7 @@ Status GroupStrBuilder::Run() {
     TreeNode& node = state.tree.node(child);
     node.edge_start = occ[0];
     node.edge_len = static_cast<uint32_t>(state.prefix.size());
+    node.first_symbol = static_cast<uint8_t>(state.prefix[0]);
     state.tree.node(0).first_child = child;
     if (occ.size() == 1) {
       CloseLeaf(&state, child, 0, occ[0]);
@@ -177,6 +178,7 @@ Status GroupStrBuilder::Run() {
           TreeNode& child_node = state.tree.node(child);
           child_node.edge_start = members[0] + branch_depth;
           child_node.edge_len = 1;
+          child_node.first_symbol = static_cast<uint8_t>(symbol);
           if (prev_child == kNilNode) {
             state.tree.node(e.node).first_child = child;
           } else {

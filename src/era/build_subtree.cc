@@ -43,12 +43,19 @@ StatusOr<TreeBuffer> BuildSubTree(const PreparedSubTree& prepared,
   std::vector<Entry> stack;
   stack.push_back({0, 0});
 
+  // Every edge gets its first symbol from (L, B) alone, never from the text:
+  // the first leaf's is the prefix's first symbol, and a branch at depth d
+  // splits off the continuation toward L[i-1] (symbol c1) and hangs the new
+  // leaf L[i] (symbol c2). A split's upper half keeps the symbol it had.
+
   // First (lexicographically smallest) leaf hangs off the root with its
   // whole suffix as the label (Figure 5(a)).
   {
     uint32_t leaf = tree.AddNode();
     TreeNode& node = tree.node(leaf);
     node.edge_start = leaves[0];
+    node.first_symbol = static_cast<uint8_t>(
+        prepared.prefix.empty() ? branches[0].c2 : prepared.prefix[0]);
     ERA_RETURN_NOT_OK(
         CheckedEdgeLen(text_length - leaves[0], &node.edge_len));
     node.leaf_id = leaves[0];
@@ -86,9 +93,11 @@ StatusOr<TreeBuffer> BuildSubTree(const PreparedSubTree& prepared,
       TreeNode& last_node = tree.node(last);
       TreeNode& mid_node = tree.node(mid);
       mid_node.edge_start = last_node.edge_start;
+      mid_node.first_symbol = last_node.first_symbol;
       ERA_RETURN_NOT_OK(CheckedEdgeLen(d - parent_depth, &mid_node.edge_len));
       last_node.edge_start += mid_node.edge_len;
       last_node.edge_len -= mid_node.edge_len;
+      last_node.first_symbol = static_cast<uint8_t>(branches[i].c1);
       mid_node.first_child = last;
       mid_node.next_sibling = last_node.next_sibling;
       last_node.next_sibling = kNilNode;
@@ -118,6 +127,7 @@ StatusOr<TreeBuffer> BuildSubTree(const PreparedSubTree& prepared,
     uint32_t leaf = tree.AddNode();
     TreeNode& leaf_node = tree.node(leaf);
     leaf_node.edge_start = leaves[i] + d;
+    leaf_node.first_symbol = static_cast<uint8_t>(branches[i].c2);
     ERA_RETURN_NOT_OK(
         CheckedEdgeLen(text_length - leaves[i] - d, &leaf_node.edge_len));
     leaf_node.leaf_id = leaves[i];

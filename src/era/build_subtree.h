@@ -3,7 +3,9 @@
 // Assembles a sub-tree from the prepared (L, B) arrays in one batch pass
 // with a stack of the rightmost path — sequential memory access, no
 // traversals, and no access to the input string: every edge label is an
-// (offset, length) slice of S derived from L and the B offsets.
+// (offset, length) slice of S derived from L and the B offsets, and its
+// first symbol (stored for text-free child lookup) comes from the B
+// symbols.
 
 #ifndef ERA_ERA_BUILD_SUBTREE_H_
 #define ERA_ERA_BUILD_SUBTREE_H_

@@ -129,6 +129,9 @@ StatusOr<uint64_t> EmitBuiltSubTree(const BuildOptions& options,
   std::string path = options.work_dir + "/" + filename;
   out->subtrees[k] = {prefix, frequency, std::move(filename)};
   if (writer != nullptr) {
+    // Enqueue blocks while the writer's backlog is full; that wait is the
+    // worker's, so it gets its own phase instead of going unattributed.
+    WallTimer handoff_timer;
     writer->Enqueue(std::move(path), std::move(prefix), std::move(tree),
                     checkpoint == nullptr
                         ? BackgroundSubTreeWriter::WriteDone()
@@ -139,6 +142,9 @@ StatusOr<uint64_t> EmitBuiltSubTree(const BuildOptions& options,
                                                              file_crc);
                             }
                           });
+    if (profiler != nullptr) {
+      profiler->Record("writer_handoff", worker, handoff_timer.Seconds());
+    }
   } else {
     WallTimer write_timer;
     uint32_t file_crc = 0;

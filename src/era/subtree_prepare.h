@@ -36,7 +36,10 @@
 
 namespace era {
 
-/// Branching relation between adjacent leaves (B array entry).
+/// Branching relation between adjacent leaves (B array entry). BuildSubTree
+/// stores c1/c2 as the first symbols of the edges the branch creates, so
+/// every producer of (L, B) must fill them. B[0] has no predecessor; its c2
+/// is read only when the prefix is empty, as the first symbol of L[0].
 struct BranchInfo {
   uint64_t offset = 0;  // absolute depth of the separation point
   char c1 = 0;          // first symbol of the branch to L[i-1] after it

@@ -110,9 +110,8 @@ Status DictMatcher::Descend(const ServedSubTree& tree, std::size_t lo,
                              (*unique_[b].pattern)[f.depth]) == sym) {
         ++b;
       }
-      ERA_ASSIGN_OR_RETURN(
-          uint32_t child,
-          engine_->FindChild(tree, f.node, static_cast<char>(sym), session_));
+      const uint32_t child = engine_->FindChild(
+          tree, f.node, static_cast<char>(sym), &session_->stats);
       if (child == kNilNode) {
         for (std::size_t w = a; w < b; ++w) ResolveCount(w, 0);
         a = b;
@@ -122,9 +121,9 @@ Status DictMatcher::Descend(const ServedSubTree& tree, std::size_t lo,
       session_->stats.dict_descents_saved += (b - a) - 1;
       const NodeView c = tree.node(child);
       // Walk the edge label ONCE for the whole [a, b) run. FindChild
-      // verified label symbol 0. Invariant kept below: every surviving
-      // pattern is strictly longer than the current depth, so the chunk
-      // bound stays positive.
+      // matched the stored label symbol 0. Invariant kept below: every
+      // surviving pattern is strictly longer than the current depth, so the
+      // chunk bound stays positive.
       std::size_t lo2 = a;
       std::size_t hi2 = b;
       std::size_t max_size = 0;
@@ -148,6 +147,7 @@ Status DictMatcher::Descend(const ServedSubTree& tree, std::size_t lo,
             sizeof(buf), std::min<uint64_t>(c.edge_len - j,
                                             max_size - f.depth - j)));
         uint32_t got = 0;
+        ++session_->stats.label_fetches;
         ERA_RETURN_NOT_OK(
             session_->reader->RandomFetch(c.edge_start + j, chunk, buf, &got));
         if (got != chunk) return Status::Corruption("edge label truncated");
@@ -235,6 +235,7 @@ Status DictMatcher::ResolveLocates(const ServedSubTree& tree,
                            static_cast<std::ptrdiff_t>(options_.locate_limit),
                        hits.end());
       hits.resize(options_.locate_limit);
+      hits.shrink_to_fit();  // as LocateWithSession: answers stay limit-sized
     }
     std::sort(hits.begin(), hits.end());
     for (std::size_t k = 0; k + 1 < up.items.size(); ++k) {

@@ -16,8 +16,9 @@
 //      every touched sub-tree is opened exactly once.
 //   3. Range descent. A group descends its sub-tree with a pattern-range
 //      cursor [lo, hi): at each node the range splits at child boundaries
-//      (one FindChild probe per distinct next symbol), each edge label is
-//      fetched ONCE and every pattern in the range advances through it
+//      (one text-free FindChild lookup per distinct next symbol), each edge
+//      label past its first symbol is fetched ONCE and every pattern in the
+//      range advances through it
 //      together, mismatching patterns peel off the range edges, and a
 //      pattern whose bytes run out resolves at the current locus with the
 //      node's stored subtree count — byte-identical to MatchInSubTree's

@@ -16,6 +16,9 @@ const std::vector<QueryStatsField>& QueryStatsFields() {
           {"era_query_nodes_visited_total",
            "Sub-tree nodes examined while matching",
            &QueryStats::nodes_visited},
+          {"era_query_label_fetches_total",
+           "Text reads issued to compare edge labels past the first symbol",
+           &QueryStats::label_fetches},
           {"era_query_leaves_enumerated_total",
            "Leaf records materialized (Locate only)",
            &QueryStats::leaves_enumerated},
@@ -351,26 +354,20 @@ Status QueryEngine::Lease::Acquire(QueryEngine* engine) {
   return Status::OK();
 }
 
-StatusOr<uint32_t> QueryEngine::FindChild(const ServedSubTree& tree,
-                                          uint32_t node, char symbol,
-                                          Session* session) {
+uint32_t QueryEngine::FindChild(const ServedSubTree& tree, uint32_t node,
+                                char symbol, QueryStats* stats) {
+  // The builders sort sibling blocks by unsigned byte value (the radix
+  // prepare kernel extracts unsigned symbols), and child keys order like
+  // unsigned symbols, so the probe compares keys read from the records.
+  uint32_t want = 0;
+  if (!tree.SymbolKey(static_cast<uint8_t>(symbol), &want)) return kNilNode;
   const NodeView n = tree.node(node);
   uint32_t lo = 0;
   uint32_t hi = n.num_children;
-  // The builders sort sibling blocks by unsigned byte value (the radix
-  // prepare kernel extracts unsigned symbols), so the probe must compare
-  // unsigned too or symbols >= 0x80 would binary-search the wrong half.
-  const unsigned char want = static_cast<unsigned char>(symbol);
-  char first = '\0';
-  uint32_t got = 0;
   while (lo < hi) {
     uint32_t mid = lo + (hi - lo) / 2;
-    const NodeView c = tree.node(n.children_begin + mid);
-    ERA_RETURN_NOT_OK(
-        session->reader->RandomFetch(c.edge_start, 1, &first, &got));
-    if (got != 1) return Status::Corruption("edge label out of text");
-    ++session->stats.nodes_visited;
-    const unsigned char have = static_cast<unsigned char>(first);
+    const uint32_t have = tree.ChildKey(n.children_begin + mid);
+    ++stats->nodes_visited;
     if (have < want) {
       lo = mid + 1;
     } else if (have > want) {
@@ -394,11 +391,12 @@ StatusOr<QueryEngine::SubTreeMatch> QueryEngine::MatchInSubTree(
     // Node-visit boundary: the descent abandons between nodes, never inside
     // an edge-label comparison.
     ERA_RETURN_NOT_OK(ctx.Check());
-    ERA_ASSIGN_OR_RETURN(uint32_t child,
-                         FindChild(tree, node, pattern[matched], session));
+    const uint32_t child =
+        FindChild(tree, node, pattern[matched], &session->stats);
     if (child == kNilNode) return result;  // no child continues the pattern
     const NodeView c = tree.node(child);
-    // FindChild verified the first label symbol; walk the rest of the label.
+    // FindChild matched the stored first label symbol; walk the rest of the
+    // label in the text.
     uint32_t j = 1;
     ++matched;
     while (j < c.edge_len && matched < pattern.size()) {
@@ -406,6 +404,7 @@ StatusOr<QueryEngine::SubTreeMatch> QueryEngine::MatchInSubTree(
           sizeof(buf),
           std::min<uint64_t>(c.edge_len - j, pattern.size() - matched)));
       uint32_t got = 0;
+      ++session->stats.label_fetches;
       ERA_RETURN_NOT_OK(
           session->reader->RandomFetch(c.edge_start + j, chunk, buf, &got));
       if (got != chunk) return Status::Corruption("edge label truncated");
@@ -510,6 +509,9 @@ StatusOr<std::vector<uint64_t>> QueryEngine::LocateWithSession(
   if (hits.size() > limit) {
     std::nth_element(hits.begin(), hits.begin() + limit, hits.end());
     hits.resize(limit);
+    // The caller keeps the answer; don't make it hold every occurrence's
+    // capacity for `limit` offsets.
+    hits.shrink_to_fit();
   }
   std::sort(hits.begin(), hits.end());
   return hits;

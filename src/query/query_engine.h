@@ -3,13 +3,14 @@
 //
 // A query routes through the index's k-mer dispatch table (one array probe
 // replacing the pointer-trie walk) to the responsible sub-tree, loads it
-// through the index's sharded LRU cache, and continues matching against edge
-// labels resolved from the text through a buffered reader. Sub-trees are
-// walked in their serving form (ServedSubTree): compressed v3 payloads are
-// never inflated — child lookup is a binary search over the bit-packed,
-// first-symbol-sorted child block, and Count reads the match node's stored
-// subtree leaf count, so the O(|P|) bound holds with zero leaf enumeration
-// for either format.
+// through the index's sharded LRU cache, and continues matching inside it.
+// Sub-trees are walked in their serving form (ServedSubTree): compressed v3
+// payloads are never inflated — child lookup is a binary search over the
+// stored first symbols (v3: symbol-table ranks) of the sorted child block and
+// reads no text; only an edge label's bytes past its first symbol are read
+// from the text, through a buffered reader. Count reads the match node's
+// stored subtree leaf count, so the O(|P|) bound holds with zero leaf
+// enumeration for either format.
 //
 // The engine is thread-safe: any number of threads may issue queries
 // concurrently. Each call leases a text-reader session from an internal pool
@@ -88,8 +89,13 @@ struct QueryStats {
   uint64_t queries = 0;
   /// Counts answered from the trie alone (no sub-tree open).
   uint64_t trie_resolved_counts = 0;
-  /// Sub-tree nodes examined while matching (binary-search probes included).
+  /// Sub-tree nodes examined while matching: one per child-lookup probe
+  /// (binary-search steps over stored first symbols).
   uint64_t nodes_visited = 0;
+  /// Text reads issued by edge-label comparison past an edge's first symbol
+  /// (MatchInSubTree and the dictionary descent). Child lookup itself reads
+  /// no text, so these are the query path's only label reads.
+  uint64_t label_fetches = 0;
   /// Leaf records materialized (Locate only; Count never enumerates).
   uint64_t leaves_enumerated = 0;
   /// Queries answered Unavailable because their sub-tree could not be
@@ -113,6 +119,7 @@ struct QueryStats {
     queries += other.queries;
     trie_resolved_counts += other.trie_resolved_counts;
     nodes_visited += other.nodes_visited;
+    label_fetches += other.label_fetches;
     leaves_enumerated += other.leaves_enumerated;
     unavailable_queries += other.unavailable_queries;
     batch_duplicates_folded += other.batch_duplicates_folded;
@@ -393,11 +400,12 @@ class QueryEngine {
                                         const QueryContext& ctx,
                                         const std::string& pattern,
                                         Session* session);
-  /// Child of `node` whose edge starts with `symbol` (binary search over the
-  /// sorted child block; first symbols resolve through the session reader).
-  /// kNilNode if absent.
-  StatusOr<uint32_t> FindChild(const ServedSubTree& tree, uint32_t node,
-                               char symbol, Session* session);
+  /// Child of `node` whose edge starts with `symbol`: a binary search over
+  /// the stored first symbols of the sorted child block, reading no text.
+  /// Each probe counts in stats->nodes_visited. kNilNode if absent (at once,
+  /// without probing, when no edge of the tree starts with `symbol`).
+  static uint32_t FindChild(const ServedSubTree& tree, uint32_t node,
+                            char symbol, QueryStats* stats);
 
   Env* env_;
   TreeIndex index_;

@@ -32,11 +32,14 @@ std::string CompressedSubTree::EncodePayload(const CountedTree& tree) {
   PackedHeader h;
   h.leaf_restart_interval = kLeafRestartInterval;
 
-  // Pass 1: per-field maxima, leaf ranks, and the leaf-id stream source.
+  // Pass 1: per-field maxima, leaf ranks, the leaf-id stream source, and
+  // the set of first symbols.
   std::vector<uint64_t> leaf_prefix(n + 1, 0);  // leaf slots before slot i
   std::vector<uint64_t> leaves_by_rank;
+  bool used[256] = {};
   for (uint32_t i = 0; i < n; ++i) {
     const CountedNode& u = tree.node(i);
+    if (i != 0) used[u.first_symbol] = true;
     leaf_prefix[i + 1] = leaf_prefix[i] + (u.IsLeaf() ? 1 : 0);
     if (u.IsLeaf()) leaves_by_rank.push_back(u.leaf_id());
     if (u.edge_start > h.max_edge_start) h.max_edge_start = u.edge_start;
@@ -50,6 +53,16 @@ std::string CompressedSubTree::EncodePayload(const CountedTree& tree) {
     }
   }
   h.leaf_count = leaf_prefix[n];
+  std::string symbols;
+  uint8_t rank_of[256] = {};
+  for (uint32_t c = 1; c < 256; ++c) {
+    if (!used[c]) continue;
+    rank_of[c] = static_cast<uint8_t>(symbols.size());
+    symbols.push_back(static_cast<char>(c));
+  }
+  h.num_symbols = static_cast<uint8_t>(symbols.size());
+  h.w_symbol_rank = static_cast<uint8_t>(
+      symbols.empty() ? 0 : BitWidth(symbols.size() - 1));
   for (uint32_t i = 0; i < n; ++i) {
     const CountedNode& u = tree.node(i);
     const uint64_t ref =
@@ -75,6 +88,7 @@ std::string CompressedSubTree::EncodePayload(const CountedTree& tree) {
     records.Put(ref, h.w_leaf_ref);
     records.Put(u.children_begin, h.w_children_begin);
     records.Put(u.num_children, h.w_num_children);
+    records.Put(i == 0 ? 0 : rank_of[u.first_symbol], h.w_symbol_rank);
   }
   records.Finish();
 
@@ -97,9 +111,11 @@ std::string CompressedSubTree::EncodePayload(const CountedTree& tree) {
   h.leaf_stream_bytes = leaf_stream.size();
 
   std::string payload;
-  payload.reserve(sizeof(PackedHeader) + records.bytes().size() +
-                  restarts.size() * sizeof(uint64_t) + leaf_stream.size());
+  payload.reserve(sizeof(PackedHeader) + symbols.size() +
+                  records.bytes().size() + restarts.size() * sizeof(uint64_t) +
+                  leaf_stream.size());
   payload.append(reinterpret_cast<const char*>(&h), sizeof(h));
+  payload.append(symbols);
   payload.append(records.bytes());
   for (uint64_t off : restarts) {
     payload.append(reinterpret_cast<const char*>(&off), sizeof(off));
@@ -119,6 +135,13 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
   if (node_count == 0 || node_count > 0xFFFFFFFFull) {
     return Status::Corruption("packed subtree node count out of range");
   }
+  // Every written sub-tree has a non-root edge, so an empty symbol table
+  // means the file predates stored first symbols.
+  if (h.num_symbols == 0) {
+    return Status::NotSupported(
+        "packed sub-tree has no stored first symbols (written by an older "
+        "version); rebuild the index");
+  }
   if (h.leaf_count == 0 || h.leaf_count > node_count) {
     return Status::Corruption("packed subtree leaf count out of range");
   }
@@ -133,7 +156,8 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
       h.w_count != BitWidth(h.max_count) ||
       h.w_leaf_ref != BitWidth(h.max_leaf_ref) ||
       h.w_children_begin != BitWidth(h.max_children_begin) ||
-      h.w_num_children != BitWidth(h.max_num_children)) {
+      h.w_num_children != BitWidth(h.max_num_children) ||
+      h.w_symbol_rank != BitWidth(h.num_symbols - 1u)) {
     return Status::Corruption("packed field width is not width-minimal");
   }
   if (h.leaf_restart_interval == 0 ||
@@ -146,11 +170,13 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
     return Status::Corruption("packed restart count mismatch");
   }
 
-  const uint32_t record_bits = h.w_edge_start + h.w_edge_len + h.w_count +
-                               h.w_leaf_ref + h.w_children_begin +
-                               h.w_num_children;
+  const uint32_t rank_bit = h.w_edge_start + h.w_edge_len + h.w_count +
+                            h.w_leaf_ref + h.w_children_begin +
+                            h.w_num_children;
+  const uint32_t record_bits = rank_bit + h.w_symbol_rank;
   const uint64_t record_bytes = (node_count * record_bits + 7) / 8;
-  const uint64_t expected_size = sizeof(PackedHeader) + record_bytes +
+  const uint64_t expected_size = sizeof(PackedHeader) + h.num_symbols +
+                                 record_bytes +
                                  h.num_restarts * sizeof(uint64_t) +
                                  h.leaf_stream_bytes;
   if (payload.size() != expected_size) {
@@ -164,17 +190,34 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
   t.header_ = h;
   t.node_count_ = static_cast<uint32_t>(node_count);
   t.record_bits_ = record_bits;
-  t.records_off_ = sizeof(PackedHeader);
+  t.rank_bit_ = rank_bit;
+  t.records_off_ = sizeof(PackedHeader) + h.num_symbols;
   t.restarts_off_ = t.records_off_ + record_bytes;
   t.leaves_off_ = t.restarts_off_ + h.num_restarts * sizeof(uint64_t);
+
+  // Symbol table: strictly ascending, no 0 (it marks the root).
+  const uint8_t* symbols =
+      reinterpret_cast<const uint8_t*>(t.blob_.data()) + sizeof(PackedHeader);
+  for (uint32_t r = 0; r < h.num_symbols; ++r) {
+    if (symbols[r] == 0 || (r > 0 && symbols[r] <= symbols[r - 1])) {
+      return Status::Corruption(
+          "packed symbol table is not strictly ascending");
+    }
+  }
 
   // Structural pass 1 (forward): field ranges, leaf ranks, recorded maxima.
   const uint32_t n = t.node_count_;
   std::vector<NodeView> nodes(n);
   std::vector<uint64_t> leaf_prefix(n + 1, 0);
+  std::vector<char> rank_used(h.num_symbols, 0);
   PackedHeader actual;  // re-derived maxima
   uint64_t leaf_rank = 0;
   for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t rank = t.FirstSymbolRank(i);
+    if (rank >= h.num_symbols || (i == 0 && rank != 0)) {
+      return Status::Corruption("packed symbol rank out of range");
+    }
+    if (i != 0) rank_used[rank] = 1;
     const NodeView v = t.node(i);
     nodes[i] = v;
     leaf_prefix[i + 1] = leaf_prefix[i] + (v.IsLeaf() ? 1 : 0);
@@ -211,6 +254,9 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
   if (leaf_rank != h.leaf_count) {
     return Status::Corruption("packed leaf count does not match leaf slots");
   }
+  if (std::find(rank_used.begin(), rank_used.end(), 0) != rank_used.end()) {
+    return Status::Corruption("packed symbol table lists an unused symbol");
+  }
   if (actual.max_edge_start != h.max_edge_start ||
       actual.max_edge_len != h.max_edge_len ||
       actual.max_count != h.max_count ||
@@ -241,6 +287,11 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
     uint64_t subtree_nodes = 1;
     uint64_t leaves = 0;
     for (uint32_t c = 0; c < u.num_children; ++c) {
+      if (c > 0 && nodes[u.children_begin + c].first_symbol <=
+                       nodes[u.children_begin + c - 1].first_symbol) {
+        return Status::Corruption(
+            "child block first symbols are not strictly ascending");
+      }
       subtree_nodes += span[u.children_begin + c];
       leaves += nodes[u.children_begin + c].count;
     }
@@ -304,7 +355,31 @@ NodeView CompressedSubTree::node(uint32_t i) const {
   bit += header_.w_children_begin;
   v.num_children =
       static_cast<uint32_t>(records.Get(bit, header_.w_num_children));
+  bit += header_.w_num_children;
+  if (i != 0) {
+    const uint64_t rank = records.Get(bit, header_.w_symbol_rank);
+    v.first_symbol =
+        static_cast<uint8_t>(blob_[sizeof(PackedHeader) + rank]);
+  }
   return v;
+}
+
+bool CompressedSubTree::SymbolRank(uint8_t symbol, uint32_t* rank) const {
+  const uint8_t* begin =
+      reinterpret_cast<const uint8_t*>(blob_.data()) + sizeof(PackedHeader);
+  const uint8_t* end = begin + header_.num_symbols;
+  const uint8_t* it = std::lower_bound(begin, end, symbol);
+  if (it == end || *it != symbol) return false;
+  *rank = static_cast<uint32_t>(it - begin);
+  return true;
+}
+
+uint32_t CompressedSubTree::FirstSymbolRank(uint32_t i) const {
+  const BitReader records(blob_.data() + records_off_,
+                          blob_.size() - records_off_);
+  return static_cast<uint32_t>(records.Get(
+      static_cast<uint64_t>(i) * record_bits_ + rank_bit_,
+      header_.w_symbol_rank));
 }
 
 uint64_t CompressedSubTree::LeafId(uint64_t rank) const {
@@ -366,7 +441,7 @@ StatusOr<CountedTree> CompressedSubTree::Inflate() const {
     dst.edge_len = v.edge_len;
     dst.children_begin = v.children_begin;
     dst.num_children = v.num_children;
-    dst.reserved = 0;
+    dst.first_symbol = v.first_symbol;
     dst.leaf_or_count = v.IsLeaf() ? leaves[v.leaf_ref] : v.count;
   }
   return out;
@@ -382,6 +457,7 @@ NodeView ServedSubTree::node(uint32_t i) const {
   v.leaf_ref = u.IsLeaf() ? u.leaf_id() : 0;
   v.children_begin = u.children_begin;
   v.num_children = u.num_children;
+  v.first_symbol = u.first_symbol;
   return v;
 }
 

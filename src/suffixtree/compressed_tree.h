@@ -4,12 +4,17 @@
 // On-disk payload (after the shared 32-byte file header + prefix bytes):
 //
 //   [PackedHeader]                 72 bytes, POD, little-endian
+//   [symbol table]                 num_symbols bytes, strictly ascending:
+//                                  the distinct first symbols of the
+//                                  sub-tree's non-root edges
 //   [bit-packed node records]      node i at bit i * record_bits; fields in
 //                                  order edge_start, edge_len, count,
 //                                  leaf_ref, children_begin, num_children,
-//                                  each in its width-minimal bit width
-//                                  (BitWidth of the per-subtree maximum,
-//                                  recorded in the header)
+//                                  symbol_rank, each in its width-minimal
+//                                  bit width (BitWidth of the per-subtree
+//                                  maximum, recorded in the header;
+//                                  symbol_rank takes BitWidth(num_symbols
+//                                  - 1): 3 bits for DNA plus the terminal)
 //   [leaf restart array]           num_restarts x uint64 byte offsets into
 //                                  the leaf stream, one per restart block
 //   [leaf stream]                  leaf suffix offsets in SLOT order; blocks
@@ -26,6 +31,10 @@
 // That turns CollectLeaves into a lazy range decode of the leaf stream —
 // restart-seek to the first block, stop after `limit` values — and keeps
 // Count a pure record read (`count` is the stored subtree leaf count).
+// symbol_rank(u) indexes the symbol table for the first symbol of u's
+// incoming edge (the root stores rank 0 and has no symbol). The table is
+// sorted, so ranks order siblings exactly like their symbols and child
+// lookup binary-searches ranks without touching the text.
 //
 // Everything here is validated once in FromPayload (widths match recorded
 // maxima, structural pass mirroring ValidateCountedLayout, leaf-stream
@@ -65,7 +74,11 @@ struct PackedHeader {
   uint8_t w_leaf_ref = 0;
   uint8_t w_children_begin = 0;
   uint8_t w_num_children = 0;
-  uint8_t pad[6] = {0, 0, 0, 0, 0, 0};
+  /// Symbol-table entries. Files written before first symbols were stored
+  /// carry 0 here (the old pad byte) and are refused with NotSupported.
+  uint8_t num_symbols = 0;
+  uint8_t w_symbol_rank = 0;  // == BitWidth(num_symbols - 1)
+  uint8_t pad[4] = {0, 0, 0, 0};
 };
 
 static_assert(sizeof(PackedHeader) == 72, "PackedHeader must stay 72 bytes");
@@ -79,6 +92,7 @@ struct NodeView {
   uint32_t edge_len = 0;
   uint32_t children_begin = 0;
   uint32_t num_children = 0;
+  uint8_t first_symbol = 0;  // first symbol of the incoming edge (0: root)
 
   bool IsLeaf() const { return num_children == 0; }
 };
@@ -111,6 +125,12 @@ class CompressedSubTree {
   /// Decodes node `i` (i < size(); infallible post-validation).
   NodeView node(uint32_t i) const;
 
+  /// Rank of `symbol` in the symbol table; false if no edge of this
+  /// sub-tree starts with it.
+  bool SymbolRank(uint8_t symbol, uint32_t* rank) const;
+  /// symbol_rank field of node `i`, read without decoding the others.
+  uint32_t FirstSymbolRank(uint32_t i) const;
+
   /// Suffix offset of the leaf with slot-order rank `rank` (< LeafCount()).
   uint64_t LeafId(uint64_t rank) const;
 
@@ -134,10 +154,11 @@ class CompressedSubTree {
   PackedHeader header_;
   uint64_t payload_bytes_ = 0;
   uint64_t records_off_ = 0;   // byte offset of packed records in blob_
+  uint32_t rank_bit_ = 0;      // bit offset of symbol_rank in a record
   uint64_t restarts_off_ = 0;  // byte offset of the restart array
   uint64_t leaves_off_ = 0;    // byte offset of the leaf stream
   uint32_t node_count_ = 0;
-  uint32_t record_bits_ = 0;   // sum of the six field widths
+  uint32_t record_bits_ = 0;   // sum of the seven field widths
 };
 
 /// One request's answer inside a shared leaf buffer: `buffer[offset,
@@ -177,6 +198,21 @@ class ServedSubTree {
   }
 
   NodeView node(uint32_t i) const;
+
+  /// Child-lookup key of `symbol`: keys order like symbols, and a child's
+  /// ChildKey equals SymbolKey of its first symbol. False when no edge of
+  /// this tree starts with `symbol` (v3: absent from the symbol table), so
+  /// the lookup can stop without probing.
+  bool SymbolKey(uint8_t symbol, uint32_t* key) const {
+    if (compressed_) return packed_.SymbolRank(symbol, key);
+    *key = symbol;
+    return true;
+  }
+  /// Key of slot `i`'s first symbol (v3: its table rank, one field read).
+  uint32_t ChildKey(uint32_t i) const {
+    return compressed_ ? packed_.FirstSymbolRank(i)
+                       : counted_.node(i).first_symbol;
+  }
 
   /// Suffix offset of leaf `v` (v.IsLeaf() must hold).
   uint64_t LeafIdOf(const NodeView& v) const {

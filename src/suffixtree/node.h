@@ -15,6 +15,14 @@
 //    every node carries its subtree leaf count, so Count is a pure
 //    root-to-node walk with zero leaf enumeration.
 //
+// Both layouts store the first symbol of every non-root node's incoming edge
+// (the byte S[edge_start]). Builders fill it from symbols they already hold
+// (ERA's B[i] = (c1, c2, offset) entries, in-memory text, or the symbols a
+// baseline compares anyway), so child lookup at query time compares stored
+// symbols and never reads the text. The root stores 0; every text symbol is
+// a printable byte, so 0 also marks files written before the field existed,
+// which readers refuse with NotSupported.
+//
 // The paper sizes sub-trees as 2 * f_p * sizeof(tree node); FM derives from
 // sizeof(TreeNode) (see era/memory_layout.h).
 
@@ -51,8 +59,10 @@ struct TreeNode {
   uint32_t first_child = kNilNode;
   /// Next sibling in lexicographic order; kNilNode if last.
   uint32_t next_sibling = kNilNode;
-  /// Reserved/padding (keeps the struct at 32 bytes).
-  uint32_t reserved = 0;
+  /// First symbol of the incoming edge label (0 for the root).
+  uint8_t first_symbol = 0;
+  /// Padding (keeps the struct at 32 bytes; always zero on disk).
+  uint8_t reserved[3] = {0, 0, 0};
 
   bool IsLeaf() const { return leaf_id != kNoLeaf; }
 };
@@ -66,8 +76,8 @@ static_assert(sizeof(TreeNode) == 32, "TreeNode must stay 32 bytes");
 /// the moment the node is first visited. Two structural guarantees follow,
 /// and the reader enforces both:
 ///   * the children of a node occupy the contiguous slot range
-///     [children_begin, children_begin + num_children), sorted by the first
-///     symbol of their incoming edge;
+///     [children_begin, children_begin + num_children), sorted strictly
+///     ascending by the first symbol of their incoming edge (first_symbol);
 ///   * the strict descendants of a node occupy one contiguous slot range
 ///     starting at children_begin, so collecting the occurrences under a
 ///     match is a linear scan that stops after subtree_leaf_count leaves.
@@ -86,12 +96,11 @@ struct CountedNode {
   uint32_t children_begin = 0;
   /// Number of children; 0 discriminates leaves.
   uint32_t num_children = 0;
-  /// Reserved/padding (keeps the struct at 32 bytes). Earmarked for caching
-  /// the first symbol of the incoming edge, which would make child binary
-  /// search text-free; the writer cannot populate it today because it has no
-  /// text access (readers resolve first symbols through their session's
-  /// buffered reader instead).
-  uint32_t reserved = 0;
+  /// First symbol of the incoming edge label (0 for the root). Child lookup
+  /// binary-searches a child block on this field, so it needs no text.
+  uint8_t first_symbol = 0;
+  /// Padding (keeps the struct at 32 bytes; always zero on disk).
+  uint8_t reserved[3] = {0, 0, 0};
 
   bool IsLeaf() const { return num_children == 0; }
   /// Suffix offset of a leaf (meaningless for internal nodes).

@@ -66,6 +66,22 @@ Status WritePayload(Env* env, const std::string& path,
   return Status::OK();
 }
 
+/// v1/v2 files written before first symbols were stored carry 0 in every
+/// node's symbol byte; they cannot serve a text-free child lookup, so they
+/// are refused as a whole instead of failing validation node by node.
+template <typename Node>
+Status CheckFirstSymbolsStored(const std::vector<Node>& nodes,
+                               const std::string& path) {
+  if (nodes.size() < 2) return Status::OK();  // structural checks reject it
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    if (nodes[i].first_symbol != 0) return Status::OK();
+  }
+  return Status::NotSupported(
+      "sub-tree " + path +
+      " has no stored first symbols (written by an older version); "
+      "rebuild the index");
+}
+
 /// Reads header + prefix + payload (validating magic, version, CRC and a
 /// non-empty node count). Exactly one of `v1_nodes`/`v2_nodes`/`v3_payload`
 /// is filled, selected by the version on disk; `*version_out` reports which.
@@ -107,6 +123,9 @@ Status ReadPayload(Env* env, const std::string& path,
     // v3 payload size is whatever follows the prefix; the packed decoder
     // cross-checks it against the node count and recorded section sizes.
     payload_bytes = file_size - sizeof(header) - prefix.size();
+    // Room for the decoder's reader pad up front, so appending it neither
+    // copies the payload nor doubles the resident blob's capacity.
+    v3_payload->reserve(payload_bytes + kBitReaderPadBytes);
     v3_payload->resize(payload_bytes);
     payload_dst = v3_payload->data();
   } else {
@@ -138,6 +157,11 @@ Status ReadPayload(Env* env, const std::string& path,
   }
   if (header.node_count == 0) {
     return Status::Corruption("empty sub-tree in " + path);
+  }
+  if (header.version == kVersionLinked) {
+    ERA_RETURN_NOT_OK(CheckFirstSymbolsStored(*v1_nodes, path));
+  } else if (header.version == kVersionCounted) {
+    ERA_RETURN_NOT_OK(CheckFirstSymbolsStored(*v2_nodes, path));
   }
   if (node_count_out != nullptr) *node_count_out = header.node_count;
   *version_out = header.version;
@@ -236,6 +260,9 @@ Status ReadCountedSubTree(Env* env, const std::string& path, CountedTree* tree,
   TreeBuffer linked;
   linked.mutable_nodes() = std::move(v1_nodes);
   ERA_ASSIGN_OR_RETURN(*tree, BuildCountedTree(linked));
+  if (Status s = ValidateCountedLayout(*tree); !s.ok()) {
+    return Status::Corruption(s.message() + " in " + path);
+  }
   return Status::OK();
 }
 
@@ -263,7 +290,8 @@ Status ReadServedSubTree(Env* env, const std::string& path,
     TreeBuffer linked;
     linked.mutable_nodes() = std::move(v1_nodes);
     ERA_ASSIGN_OR_RETURN(counted, BuildCountedTree(linked));
-  } else if (Status s = ValidateCountedLayout(counted); !s.ok()) {
+  }
+  if (Status s = ValidateCountedLayout(counted); !s.ok()) {
     return Status::Corruption(s.message() + " in " + path);
   }
   *tree = ServedSubTree(std::move(counted));

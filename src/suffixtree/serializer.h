@@ -10,6 +10,10 @@
 //     width-minimal counted records plus a delta/varint leaf stream (see
 //     suffixtree/compressed_tree.h). The default for all builders.
 //
+// Every version stores each non-root node's first edge symbol (node.h). Files
+// written before that field existed (symbol 0 in every v1/v2 node, an empty
+// v3 symbol table) fail to read with NotSupported: rebuild the index.
+//
 // Any version can be read into any in-memory form: ReadServedSubTree is the
 // serving path (v3 stays compressed, v1/v2 inflate to CountedTree);
 // ReadCountedSubTree and ReadSubTree convert as needed for consumers that

@@ -17,6 +17,7 @@ StatusOr<CountedTree> BuildCountedTree(const TreeBuffer& tree) {
     CountedNode& dst = nodes[slot];
     dst.edge_start = src.edge_start;
     dst.edge_len = src.edge_len;
+    dst.first_symbol = src.first_symbol;
     // Valid for leaves; overwritten with the subtree leaf count for internal
     // nodes by the reverse pass below.
     dst.leaf_or_count = src.leaf_id;
@@ -85,7 +86,7 @@ StatusOr<CountedTree> BuildCountedTree(const TreeBuffer& tree) {
 Status ValidateCountedLayout(const CountedTree& tree) {
   const uint64_t n = tree.size();
   if (n == 0) return Status::Corruption("empty counted tree");
-  if (tree.node(0).edge_len != 0) {
+  if (tree.node(0).edge_len != 0 || tree.node(0).first_symbol != 0) {
     return Status::Corruption("counted root has an incoming edge");
   }
   // Reverse pass: children always sit at higher slots, so subtree node and
@@ -105,6 +106,14 @@ Status ValidateCountedLayout(const CountedTree& tree) {
     uint64_t leaves = 0;
     for (uint32_t c = 0; c < u.num_children; ++c) {
       const CountedNode& child = tree.node(u.children_begin + c);
+      // Child lookup binary-searches this field, so the order node.h
+      // promises is checked here rather than trusted.
+      if (child.first_symbol == 0 ||
+          (c > 0 && child.first_symbol <=
+                        tree.node(u.children_begin + c - 1).first_symbol)) {
+        return Status::Corruption(
+            "child block first symbols are not strictly ascending");
+      }
       nodes += span[u.children_begin + c];
       leaves += child.LeafCount();
     }
@@ -143,6 +152,7 @@ StatusOr<TreeBuffer> LinkedFromCounted(const CountedTree& tree) {
     TreeNode& dst = out.node(i);
     dst.edge_start = src.edge_start;
     dst.edge_len = src.edge_len;
+    dst.first_symbol = src.first_symbol;
     dst.leaf_id = src.IsLeaf() ? src.leaf_id() : kNoLeaf;
     if (src.IsLeaf()) continue;
     if (src.children_begin <= i ||

@@ -100,7 +100,8 @@ StatusOr<TreeBuffer> LinkedFromCounted(const CountedTree& tree);
 
 /// Full structural check of a counted node array: root has no incoming edge,
 /// child blocks are in bounds and strictly after their parent (traversals
-/// strictly increase slot indices), stored subtree leaf counts aggregate
+/// strictly increase slot indices), every child block's first symbols are
+/// non-zero and strictly ascending, stored subtree leaf counts aggregate
 /// correctly, every node is reachable exactly once, and the canonical DFS
 /// block layout holds — each internal node's strict descendants occupy
 /// exactly [children_begin, children_begin + subtree_node_count - 1), which

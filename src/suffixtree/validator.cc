@@ -57,6 +57,9 @@ Status ValidateSubTree(const TreeBuffer& tree, const std::string& text,
         return Status::Corruption("edge label out of text bounds");
       }
       char symbol = text[child.edge_start];
+      if (child.first_symbol != static_cast<uint8_t>(symbol)) {
+        return Status::Corruption("stored first symbol does not match text");
+      }
       if (!first && symbol <= prev_symbol) {
         return Status::Corruption("children not in strict symbol order");
       }

@@ -20,7 +20,8 @@ namespace era {
 ///  * indices in range, exactly one visit per node (no cycles / orphans)
 ///  * every non-root internal node has >= 2 children; the sub-tree root has
 ///    >= 1 (its incoming path is the partition prefix)
-///  * children are in strictly increasing first-symbol order
+///  * children are in strictly increasing first-symbol order, and every
+///    non-root node's stored first_symbol equals text[edge_start]
 ///  * each leaf's root-to-leaf label equals its suffix and starts with
 ///    `prefix`
 ///  * leaves appear in lexicographic order

@@ -541,9 +541,10 @@ int CmdBenchQuery(const std::vector<std::string>& args) {
       static_cast<unsigned long long>(cache.resident_bytes),
       static_cast<unsigned long long>(cache.resident_trees));
   std::printf(
-      "work: nodes_visited=%llu leaves_enumerated=%llu "
+      "work: nodes_visited=%llu label_fetches=%llu leaves_enumerated=%llu "
       "trie_resolved_counts=%llu checksum=%llu\n",
       static_cast<unsigned long long>(stats.nodes_visited),
+      static_cast<unsigned long long>(stats.label_fetches),
       static_cast<unsigned long long>(stats.leaves_enumerated),
       static_cast<unsigned long long>(stats.trie_resolved_counts),
       static_cast<unsigned long long>(replay->occurrence_checksum));

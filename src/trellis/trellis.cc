@@ -25,8 +25,10 @@ struct Cursor {
 
 /// Recursively copies the subtree under `cursor` into `out` beneath
 /// `out_parent`, trimming `consumed` symbols off the top edge. Children are
-/// already sorted in the source. Returns the new node id.
-uint32_t CopySubTree(TreeBuffer* out, const Cursor& cursor) {
+/// already sorted in the source. First symbols are re-read from the
+/// in-memory `text`, so sources need not carry them. Returns the new node id.
+uint32_t CopySubTree(TreeBuffer* out, const Cursor& cursor,
+                     const std::string& text) {
   struct Item {
     uint32_t src;
     uint32_t dst;
@@ -38,6 +40,7 @@ uint32_t CopySubTree(TreeBuffer* out, const Cursor& cursor) {
     TreeNode& dst = out->node(top);
     dst.edge_start = src.edge_start + cursor.consumed;
     dst.edge_len = src.edge_len - cursor.consumed;
+    dst.first_symbol = static_cast<uint8_t>(text[dst.edge_start]);
     dst.leaf_id = src.leaf_id;
   }
   std::vector<Item> stack{{cursor.node, top}};
@@ -52,6 +55,7 @@ uint32_t CopySubTree(TreeBuffer* out, const Cursor& cursor) {
       TreeNode& dst = out->node(fresh);
       dst.edge_start = src.edge_start;
       dst.edge_len = src.edge_len;
+      dst.first_symbol = static_cast<uint8_t>(text[dst.edge_start]);
       dst.leaf_id = src.leaf_id;
       if (prev_dst == kNilNode) {
         out->node(item.dst).first_child = fresh;
@@ -104,7 +108,7 @@ Status MergeChildren(TreeBuffer* out, uint32_t out_parent,
     uint32_t fresh;
     if (h - g == 1) {
       // Only one source continues with this symbol: verbatim copy.
-      fresh = CopySubTree(out, pending[g]);
+      fresh = CopySubTree(out, pending[g], text);
     } else {
       // Advance all members while their labels agree.
       std::vector<Cursor> members(pending.begin() + g, pending.begin() + h);
@@ -143,6 +147,7 @@ Status MergeChildren(TreeBuffer* out, uint32_t out_parent,
       TreeNode& fresh_node = out->node(fresh);
       fresh_node.edge_start = label_start;
       fresh_node.edge_len = advance;
+      fresh_node.first_symbol = static_cast<uint8_t>(symbol);
       for (Cursor& m : members) m.consumed += advance;
       ERA_RETURN_NOT_OK(MergeChildren(out, fresh, std::move(members), text));
     }
@@ -295,6 +300,8 @@ StatusOr<BuildResult> TrellisBuilder::Build(const TextInfo& text) {
                        prefixes[p].prefix) == 0) {
         BranchInfo branch;
         branch.offset = LcpOfSuffixes(s, suffixes[j - 1], suffixes[j]);
+        branch.c1 = s[suffixes[j - 1] + branch.offset];
+        branch.c2 = s[suffixes[j] + branch.offset];
         branch.defined = true;
         prepared.branches.push_back(branch);
         prepared.leaves.push_back(suffixes[j]);

@@ -59,6 +59,8 @@ class UkkonenBuilder {
         TreeNode& fc = out.node(flat_child);
         fc.edge_start = static_cast<uint64_t>(cn.start);
         fc.edge_len = static_cast<uint32_t>(edge_end - cn.start);
+        fc.first_symbol =
+            static_cast<uint8_t>(text_[static_cast<std::size_t>(cn.start)]);
         fc.next_sibling = chain;
         chain = flat_child;
         int64_t child_depth = f.depth + (edge_end - cn.start);

@@ -56,7 +56,8 @@ StatusOr<TreeBuffer> WaveFrontBuildSubTree(const std::string& prefix,
                                            uint64_t text_length,
                                            StringReader* suffix_reader,
                                            StringReader* edge_reader) {
-  (void)prefix;
+  // First symbols come from values the traversal reads anyway (the prefix,
+  // `want`, `old_sym`, `new_sym`), so storing them adds no device reads.
   TreeBuffer tree;
   tree.Reserve(2 * occ.size());
 
@@ -67,6 +68,7 @@ StatusOr<TreeBuffer> WaveFrontBuildSubTree(const std::string& prefix,
       TreeNode& node = tree.node(leaf);
       node.edge_start = q;
       node.edge_len = static_cast<uint32_t>(text_length - q);
+      node.first_symbol = static_cast<uint8_t>(prefix[0]);
       node.leaf_id = q;
       tree.node(0).first_child = leaf;
       first = false;
@@ -102,6 +104,7 @@ StatusOr<TreeBuffer> WaveFrontBuildSubTree(const std::string& prefix,
         TreeNode& leaf_node = tree.node(leaf);
         leaf_node.edge_start = q + depth;
         leaf_node.edge_len = static_cast<uint32_t>(text_length - q - depth);
+        leaf_node.first_symbol = static_cast<uint8_t>(want);
         leaf_node.leaf_id = q;
         leaf_node.next_sibling = child;
         if (prev == kNilNode) {
@@ -137,6 +140,7 @@ StatusOr<TreeBuffer> WaveFrontBuildSubTree(const std::string& prefix,
 
       mid_node.edge_start = child_node.edge_start;
       mid_node.edge_len = j;
+      mid_node.first_symbol = child_node.first_symbol;
       mid_node.next_sibling = child_node.next_sibling;
       child_node.edge_start += j;
       child_node.edge_len -= j;
@@ -151,6 +155,8 @@ StatusOr<TreeBuffer> WaveFrontBuildSubTree(const std::string& prefix,
                            SymbolAt(edge_reader, child_node.edge_start));
       ERA_ASSIGN_OR_RETURN(char new_sym,
                            SymbolAt(suffix_reader, q + depth + j));
+      child_node.first_symbol = static_cast<uint8_t>(old_sym);
+      leaf_node.first_symbol = static_cast<uint8_t>(new_sym);
       if (new_sym < old_sym) {
         mid_node.first_child = leaf;
         leaf_node.next_sibling = child;

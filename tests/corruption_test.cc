@@ -103,6 +103,49 @@ TEST(CorruptionTest, TruncatedSubTreeIsCorruption) {
   }
 }
 
+TEST(CorruptionTest, DamagedStoredFirstSymbolIsCorruption) {
+  // Child lookup binary-searches the stored first symbols without reading
+  // the text, so a CRC-valid file whose symbols break the sorted child-block
+  // order must fail structurally, in both serving formats.
+  MemEnv env;
+  Built().CloneInto(&env);
+  CountedTree clean;
+  ASSERT_TRUE(ReadCountedSubTree(&env, "/idx/" + Built().subtrees[0].filename,
+                                 &clean, nullptr, nullptr)
+                  .ok());
+  uint32_t victim = 0;  // second child of the first branching node
+  for (uint32_t i = 0; i < clean.size() && victim == 0; ++i) {
+    if (clean.node(i).num_children >= 2) {
+      victim = clean.node(i).children_begin + 1;
+    }
+  }
+  ASSERT_NE(victim, 0u);
+
+  for (SubTreeFormat format :
+       {SubTreeFormat::kCounted, SubTreeFormat::kPacked}) {
+    // Duplicate the left sibling's symbol (order broken), or clear it.
+    for (uint8_t symbol : {clean.node(victim - 1).first_symbol, uint8_t{0}}) {
+      CountedTree damaged;
+      damaged.mutable_nodes() = clean.nodes();
+      damaged.mutable_nodes()[victim].first_symbol = symbol;
+      ASSERT_TRUE(WriteCountedSubTree(&env, "/damaged", "A", damaged, nullptr,
+                                      nullptr, format)
+                      .ok());
+      CountedTree counted;
+      Status s = ReadCountedSubTree(&env, "/damaged", &counted, nullptr,
+                                    nullptr);
+      EXPECT_TRUE(s.IsCorruption())
+          << "format " << static_cast<int>(format) << " symbol "
+          << int{symbol} << ": " << s.ToString();
+      ServedSubTree served;
+      s = ReadServedSubTree(&env, "/damaged", &served, nullptr, nullptr);
+      EXPECT_TRUE(s.IsCorruption())
+          << "format " << static_cast<int>(format) << " symbol "
+          << int{symbol} << ": " << s.ToString();
+    }
+  }
+}
+
 TEST(CorruptionTest, ManifestDamageIsCorruption) {
   MemEnv env;
   Built().CloneInto(&env);

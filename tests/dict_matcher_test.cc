@@ -14,6 +14,7 @@
 #include "collection/collection_builder.h"
 #include "collection/doc_engine.h"
 #include "era/era_builder.h"
+#include "io/faulty_env.h"
 #include "io/latency_env.h"
 #include "io/mem_env.h"
 #include "io/string_reader.h"
@@ -176,6 +177,40 @@ TEST(DictMatcherEquivalence, AhoCorasickStreamingBaselineAgreesOnCounts) {
     EXPECT_EQ((*outcomes)[i].count, ac_counts[i])
         << "pattern: " << patterns[i];
   }
+}
+
+TEST(DictMatcherEquivalence, DescentReadsTextOnlyForEdgeLabels) {
+  // Range narrowing at each node compares stored first symbols; the text is
+  // read only to compare labels past an edge's first symbol, so device
+  // refills of the text stay within the label fetches, and the answers stay
+  // identical to the per-pattern loop.
+  MemEnv mem;
+  const std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 61);
+  auto info = MaterializeText(&mem, "/text", Alphabet::Dna(), text);
+  ASSERT_TRUE(info.ok());
+  EraBuilder builder(SmallBuildOptions(&mem, "/idx", SubTreeFormat::kPacked));
+  ASSERT_TRUE(builder.Build(*info).ok());
+  FaultSpec spec;
+  spec.path_filter = "/text";  // count text reads only
+  FaultyEnv counting(&mem, spec);
+  auto engine = QueryEngine::Open(&counting, "/idx");
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  DictWorkloadOptions workload;
+  workload.num_patterns = 400;
+  workload.seed = 5;
+  const std::vector<std::string> patterns =
+      SampleDictionaryWorkload(text, workload);
+  const uint64_t reads_before = counting.stats().reads;
+  auto outcomes = (*engine)->MatchDictionary(patterns);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  const uint64_t reads = counting.stats().reads - reads_before;
+  const QueryStats stats = (*engine)->stats();
+  EXPECT_GT(stats.label_fetches, 0u);
+  EXPECT_LE(reads, stats.label_fetches);
+  ExpectSameOutcomes(
+      *outcomes, PerPatternLoop(engine->get(), patterns, DictMatchOptions{}),
+      patterns);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 // Format compatibility across v1/v2/v3: every builder emits the configured
 // format (bit-packed v3 by default, counted v2 on request), both serve
 // queries byte-identically, and legacy v1 mirrors still read and answer the
-// same.
+// same. Files written before first edge symbols were stored are refused
+// with NotSupported in every version.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "b2st/b2st.h"
+#include "common/crc32.h"
 #include "era/era_builder.h"
 #include "io/mem_env.h"
 #include "query/query_engine.h"
@@ -235,6 +238,60 @@ TEST(FormatCompatTest, V1FilesStillReadable) {
   EXPECT_EQ(counted.size(), tree->size());
   EXPECT_EQ(TreeToSaLcp(counted), TreeToSaLcp(*tree));
   EXPECT_EQ(counted.LeafCount(), CountLeaves(*tree));
+}
+
+TEST(FormatCompatTest, FilesWithoutStoredSymbolsAreNotSupported) {
+  // Files written before first symbols were stored left the v1/v2 symbol
+  // byte 0 and the v3 symbol-table count 0 (then a pad byte). Serving them
+  // would need a text read per child probe, so every reader refuses them
+  // with NotSupported (rebuild the index) instead of serving or reporting
+  // damage.
+  std::string text = testing::RandomText(Alphabet::Dna(), 500, 3);
+  auto tree = BuildUkkonenTree(text);
+  ASSERT_TRUE(tree.ok());
+  auto counted = BuildCountedTree(*tree);
+  ASSERT_TRUE(counted.ok());
+  CountedTree legacy = *counted;
+  for (CountedNode& node : legacy.mutable_nodes()) node.first_symbol = 0;
+  TreeBuffer legacy_linked = *tree;
+  for (TreeNode& node : legacy_linked.mutable_nodes()) node.first_symbol = 0;
+
+  MemEnv env;
+  ASSERT_TRUE(WriteSubTreeV1(&env, "/v1.bin", "AC", legacy_linked, nullptr)
+                  .ok());
+  ASSERT_TRUE(WriteCountedSubTree(&env, "/v2.bin", "AC", legacy, nullptr,
+                                  nullptr, SubTreeFormat::kCounted)
+                  .ok());
+
+  // v3: a current file with its header rewritten the way the old encoder
+  // left it (symbol count and rank width zero), CRC re-sealed.
+  const std::string prefix = "AC";
+  ASSERT_TRUE(WriteCountedSubTree(&env, "/v3.bin", prefix, *counted, nullptr,
+                                  nullptr, SubTreeFormat::kPacked)
+                  .ok());
+  std::string raw;
+  ASSERT_TRUE(env.ReadFileToString("/v3.bin", &raw).ok());
+  const std::size_t payload = 32 + prefix.size();
+  raw[payload + offsetof(PackedHeader, num_symbols)] = 0;
+  raw[payload + offsetof(PackedHeader, w_symbol_rank)] = 0;
+  const uint32_t crc = Crc32c(raw.data() + payload, raw.size() - payload,
+                              Crc32c(prefix.data(), prefix.size()));
+  std::memcpy(raw.data() + 24, &crc, sizeof(crc));  // header crc field
+  ASSERT_TRUE(env.WriteFile("/v3.bin", raw).ok());
+
+  for (const char* path : {"/v1.bin", "/v2.bin", "/v3.bin"}) {
+    TreeBuffer linked;
+    Status s = ReadSubTree(&env, path, &linked, nullptr, nullptr);
+    EXPECT_TRUE(s.IsNotSupported()) << path << ": " << s.ToString();
+    CountedTree as_counted;
+    s = ReadCountedSubTree(&env, path, &as_counted, nullptr, nullptr);
+    EXPECT_TRUE(s.IsNotSupported()) << path << ": " << s.ToString();
+    ServedSubTree served;
+    s = ReadServedSubTree(&env, path, &served, nullptr, nullptr);
+    EXPECT_TRUE(s.IsNotSupported()) << path << ": " << s.ToString();
+    EXPECT_NE(s.message().find("rebuild the index"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 }  // namespace

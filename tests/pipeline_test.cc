@@ -130,6 +130,8 @@ TreeBuffer MakeTree(uint32_t leaves) {
     tree.node(node).edge_start = i;
     tree.node(node).edge_len = 1;
     tree.node(node).leaf_id = i;
+    // Distinct ascending first symbols, as every sub-tree file must store.
+    tree.node(node).first_symbol = static_cast<uint8_t>('A' + i);
     tree.AppendChildLast(0, node);
   }
   return tree;

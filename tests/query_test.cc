@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "era/era_builder.h"
+#include "io/faulty_env.h"
 #include "io/mem_env.h"
 #include "query/applications.h"
 #include "tests/test_util.h"
@@ -212,6 +213,112 @@ TEST_F(QueryEngineTest, CountUsesTrieWithoutSubTreeIo) {
   auto count = engine_->Count("A");  // resolvable from trie frequencies
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(engine_->io().bytes_read, reads_before);
+}
+
+// ---------------------------------------------------------------------------
+// Text-free child lookup: child probes compare the first symbols stored in
+// the sub-tree records, so only edge-label bytes past an edge's first symbol
+// ever reach the text reader.
+// ---------------------------------------------------------------------------
+
+class TextFreeLookupTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // A generous budget keeps every sub-tree prefix one symbol long, so
+    // short patterns leave the trie and walk sub-tree edges of length 1.
+    text_ = testing::RandomText(Alphabet::Dna(), 3000, 17);
+    auto info = MaterializeText(&mem_, "/text", Alphabet::Dna(), text_);
+    ASSERT_TRUE(info.ok());
+    BuildOptions options;
+    options.env = &mem_;
+    options.work_dir = "/idx";
+    options.memory_budget = 8 << 20;
+    options.input_buffer_bytes = 4096;
+    EraBuilder builder(options);
+    auto result = builder.Build(*info);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    // Counts only the text file's device reads: every one is a reader
+    // refill (sub-tree loads hit other paths).
+    FaultSpec spec;
+    spec.path_filter = "/text";
+    counting_ = std::make_unique<FaultyEnv>(&mem_, spec);
+    auto engine = QueryEngine::Open(counting_.get(), "/idx");
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = std::move(*engine);
+  }
+
+  uint64_t TextReads() const { return counting_->stats().reads; }
+
+  MemEnv mem_;
+  std::unique_ptr<FaultyEnv> counting_;
+  std::string text_;
+  std::unique_ptr<QueryEngine> engine_;
+};
+
+TEST_F(TextFreeLookupTest, LengthOneEdgePathReadsNoText) {
+  // Spell a pattern down sub-tree edges of length 1, ending on the first
+  // symbol of one more edge: matching it needs child lookups only.
+  const TreeIndex& index = engine_->index();
+  uint32_t id = 0;
+  while (id < index.subtrees().size() &&
+         index.subtrees()[id].prefix.size() != 1) {
+    ++id;
+  }
+  ASSERT_LT(id, index.subtrees().size());
+  auto tree = index.OpenSubTree(&mem_, id, nullptr);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  std::string pattern;
+  uint32_t node = 0;
+  for (bool descend = true; descend;) {
+    const NodeView v = (*tree)->node(node);
+    ASSERT_FALSE(v.IsLeaf());
+    descend = false;
+    for (uint32_t c = 0; c < v.num_children; ++c) {
+      const NodeView child = (*tree)->node(v.children_begin + c);
+      if (child.edge_len == 1 && !child.IsLeaf() && pattern.size() < 6) {
+        pattern.push_back(static_cast<char>(child.first_symbol));
+        node = v.children_begin + c;
+        descend = true;
+        break;
+      }
+    }
+    if (!descend) {
+      pattern.push_back(static_cast<char>(
+          (*tree)->node(v.children_begin).first_symbol));
+    }
+  }
+  ASSERT_GE(pattern.size(), 2u) << "pattern must leave the trie";
+
+  const uint64_t reads_before = TextReads();
+  const QueryStats before = engine_->stats();
+  auto count = engine_->Count(pattern);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  const QueryStats after = engine_->stats();
+  EXPECT_EQ(*count, NaiveLocate(text_, pattern).size()) << pattern;
+  EXPECT_GT(after.nodes_visited - before.nodes_visited, 0u);
+  EXPECT_EQ(after.label_fetches - before.label_fetches, 0u);
+  EXPECT_EQ(TextReads() - reads_before, 0u)
+      << "child lookup touched the text for " << pattern;
+}
+
+TEST_F(TextFreeLookupTest, TextRefillsNeverExceedLabelFetches) {
+  uint64_t total_fetches = 0;
+  for (std::size_t offset : {0u, 333u, 1200u, 2100u, 2980u}) {
+    for (std::size_t len : {5u, 12u, 30u}) {
+      if (offset + len > text_.size()) continue;
+      const std::string pattern = text_.substr(offset, len);
+      const uint64_t reads_before = TextReads();
+      const uint64_t fetches_before = engine_->stats().label_fetches;
+      auto count = engine_->Count(pattern);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(*count, NaiveLocate(text_, pattern).size()) << pattern;
+      const uint64_t fetches = engine_->stats().label_fetches - fetches_before;
+      EXPECT_LE(TextReads() - reads_before, fetches) << pattern;
+      total_fetches += fetches;
+    }
+  }
+  // Long patterns do cross edges longer than one symbol.
+  EXPECT_GT(total_fetches, 0u);
 }
 
 TEST(QueryEngineLifecycleTest, OpenFailsOnMissingIndex) {
