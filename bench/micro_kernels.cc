@@ -141,15 +141,15 @@ void BM_Ukkonen(benchmark::State& state) {
 }
 BENCHMARK(BM_Ukkonen)->Arg(64 << 10)->Arg(256 << 10);
 
-void BM_Crc32(benchmark::State& state) {
+void BM_Crc32c(benchmark::State& state) {
   std::string data = DnaText(1 << 20);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32(data.data(), data.size()));
+    benchmark::DoNotOptimize(Crc32c(data.data(), data.size()));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(data.size()));
 }
-BENCHMARK(BM_Crc32);
+BENCHMARK(BM_Crc32c);
 
 void BM_EncodedStringExtract(benchmark::State& state) {
   std::string text = DnaText(1 << 20);

@@ -1,8 +1,7 @@
-// Concurrent query-serving benchmark: format v2 vs v3 under one cache budget.
+// Concurrent query-serving benchmark.
 //
-// Builds the same generated DNA index twice — once with counted v2 files,
-// once with bit-packed v3 files — then replays a mixed Count/Locate pattern
-// workload against each at 1/4/8 threads and emits BENCH_query.json (QPS,
+// Builds a generated DNA index, then replays a mixed Count/Locate pattern
+// workload against it at 1/4/8 threads and emits BENCH_query.json (QPS,
 // speedup, cache hit rate, compression ratio, query counters) in the current
 // directory.
 //
@@ -15,14 +14,13 @@
 //    exactly what a serving layer buys — per-thread reader sessions overlap
 //    their device waits while the sharded cache keeps sub-tree loads off the
 //    device.
-//  * Both formats run under the SAME cache byte budget. The v3 serving form
-//    is charged at its packed size, so more sub-trees stay resident — the
-//    bench asserts v3's hit rate strictly exceeds v2's at every thread
-//    count, and that v3 compresses >= 2x vs the counted records.
+//  * The cache charges each sub-tree at its packed serving size, so more
+//    sub-trees stay resident than 32-byte counted records would allow; the
+//    bench asserts the packed form is >= 2x smaller than those records.
 //  * Every row replays the identical workload (thread t takes patterns
-//    t, t+T, ...), so the occurrence checksum must match across every row —
-//    thread counts AND formats (the byte-identical-answers criterion); the
-//    bench fails if it does not.
+//    t, t+T, ...), so the occurrence checksum must match across every
+//    thread count (the byte-identical-answers criterion); the bench fails if
+//    it does not.
 //  * Each row runs on a freshly opened engine (cold cache) so the reported
 //    hit rate is comparable across rows.
 
@@ -51,8 +49,7 @@ namespace {
 using bench::ArgOr;
 using bench::ScopedRemoveAll;
 
-struct FormatInfo {
-  std::string name;        // "v2" / "v3"
+struct IndexInfo {
   std::string dir;         // index directory
   uint64_t nodes = 0;      // total nodes across sub-trees
   uint64_t disk_bytes = 0;
@@ -63,7 +60,6 @@ struct FormatInfo {
 };
 
 struct Row {
-  const FormatInfo* format = nullptr;
   unsigned threads = 0;
   ReplayResult replay;
   double speedup = 0;
@@ -109,47 +105,45 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<FormatInfo> formats = {{"v2", root + "/idx_v2"},
-                                     {"v3", root + "/idx_v3"}};
-  for (FormatInfo& fmt : formats) {
+  IndexInfo index{root + "/idx"};
+  {
     BuildOptions options;
     options.env = posix;
-    options.work_dir = fmt.dir;
+    options.work_dir = index.dir;
     options.memory_budget = static_cast<uint64_t>(budget_mb * 1024 * 1024);
-    options.format = fmt.name == "v2" ? SubTreeFormat::kCounted
-                                      : SubTreeFormat::kPacked;
     EraBuilder builder(options);
     auto result = builder.Build(*info);
     if (!result.ok()) {
-      std::fprintf(stderr, "build (%s) failed: %s\n", fmt.name.c_str(),
+      std::fprintf(stderr, "build failed: %s\n",
                    result.status().ToString().c_str());
       return 1;
     }
     for (const SubTreeEntry& entry : result->index.subtrees()) {
-      auto st = InspectSubTreeFile(posix, fmt.dir + "/" + entry.filename);
+      auto st = InspectSubTreeFile(posix, index.dir + "/" + entry.filename);
       if (!st.ok()) {
         std::fprintf(stderr, "inspect failed: %s\n",
                      st.status().ToString().c_str());
         return 1;
       }
-      fmt.nodes += st->node_count;
-      fmt.disk_bytes += st->file_bytes;
-      fmt.serving_bytes += st->serving_bytes;
-      fmt.inflated_bytes += st->inflated_bytes;
+      index.nodes += st->node_count;
+      index.disk_bytes += st->file_bytes;
+      index.serving_bytes += st->serving_bytes;
+      index.inflated_bytes += st->inflated_bytes;
     }
-    fmt.bytes_per_node =
-        fmt.nodes == 0 ? 0
-                       : static_cast<double>(fmt.serving_bytes) / fmt.nodes;
-    fmt.compression_ratio =
-        fmt.serving_bytes == 0
+    index.bytes_per_node =
+        index.nodes == 0
             ? 0
-            : static_cast<double>(fmt.inflated_bytes) / fmt.serving_bytes;
+            : static_cast<double>(index.serving_bytes) / index.nodes;
+    index.compression_ratio =
+        index.serving_bytes == 0
+            ? 0
+            : static_cast<double>(index.inflated_bytes) / index.serving_bytes;
     std::fprintf(stderr,
-                 "index %s: %zu sub-trees, %llu nodes, %.2f bytes/node "
+                 "index: %zu sub-trees, %llu nodes, %.2f bytes/node "
                  "resident, %.2fx vs counted records\n",
-                 fmt.name.c_str(), result->index.subtrees().size(),
-                 static_cast<unsigned long long>(fmt.nodes),
-                 fmt.bytes_per_node, fmt.compression_ratio);
+                 result->index.subtrees().size(),
+                 static_cast<unsigned long long>(index.nodes),
+                 index.bytes_per_node, index.compression_ratio);
   }
 
   QueryWorkloadOptions workload_options;
@@ -165,73 +159,69 @@ int Main(int argc, char** argv) {
 
   std::vector<Row> rows;
   double baseline_qps = 0;
-  for (const FormatInfo& fmt : formats) {
-    for (unsigned threads : {1u, 4u, 8u}) {
-      // Fresh engine per row: cold cache, comparable hit rates.
-      auto engine = QueryEngine::Open(&env, fmt.dir, engine_options);
-      if (!engine.ok()) {
-        std::fprintf(stderr, "open failed: %s\n",
-                     engine.status().ToString().c_str());
-        return 1;
-      }
-      auto replay =
-          ReplayWorkload(engine->get(), patterns, threads, workload_options);
-      if (!replay.ok()) {
-        std::fprintf(stderr, "replay failed: %s\n",
-                     replay.status().ToString().c_str());
-        return 1;
-      }
-      Row row;
-      row.format = &fmt;
-      row.threads = threads;
-      row.replay = *replay;
-      if (baseline_qps == 0) baseline_qps = replay->qps;
-      row.speedup = baseline_qps > 0 ? replay->qps / baseline_qps : 0;
-      row.cache = (*engine)->cache();
-      const uint64_t lookups = row.cache.hits + row.cache.misses;
-      row.cache_hit_rate =
-          lookups == 0 ? 0 : static_cast<double>(row.cache.hits) / lookups;
-      row.stats = (*engine)->stats();
-      rows.push_back(row);
-
-      std::fprintf(
-          stderr,
-          "format=%s threads=%u qps=%.0f wall=%.2fs speedup=%.2fx "
-          "hit_rate=%.3f (hits=%llu misses=%llu evicted=%lluB "
-          "resident=%llu trees) checksum=%llu\n",
-          fmt.name.c_str(), threads, replay->qps, replay->wall_seconds,
-          row.speedup, row.cache_hit_rate,
-          static_cast<unsigned long long>(row.cache.hits),
-          static_cast<unsigned long long>(row.cache.misses),
-          static_cast<unsigned long long>(row.cache.evicted_bytes),
-          static_cast<unsigned long long>(row.cache.resident_trees),
-          static_cast<unsigned long long>(replay->occurrence_checksum));
+  for (unsigned threads : {1u, 4u, 8u}) {
+    // Fresh engine per row: cold cache, comparable hit rates.
+    auto engine = QueryEngine::Open(&env, index.dir, engine_options);
+    if (!engine.ok()) {
+      std::fprintf(stderr, "open failed: %s\n",
+                   engine.status().ToString().c_str());
+      return 1;
     }
+    auto replay =
+        ReplayWorkload(engine->get(), patterns, threads, workload_options);
+    if (!replay.ok()) {
+      std::fprintf(stderr, "replay failed: %s\n",
+                   replay.status().ToString().c_str());
+      return 1;
+    }
+    Row row;
+    row.threads = threads;
+    row.replay = *replay;
+    if (baseline_qps == 0) baseline_qps = replay->qps;
+    row.speedup = baseline_qps > 0 ? replay->qps / baseline_qps : 0;
+    row.cache = (*engine)->cache();
+    const uint64_t lookups = row.cache.hits + row.cache.misses;
+    row.cache_hit_rate =
+        lookups == 0 ? 0 : static_cast<double>(row.cache.hits) / lookups;
+    row.stats = (*engine)->stats();
+    rows.push_back(row);
+
+    std::fprintf(
+        stderr,
+        "threads=%u qps=%.0f wall=%.2fs speedup=%.2fx "
+        "hit_rate=%.3f (hits=%llu misses=%llu evicted=%lluB "
+        "resident=%llu trees) checksum=%llu\n",
+        threads, replay->qps, replay->wall_seconds, row.speedup,
+        row.cache_hit_rate,
+        static_cast<unsigned long long>(row.cache.hits),
+        static_cast<unsigned long long>(row.cache.misses),
+        static_cast<unsigned long long>(row.cache.evicted_bytes),
+        static_cast<unsigned long long>(row.cache.resident_trees),
+        static_cast<unsigned long long>(replay->occurrence_checksum));
   }
 
   // ---- Self-guards: the bench fails rather than publish a regression. ----
   for (const Row& row : rows) {
     if (row.replay.occurrence_checksum != rows[0].replay.occurrence_checksum) {
       std::fprintf(stderr,
-                   "FATAL: occurrence checksum diverges (format %s, %u "
-                   "threads) — formats must answer byte-identically\n",
-                   row.format->name.c_str(), row.threads);
+                   "FATAL: occurrence checksum diverges at %u threads — "
+                   "every row must answer byte-identically\n",
+                   row.threads);
       return 1;
     }
   }
-  const FormatInfo& v3 = formats[1];
 
   // ---- Registry overhead guard: serving with the metrics registry on the
-  // Count hot path must stay within 2% of the registry-free path (v3 at 8
+  // Count hot path must stay within 2% of the registry-free path (8
   // threads, best of 3 per arm so scheduler noise cannot fail the build on
-  // a single bad run). Runs before the format-comparison guards so the
-  // overhead figure is reported even when those trip on a loaded machine. ----
+  // a single bad run). Runs before the compression guard so the overhead
+  // figure is reported even when that trips. ----
   auto best_qps = [&](bool metrics_on, double* qps) -> bool {
     *qps = 0;
     for (int rep = 0; rep < 3; ++rep) {
       QueryEngineOptions arm_options = engine_options;
       arm_options.metrics_enabled = metrics_on;
-      auto engine = QueryEngine::Open(&env, v3.dir, arm_options);
+      auto engine = QueryEngine::Open(&env, index.dir, arm_options);
       if (!engine.ok()) {
         std::fprintf(stderr, "open failed: %s\n",
                      engine.status().ToString().c_str());
@@ -256,7 +246,7 @@ int Main(int argc, char** argv) {
   const double overhead_ratio =
       qps_metrics_off > 0 ? qps_metrics_on / qps_metrics_off : 0;
   std::fprintf(stderr,
-               "registry overhead (v3, 8 threads, best of 3): "
+               "registry overhead (8 threads, best of 3): "
                "metrics_on=%.0f qps vs metrics_off=%.0f qps (ratio %.3f)\n",
                qps_metrics_on, qps_metrics_off, overhead_ratio);
   if (overhead_ratio < 0.98) {
@@ -267,29 +257,12 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  if (v3.compression_ratio < 2.0) {
-    std::fprintf(stderr, "FATAL: v3 compression ratio %.2fx < 2x\n",
-                 v3.compression_ratio);
+  if (index.compression_ratio < 2.0) {
+    std::fprintf(stderr,
+                 "FATAL: packed sub-trees only %.2fx smaller than counted "
+                 "records (< 2x)\n",
+                 index.compression_ratio);
     return 1;
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    const Row& row_v2 = rows[i];
-    const Row& row_v3 = rows[i + 3];
-    if (row_v3.cache_hit_rate <= row_v2.cache_hit_rate) {
-      std::fprintf(stderr,
-                   "FATAL: v3 hit rate %.3f is not strictly above v2's %.3f "
-                   "at %u threads (same %.0f MB budget)\n",
-                   row_v3.cache_hit_rate, row_v2.cache_hit_rate,
-                   row_v2.threads, cache_mb);
-      return 1;
-    }
-    if (row_v3.replay.qps <= row_v2.replay.qps) {
-      std::fprintf(stderr,
-                   "FATAL: v3 qps %.0f does not beat v2 qps %.0f at %u "
-                   "threads\n",
-                   row_v3.replay.qps, row_v2.replay.qps, row_v2.threads);
-      return 1;
-    }
   }
 
   FILE* out = std::fopen("BENCH_query.json", "w");
@@ -317,25 +290,19 @@ int Main(int argc, char** argv) {
   std::fprintf(out, "  \"cache_budget_mb\": %.1f,\n", cache_mb);
   std::fprintf(out, "  \"host_cores\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(out, "  \"formats\": [\n");
-  for (std::size_t i = 0; i < formats.size(); ++i) {
-    const FormatInfo& f = formats[i];
-    std::fprintf(out,
-                 "    {\"format\": \"%s\", \"nodes\": %llu, "
-                 "\"disk_bytes\": %llu, \"serving_bytes\": %llu, "
-                 "\"inflated_bytes\": %llu, \"bytes_per_node\": %.2f, "
-                 "\"compression_ratio_vs_counted\": %.3f}%s\n",
-                 f.name.c_str(), static_cast<unsigned long long>(f.nodes),
-                 static_cast<unsigned long long>(f.disk_bytes),
-                 static_cast<unsigned long long>(f.serving_bytes),
-                 static_cast<unsigned long long>(f.inflated_bytes),
-                 f.bytes_per_node, f.compression_ratio,
-                 i + 1 < formats.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
   std::fprintf(out,
-               "  \"registry_overhead\": {\"config\": \"v3 8 threads, best "
-               "of 3\", \"qps_metrics_off\": %.1f, \"qps_metrics_on\": %.1f, "
+               "  \"index\": {\"nodes\": %llu, \"disk_bytes\": %llu, "
+               "\"serving_bytes\": %llu, \"inflated_bytes\": %llu, "
+               "\"bytes_per_node\": %.2f, "
+               "\"compression_ratio_vs_counted\": %.3f},\n",
+               static_cast<unsigned long long>(index.nodes),
+               static_cast<unsigned long long>(index.disk_bytes),
+               static_cast<unsigned long long>(index.serving_bytes),
+               static_cast<unsigned long long>(index.inflated_bytes),
+               index.bytes_per_node, index.compression_ratio);
+  std::fprintf(out,
+               "  \"registry_overhead\": {\"config\": \"8 threads, best of "
+               "3\", \"qps_metrics_off\": %.1f, \"qps_metrics_on\": %.1f, "
                "\"ratio\": %.4f},\n",
                qps_metrics_off, qps_metrics_on, overhead_ratio);
   std::fprintf(out, "  \"runs\": [\n");
@@ -343,20 +310,18 @@ int Main(int argc, char** argv) {
     const Row& r = rows[i];
     std::fprintf(
         out,
-        "    {\"format\": \"%s\", \"threads\": %u, \"qps\": %.1f, "
-        "\"wall_seconds\": %.3f, "
+        "    {\"threads\": %u, \"qps\": %.1f, \"wall_seconds\": %.3f, "
         "\"speedup_vs_single_thread\": %.3f, \"queries\": %llu, "
         "\"count_queries\": %llu, \"locate_queries\": %llu, "
         "\"cache_hit_rate\": %.3f, \"cache_hits\": %llu, "
         "\"cache_misses\": %llu, \"cache_evictions\": %llu, "
         "\"cache_evicted_bytes\": %llu, \"cache_resident_bytes\": %llu, "
-        "\"resident_subtrees\": %llu, \"bytes_per_node\": %.2f, "
+        "\"resident_subtrees\": %llu, "
         "\"nodes_visited\": %llu, \"leaves_enumerated\": %llu, "
         "\"trie_resolved_counts\": %llu, \"p50_ms\": %.3f, "
         "\"p90_ms\": %.3f, \"p99_ms\": %.3f, "
         "\"occurrence_checksum\": %llu}%s\n",
-        r.format->name.c_str(), r.threads, r.replay.qps,
-        r.replay.wall_seconds, r.speedup,
+        r.threads, r.replay.qps, r.replay.wall_seconds, r.speedup,
         static_cast<unsigned long long>(r.replay.queries),
         static_cast<unsigned long long>(r.replay.count_queries),
         static_cast<unsigned long long>(r.replay.locate_queries),
@@ -366,7 +331,6 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(r.cache.evicted_bytes),
         static_cast<unsigned long long>(r.cache.resident_bytes),
         static_cast<unsigned long long>(r.cache.resident_trees),
-        r.format->bytes_per_node,
         static_cast<unsigned long long>(r.stats.nodes_visited),
         static_cast<unsigned long long>(r.stats.leaves_enumerated),
         static_cast<unsigned long long>(r.stats.trie_resolved_counts),

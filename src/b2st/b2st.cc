@@ -244,8 +244,7 @@ StatusOr<B2stResult> B2stBuilder::Build(const TextInfo& text) {
         std::max(stats.peak_tree_bytes, tree.MemoryBytes());
     std::string filename = "bt_" + std::to_string(subtree_counter++) + ".bin";
     ERA_RETURN_NOT_OK(WriteSubTree(env, options_.work_dir + "/" + filename,
-                                   "", tree, &write_io, nullptr,
-                                   options_.format));
+                                   "", tree, &write_io));
     result.subtree_files.push_back(filename);
     current.leaves.clear();
     current.branches.clear();

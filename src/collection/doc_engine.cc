@@ -235,28 +235,6 @@ StatusOr<std::vector<uint64_t>> DocEngine::LocateInDoc(
   return local;
 }
 
-StatusOr<std::vector<uint64_t>> DocEngine::CountDocsBatch(
-    const std::vector<std::string>& patterns) {
-  return CountDocsBatch(QueryContext::Background(), patterns);
-}
-
-StatusOr<std::vector<uint64_t>> DocEngine::CountDocsBatch(
-    const QueryContext& ctx, const std::vector<std::string>& patterns) {
-  DocQueryStats stats;
-  std::vector<uint64_t> counts;
-  counts.reserve(patterns.size());
-  for (const std::string& pattern : patterns) {
-    auto histogram = HistogramWithStats(ctx, pattern, &stats);
-    if (!histogram.ok()) {
-      FoldStats(stats);
-      return histogram.status();
-    }
-    counts.push_back(histogram->size());
-  }
-  FoldStats(stats);
-  return counts;
-}
-
 StatusOr<std::vector<CountOutcome>> DocEngine::CountDocsDictionary(
     const std::vector<std::string>& patterns) {
   return CountDocsDictionary(QueryContext::Background(), patterns);

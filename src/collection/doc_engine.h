@@ -114,13 +114,9 @@ class DocEngine {
   StatusOr<std::vector<DocHit>> DocumentHistogram(const QueryContext& ctx,
                                                   const std::string& pattern);
 
-  /// Batched variants; answers are index-aligned with `patterns`. The
-  /// context overloads share one deadline across the batch and stop
+  /// TopKDocuments over a batch; answers are index-aligned with `patterns`.
+  /// The context overload shares one deadline across the batch and stops
   /// mid-flight when it expires (remaining items are not attempted).
-  StatusOr<std::vector<uint64_t>> CountDocsBatch(
-      const std::vector<std::string>& patterns);
-  StatusOr<std::vector<uint64_t>> CountDocsBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
   StatusOr<std::vector<std::vector<DocHit>>> TopKDocumentsBatch(
       const std::vector<std::string>& patterns, std::size_t k);
   StatusOr<std::vector<std::vector<DocHit>>> TopKDocumentsBatch(

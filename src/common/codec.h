@@ -10,7 +10,7 @@
 //    order (bit i of the stream is bit i%8 of byte i/8). The reader decodes
 //    a field with two unaligned 64-bit loads, so random node access inside a
 //    packed record costs a handful of instructions; callers must guarantee
-//    kBitReaderPadBytes of readable tail (CompressedSubTree appends the pad
+//    kBitReaderPadBytes of readable tail (ServedSubTree appends the pad
 //    to its blob, it is never written to disk).
 
 #ifndef ERA_COMMON_CODEC_H_

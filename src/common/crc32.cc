@@ -99,12 +99,6 @@ bool DetectCrc32cHardware() { return false; }
 
 }  // namespace
 
-uint32_t Crc32(const void* data, std::size_t n, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = MakeTable(0xEDB88320u);
-  const auto* p = static_cast<const unsigned char*>(data);
-  return TableKernel(table, p, n, seed ^ 0xFFFFFFFFu) ^ 0xFFFFFFFFu;
-}
-
 uint32_t Crc32cSoftware(const void* data, std::size_t n, uint32_t seed) {
   static const std::array<uint32_t, 256> table = MakeTable(0x82F63B78u);
   const auto* p = static_cast<const unsigned char*>(data);

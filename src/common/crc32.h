@@ -1,15 +1,9 @@
-// Checksums guarding serialized sub-trees.
-//
-// Two polynomials live here:
-//   * Crc32  — CRC-32 (IEEE, 0xEDB88320 reflected), software table kernel.
-//     Format-v1 sub-tree files were written with it, so it stays for
-//     verifying legacy indexes.
-//   * Crc32c — CRC-32C (Castagnoli, 0x82F63B78 reflected). This is the
-//     polynomial the SSE4.2 and ARMv8 CRC instructions implement, so the
-//     dispatched kernel runs at bus speed on both architectures; a table
-//     kernel covers everything else. Format-v2 files (the serving format)
-//     checksum with it, which matters because the CRC is paid on every
-//     sub-tree read and write.
+// CRC-32C (Castagnoli, 0x82F63B78 reflected): the checksum guarding
+// serialized sub-trees, the MANIFEST, checkpoints and atomically written
+// files. It is the polynomial the SSE4.2 and ARMv8 CRC instructions
+// implement, so the dispatched kernel runs at bus speed on both
+// architectures; a table kernel covers everything else. That matters
+// because the CRC is paid on every sub-tree read and write.
 //
 // Dispatch happens once per process (CPUID on x86-64, HWCAP on aarch64) and
 // is branch-free afterwards. Crc32cSoftware is exposed so tests can pin the
@@ -22,9 +16,6 @@
 #include <cstdint>
 
 namespace era {
-
-/// Computes CRC-32 (IEEE polynomial) of `data[0, n)`. `seed` allows chaining.
-uint32_t Crc32(const void* data, std::size_t n, uint32_t seed = 0);
 
 /// Computes CRC-32C (Castagnoli polynomial) of `data[0, n)`, using the
 /// hardware CRC instructions when the CPU has them. `seed` allows chaining.

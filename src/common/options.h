@@ -110,12 +110,6 @@ struct BuildOptions {
   /// index is byte-identical to an uninterrupted build.
   bool resume = false;
 
-  /// On-disk sub-tree format to emit (node.h). kPacked (v3) bit-packs node
-  /// records and delta/varint-encodes leaf slots — typically 2-4x smaller on
-  /// disk and in the serving cache; kCounted (v2) writes fixed 32-byte
-  /// records. Readers accept both, and queries answer identically.
-  SubTreeFormat format = SubTreeFormat::kPacked;
-
   /// Directory that receives serialized sub-trees and the index manifest.
   std::string work_dir;
 

@@ -149,8 +149,7 @@ StatusOr<uint64_t> EmitBuiltSubTree(const BuildOptions& options,
     WallTimer write_timer;
     uint32_t file_crc = 0;
     ERA_RETURN_NOT_OK(WriteSubTree(options.GetEnv(), path, prefix, tree,
-                                   &out->write_io, &file_crc,
-                                   options.format));
+                                   &out->write_io, &file_crc));
     if (profiler != nullptr) {
       profiler->Record("subtree_write", worker, write_timer.Seconds());
     }

@@ -25,11 +25,9 @@ struct WriteJob {
 
 BackgroundSubTreeWriter::BackgroundSubTreeWriter(Env* env,
                                                  std::size_t num_threads,
-                                                 uint64_t max_queued_bytes,
-                                                 SubTreeFormat format)
+                                                 uint64_t max_queued_bytes)
     : env_(env),
       max_queued_bytes_(std::max<uint64_t>(max_queued_bytes, 1)),
-      format_(format),
       pool_(num_threads) {}
 
 BackgroundSubTreeWriter::~BackgroundSubTreeWriter() { (void)Drain(); }
@@ -78,7 +76,7 @@ void BackgroundSubTreeWriter::Enqueue(std::string path, std::string prefix,
     uint32_t file_crc = 0;
     WallTimer write_timer;
     Status s = WriteSubTree(env_, job->path, job->prefix, job->tree, &local,
-                            &file_crc, format_);
+                            &file_crc);
     const double write_seconds = write_timer.Seconds();
     {
       std::lock_guard<std::mutex> lock(mu_);

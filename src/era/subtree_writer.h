@@ -32,11 +32,9 @@ class BackgroundSubTreeWriter {
   /// `max_queued_bytes` bounds the in-memory backlog (tree bytes accepted
   /// but not yet written); Enqueue blocks while it is exceeded. A tree
   /// larger than the whole bound is still admitted once the queue is empty,
-  /// so progress is always possible. `format` selects the on-disk sub-tree
-  /// format every job is written in.
+  /// so progress is always possible.
   BackgroundSubTreeWriter(Env* env, std::size_t num_threads,
-                          uint64_t max_queued_bytes,
-                          SubTreeFormat format = SubTreeFormat::kPacked);
+                          uint64_t max_queued_bytes);
   /// Drains outstanding writes (errors are reported via Drain; call it).
   ~BackgroundSubTreeWriter();
 
@@ -76,7 +74,6 @@ class BackgroundSubTreeWriter {
  private:
   Env* env_;
   uint64_t max_queued_bytes_;
-  SubTreeFormat format_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

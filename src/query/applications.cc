@@ -10,7 +10,7 @@ namespace {
 
 /// Iterative DFS over one sub-tree invoking `visit(node, depth)` for every
 /// internal node with >= 2 children (true branching points). Walks the
-/// serving form through the NodeView cursor, so compressed (v3) trees are
+/// serving form through the NodeView cursor, so compressed trees are
 /// traversed without inflating.
 template <typename Visit>
 void VisitBranchingNodes(const ServedSubTree& tree, Visit&& visit) {
@@ -40,7 +40,7 @@ uint64_t FirstLeafUnder(const ServedSubTree& tree, uint32_t node) {
     u = v.children_begin;
     v = tree.node(u);
   }
-  return tree.LeafIdOf(v);
+  return tree.LeafId(v.leaf_ref);
 }
 
 }  // namespace

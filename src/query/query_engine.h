@@ -4,13 +4,14 @@
 // A query routes through the index's k-mer dispatch table (one array probe
 // replacing the pointer-trie walk) to the responsible sub-tree, loads it
 // through the index's sharded LRU cache, and continues matching inside it.
-// Sub-trees are walked in their serving form (ServedSubTree): compressed v3
+// Sub-trees are walked in their serving form (ServedSubTree): compressed
 // payloads are never inflated — child lookup is a binary search over the
-// stored first symbols (v3: symbol-table ranks) of the sorted child block and
+// symbol-table ranks of the sorted child block's stored first symbols and
 // reads no text; only an edge label's bytes past its first symbol are read
 // from the text, through a buffered reader. Count reads the match node's
 // stored subtree leaf count, so the O(|P|) bound holds with zero leaf
-// enumeration for either format.
+// enumeration. Pattern batches go through MatchDictionary, which shares
+// sub-tree opens, descents and leaf decoding across the whole batch.
 //
 // The engine is thread-safe: any number of threads may issue queries
 // concurrently. Each call leases a text-reader session from an internal pool
@@ -83,9 +84,9 @@ struct QueryEngineOptions {
 /// Aggregate query-path counters (device traffic is in IoStats; these count
 /// tree work).
 struct QueryStats {
-  /// Completed Count/Locate/Contains calls (batch items count individually,
-  /// except duplicates folded from an earlier identical item — those count
-  /// only in batch_duplicates_folded).
+  /// Completed Count/Locate/Contains calls (MatchDictionary items count
+  /// individually, except duplicates folded onto an identical item — those
+  /// count only in batch_duplicates_folded).
   uint64_t queries = 0;
   /// Counts answered from the trie alone (no sub-tree open).
   uint64_t trie_resolved_counts = 0;
@@ -102,7 +103,7 @@ struct QueryStats {
   /// loaded (corrupt or unreadable after retries). The failure is per-query:
   /// patterns routed to healthy sub-trees keep succeeding.
   uint64_t unavailable_queries = 0;
-  /// Batch items answered by copying the outcome of an identical earlier
+  /// MatchDictionary items answered by copying the outcome of an identical
   /// pattern in the same batch (no descent, no leaf work).
   uint64_t batch_duplicates_folded = 0;
   /// Same-sub-tree pattern groups formed by MatchDictionary (one sub-tree
@@ -138,18 +139,15 @@ struct QueryStatsField {
 };
 const std::vector<QueryStatsField>& QueryStatsFields();
 
-/// Per-item result of a context-aware batch. A batch stops mid-flight on
-/// deadline expiry or cancellation: items already answered keep their
-/// results, the item that hit the boundary and everything after it carry
-/// that terminal status. Non-fatal per-item failures (bad pattern, sub-tree
-/// unavailable) do not stop the batch.
+/// Per-item result of a batch (DocEngine::CountDocsDictionary). A batch
+/// stops mid-flight on deadline expiry or cancellation: items already
+/// answered keep their results, the item that hit the boundary and
+/// everything unresolved after it carry that terminal status. Non-fatal
+/// per-item failures (bad pattern, sub-tree unavailable) do not stop the
+/// batch.
 struct CountOutcome {
   Status status;
   uint64_t count = 0;
-};
-struct LocateOutcome {
-  Status status;
-  std::vector<uint64_t> offsets;
 };
 
 /// What a limited Locate promises about WHICH occurrences it returns.
@@ -217,35 +215,18 @@ class QueryEngine {
   StatusOr<bool> Contains(const std::string& pattern);
   StatusOr<bool> Contains(const QueryContext& ctx, const std::string& pattern);
 
-  /// Batched variants: one leased reader session (and one admission permit)
-  /// serves the whole batch. Identical patterns in a batch are answered
-  /// once and the result fanned back out to every duplicate (counted in
-  /// QueryStats::batch_duplicates_folded); items are still processed — and
-  /// terminal statuses stamped — in their original order.
-  StatusOr<std::vector<uint64_t>> CountBatch(
-      const std::vector<std::string>& patterns);
-  StatusOr<std::vector<std::vector<uint64_t>>> LocateBatch(
-      const std::vector<std::string>& patterns, std::size_t limit = SIZE_MAX);
-
-  /// Context-aware batches report per-item outcomes instead of aborting the
-  /// whole batch on the first error (see CountOutcome). The outer status is
-  /// only non-OK when the batch never ran (shed by admission, or no reader
-  /// session).
-  StatusOr<std::vector<CountOutcome>> CountBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
-  StatusOr<std::vector<LocateOutcome>> LocateBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      std::size_t limit = SIZE_MAX);
-
   /// Shared-descent dictionary matching: answers the whole pattern set in
   /// one batched pass. Patterns are deduplicated and sorted (memcmp order,
   /// which is also the tree's child order), grouped by target sub-tree, and
   /// each group descends the tree with a pattern-range cursor — every tree
   /// edge is walked at most once per distinct shared prefix, and each
   /// touched sub-tree is opened exactly once. Results are byte-identical to
-  /// running the per-pattern Count/Locate loop. Outcomes are index-aligned
-  /// with `patterns`; the outer status is only non-OK when the batch never
-  /// ran (CountOutcome contract). Deadline/cancel checkpoints sit at group
+  /// running the per-pattern Count/Locate loop. One leased reader session
+  /// and one admission permit serve the whole batch. Outcomes are
+  /// index-aligned with `patterns`; the outer status is only non-OK when
+  /// the batch never ran (shed by admission, or no reader session), so a
+  /// bad pattern or an unavailable sub-tree fails only its own items
+  /// (CountOutcome contract). Deadline/cancel checkpoints sit at group
   /// and node boundaries, and a terminal status stamps the item that hit
   /// the boundary plus everything unresolved after it.
   StatusOr<std::vector<DictOutcome>> MatchDictionary(
@@ -373,11 +354,6 @@ class QueryEngine {
                                              const std::string& pattern,
                                              std::size_t limit,
                                              LocateOrder order);
-  StatusOr<std::vector<CountOutcome>> CountBatchImpl(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
-  StatusOr<std::vector<LocateOutcome>> LocateBatchImpl(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      std::size_t limit);
   StatusOr<std::vector<DictOutcome>> MatchDictionaryImpl(
       const QueryContext& ctx, const std::vector<std::string>& patterns,
       const DictMatchOptions& options);
@@ -434,23 +410,6 @@ class QueryEngine {
   std::unique_ptr<TraceRecorder> tracer_;
   std::atomic<uint64_t> trace_tick_{0};  // sampling counter
 };
-
-/// Collects the leaf ids under `node` in DFS (lexicographic) order, up to
-/// `limit` (test- and query-shared helper for linked trees).
-void CollectLeaves(const TreeBuffer& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves, std::size_t limit);
-
-/// Counted-layout collection: appends ALL leaf ids under `node` by linearly
-/// scanning its contiguous descendant block (stops after the node's subtree
-/// leaf count; not lexicographic — callers sort).
-void CollectLeaves(const CountedTree& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves);
-
-/// Context-aware counted-layout collection: same scan, but the context is
-/// checked every few thousand slots so a huge enumeration (the expensive
-/// tail of Locate) abandons promptly on deadline expiry or cancellation.
-Status CollectLeaves(const CountedTree& tree, uint32_t node,
-                     const QueryContext& ctx, std::vector<uint64_t>* leaves);
 
 }  // namespace era
 

@@ -98,7 +98,7 @@ SaLcp TreeToSaLcp(const ServedSubTree& tree) {
   if (tree.size() == 0) return out;
 
   // Mirrors the CountedTree overload through the NodeView cursor, so the
-  // traversal never materializes CountedNode records for compressed trees.
+  // traversal never materializes CountedNode records.
   struct Frame {
     uint32_t node;
     uint64_t depth;       // string depth at this node
@@ -110,7 +110,7 @@ SaLcp TreeToSaLcp(const ServedSubTree& tree) {
 
   const NodeView root = tree.node(0);
   if (root.IsLeaf()) {
-    out.sa.push_back(tree.LeafIdOf(root));
+    out.sa.push_back(tree.LeafId(root.leaf_ref));
     return out;
   }
   stack.push_back({0, 0, 0});
@@ -128,7 +128,7 @@ SaLcp TreeToSaLcp(const ServedSubTree& tree) {
     const NodeView child = tree.node(c);
     if (child.IsLeaf()) {
       if (!first_leaf) out.lcp.push_back(pending_lcp);
-      out.sa.push_back(tree.LeafIdOf(child));
+      out.sa.push_back(tree.LeafId(child.leaf_ref));
       first_leaf = false;
       pending_lcp = top.depth;
     } else {

@@ -1,5 +1,6 @@
-// Format-v3 compressed sub-tree: the serving form that is cached without
-// inflating back to CountedNode.
+// Format-v3 compressed sub-tree, the only sub-tree format: ServedSubTree
+// is the serving form, cached and walked without inflating back to
+// CountedNode.
 //
 // On-disk payload (after the shared 32-byte file header + prefix bytes):
 //
@@ -97,13 +98,22 @@ struct NodeView {
   bool IsLeaf() const { return num_children == 0; }
 };
 
-/// A validated v3 payload served in place: random node access via BitReader,
-/// lazy leaf-range decode via the restart array. Immutable after FromPayload.
-class CompressedSubTree {
+/// One request's answer inside a shared leaf buffer: `buffer[offset,
+/// offset + count)` are the suffix offsets of the leaves under the
+/// requested slot, in slot order.
+struct LeafSlice {
+  std::size_t offset = 0;
+  std::size_t count = 0;
+};
+
+/// What TreeIndex caches and the query path walks: a validated v3 payload
+/// served in place — random node access via BitReader, lazy leaf-range
+/// decode via the restart array. Immutable after FromPayload.
+class ServedSubTree {
  public:
-  CompressedSubTree() = default;
-  CompressedSubTree(CompressedSubTree&&) = default;
-  CompressedSubTree& operator=(CompressedSubTree&&) = default;
+  ServedSubTree() = default;
+  ServedSubTree(ServedSubTree&&) = default;
+  ServedSubTree& operator=(ServedSubTree&&) = default;
 
   /// Encodes `tree` (canonical counted layout; caller has validated it) into
   /// a v3 payload. Deterministic: same tree, same bytes.
@@ -112,26 +122,26 @@ class CompressedSubTree {
   /// Parses + fully validates a payload of `node_count` nodes. Returns
   /// Corruption on any structural or size inconsistency. Takes the payload
   /// by value and keeps it (plus reader pad) as the resident blob.
-  static StatusOr<CompressedSubTree> FromPayload(std::string payload,
-                                                 uint64_t node_count);
+  static StatusOr<ServedSubTree> FromPayload(std::string payload,
+                                             uint64_t node_count);
 
   uint32_t size() const { return node_count_; }
   uint64_t LeafCount() const { return header_.leaf_count; }
   /// Resident bytes — what the byte-budgeted cache charges.
   uint64_t MemoryBytes() const { return blob_.size() + sizeof(*this); }
-  /// Payload bytes as stored on disk (no reader pad).
-  uint64_t PayloadBytes() const { return payload_bytes_; }
 
   /// Decodes node `i` (i < size(); infallible post-validation).
   NodeView node(uint32_t i) const;
 
   /// Rank of `symbol` in the symbol table; false if no edge of this
-  /// sub-tree starts with it.
+  /// sub-tree starts with it, so a child lookup can stop without probing.
+  /// Ranks order like symbols.
   bool SymbolRank(uint8_t symbol, uint32_t* rank) const;
   /// symbol_rank field of node `i`, read without decoding the others.
   uint32_t FirstSymbolRank(uint32_t i) const;
 
   /// Suffix offset of the leaf with slot-order rank `rank` (< LeafCount()).
+  /// A leaf node `v` has rank v.leaf_ref.
   uint64_t LeafId(uint64_t rank) const;
 
   /// Appends the suffix offsets of leaf ranks [rank_begin, rank_begin +
@@ -142,114 +152,39 @@ class CompressedSubTree {
                          const QueryContext* ctx, std::size_t limit,
                          std::vector<uint64_t>* out) const;
 
-  /// Exact reconstruction of the counted form this payload was encoded from
-  /// (byte-identical nodes). Used by consumers that need CountedNode — the
-  /// validator, TRELLIS merge, v3→v2 conversion.
-  StatusOr<CountedTree> Inflate() const;
-
-  const PackedHeader& header() const { return header_; }
-
- private:
-  std::string blob_;  // payload + kBitReaderPadBytes zero tail
-  PackedHeader header_;
-  uint64_t payload_bytes_ = 0;
-  uint64_t records_off_ = 0;   // byte offset of packed records in blob_
-  uint32_t rank_bit_ = 0;      // bit offset of symbol_rank in a record
-  uint64_t restarts_off_ = 0;  // byte offset of the restart array
-  uint64_t leaves_off_ = 0;    // byte offset of the leaf stream
-  uint32_t node_count_ = 0;
-  uint32_t record_bits_ = 0;   // sum of the seven field widths
-};
-
-/// One request's answer inside a shared leaf buffer: `buffer[offset,
-/// offset + count)` are the suffix offsets of the leaves under the
-/// requested slot, in slot order.
-struct LeafSlice {
-  std::size_t offset = 0;
-  std::size_t count = 0;
-};
-
-/// What TreeIndex caches and the query path walks: either a CountedTree
-/// (v1/v2 files) or a CompressedSubTree (v3 files), behind one NodeView
-/// cursor API so MatchInSubTree/CollectLeaves never branch on format except
-/// through this type.
-class ServedSubTree {
- public:
-  ServedSubTree() = default;
-  explicit ServedSubTree(CountedTree tree)
-      : counted_(std::move(tree)), compressed_(false) {}
-  explicit ServedSubTree(CompressedSubTree tree)
-      : packed_(std::move(tree)), compressed_(true) {}
-  ServedSubTree(ServedSubTree&&) = default;
-  ServedSubTree& operator=(ServedSubTree&&) = default;
-
-  bool compressed() const { return compressed_; }
-
-  uint32_t size() const {
-    return compressed_ ? packed_.size() : counted_.size();
-  }
-  uint64_t LeafCount() const {
-    return compressed_ ? packed_.LeafCount() : counted_.LeafCount();
-  }
-  /// Resident bytes — the cache charge. This is where v3 wins: the packed
-  /// blob instead of 32 bytes/node.
-  uint64_t MemoryBytes() const {
-    return compressed_ ? packed_.MemoryBytes() : counted_.MemoryBytes();
-  }
-
-  NodeView node(uint32_t i) const;
-
-  /// Child-lookup key of `symbol`: keys order like symbols, and a child's
-  /// ChildKey equals SymbolKey of its first symbol. False when no edge of
-  /// this tree starts with `symbol` (v3: absent from the symbol table), so
-  /// the lookup can stop without probing.
-  bool SymbolKey(uint8_t symbol, uint32_t* key) const {
-    if (compressed_) return packed_.SymbolRank(symbol, key);
-    *key = symbol;
-    return true;
-  }
-  /// Key of slot `i`'s first symbol (v3: its table rank, one field read).
-  uint32_t ChildKey(uint32_t i) const {
-    return compressed_ ? packed_.FirstSymbolRank(i)
-                       : counted_.node(i).first_symbol;
-  }
-
-  /// Suffix offset of leaf `v` (v.IsLeaf() must hold).
-  uint64_t LeafIdOf(const NodeView& v) const {
-    return compressed_ ? packed_.LeafId(v.leaf_ref) : v.leaf_ref;
-  }
-
   /// Appends the suffix offsets of all leaves under slot `slot` to `out`
   /// (slot order), stopping after `limit` appended values. `ctx` nullable.
   Status CollectLeaves(uint32_t slot, const QueryContext* ctx,
                        std::size_t limit, std::vector<uint64_t>* out) const;
 
   /// Batched leaf enumeration: resolves every slot in `slots` in ONE pass
-  /// over the tree's leaf storage instead of one CollectLeaves per slot.
-  /// Appends leaves to `buffer` and fills `slices` (index-aligned with
-  /// `slots`; offsets are absolute indices into `buffer`). Exploits the
+  /// over the leaf stream instead of one CollectLeaves per slot. Appends
+  /// leaves to `buffer` and fills `slices` (index-aligned with `slots`;
+  /// offsets are absolute indices into `buffer`). Exploits the
   /// laminar-family property of match loci — two slots' leaf ranges are
   /// nested or disjoint, never partially overlapping — so nested requests
-  /// alias one decoded run (v3: merged restart-block decodes; v2: one
-  /// forward descendant scan per maximal run, skipping the gaps between
-  /// disjoint requests). Duplicate slots are fine and share a slice.
-  /// `ctx` (nullable) is checked periodically.
+  /// alias one decoded run and each maximal run is decoded once. Duplicate
+  /// slots are fine and share a slice. `ctx` (nullable) is checked
+  /// periodically.
   Status CollectLeafSlices(const std::vector<uint32_t>& slots,
                            const QueryContext* ctx,
                            std::vector<uint64_t>* buffer,
                            std::vector<LeafSlice>* slices) const;
 
-  /// Counted form (inflates v3; cheap reference for v1/v2).
+  /// Exact reconstruction of the counted form this payload was encoded from
+  /// (byte-identical nodes). Used by consumers that need CountedNode — the
+  /// validator and the TRELLIS merge (via ReadSubTree).
   StatusOr<CountedTree> Inflate() const;
 
-  /// Direct access for counted-backed trees only (compressed() == false).
-  const CountedTree& counted() const { return counted_; }
-  const CompressedSubTree& packed() const { return packed_; }
-
  private:
-  CountedTree counted_;
-  CompressedSubTree packed_;
-  bool compressed_ = false;
+  std::string blob_;  // payload + kBitReaderPadBytes zero tail
+  PackedHeader header_;
+  uint64_t records_off_ = 0;   // byte offset of packed records in blob_
+  uint32_t rank_bit_ = 0;      // bit offset of symbol_rank in a record
+  uint64_t restarts_off_ = 0;  // byte offset of the restart array
+  uint64_t leaves_off_ = 0;    // byte offset of the leaf stream
+  uint32_t node_count_ = 0;
+  uint32_t record_bits_ = 0;   // sum of the seven field widths
 };
 
 }  // namespace era

@@ -1,27 +1,26 @@
-// On-disk / in-memory suffix-tree node layouts.
+// In-memory suffix-tree node layouts.
 //
 // Two 32-byte POD node formats share this header:
 //
-//  * TreeNode — the builder-side linked layout (serialized as format v1).
-//    Edges are stored on their child node as (edge_start, edge_len) offsets
-//    into the input string S — the O(n) representation of Section 2.
-//    Children are linked through first_child/next_sibling in lexicographic
-//    order of their first edge symbol, so a depth-first traversal emits
-//    suffixes in lexicographic order.
+//  * TreeNode — the builder-side linked layout. Edges are stored on their
+//    child node as (edge_start, edge_len) offsets into the input string S —
+//    the O(n) representation of Section 2. Children are linked through
+//    first_child/next_sibling in lexicographic order of their first edge
+//    symbol, so a depth-first traversal emits suffixes in lexicographic
+//    order.
 //
-//  * CountedNode — the serving-side counted layout (serialized as format
-//    v2). Children are stored contiguously, sorted by first edge symbol
-//    (child lookup is a binary search instead of a sibling-list walk), and
-//    every node carries its subtree leaf count, so Count is a pure
-//    root-to-node walk with zero leaf enumeration.
+//  * CountedNode — the counted layout the on-disk format bit-packs (see
+//    suffixtree/compressed_tree.h). Children are stored contiguously,
+//    sorted by first edge symbol (child lookup is a binary search instead
+//    of a sibling-list walk), and every node carries its subtree leaf count,
+//    so Count is a pure root-to-node walk with zero leaf enumeration.
 //
 // Both layouts store the first symbol of every non-root node's incoming edge
 // (the byte S[edge_start]). Builders fill it from symbols they already hold
 // (ERA's B[i] = (c1, c2, offset) entries, in-memory text, or the symbols a
 // baseline compares anyway), so child lookup at query time compares stored
 // symbols and never reads the text. The root stores 0; every text symbol is
-// a printable byte, so 0 also marks files written before the field existed,
-// which readers refuse with NotSupported.
+// a printable byte, so 0 is never a valid child symbol.
 //
 // The paper sizes sub-trees as 2 * f_p * sizeof(tree node); FM derives from
 // sizeof(TreeNode) (see era/memory_layout.h).
@@ -33,20 +32,12 @@
 
 namespace era {
 
-/// On-disk sub-tree format a builder emits (numeric values match the file
-/// header's version field). v1 (linked) is read-only legacy; builders choose
-/// between the counted array (v2) and the bit-packed compressed form (v3).
-enum class SubTreeFormat : uint32_t {
-  kCounted = 2,
-  kPacked = 3,
-};
-
 /// Sentinel for "no node".
 inline constexpr uint32_t kNilNode = 0xFFFFFFFFu;
 /// Sentinel leaf id for internal nodes.
 inline constexpr uint64_t kNoLeaf = ~0ull;
 
-/// One suffix-tree node (32 bytes, trivially copyable; serialized verbatim).
+/// One suffix-tree node (32 bytes, trivially copyable).
 struct TreeNode {
   /// Offset in S of the first symbol of the incoming edge label.
   uint64_t edge_start = 0;
@@ -61,7 +52,7 @@ struct TreeNode {
   uint32_t next_sibling = kNilNode;
   /// First symbol of the incoming edge label (0 for the root).
   uint8_t first_symbol = 0;
-  /// Padding (keeps the struct at 32 bytes; always zero on disk).
+  /// Padding (keeps the struct at 32 bytes; always zero).
   uint8_t reserved[3] = {0, 0, 0};
 
   bool IsLeaf() const { return leaf_id != kNoLeaf; }
@@ -69,8 +60,7 @@ struct TreeNode {
 
 static_assert(sizeof(TreeNode) == 32, "TreeNode must stay 32 bytes");
 
-/// One node of the counted serving layout (format v2; 32 bytes, trivially
-/// copyable; serialized verbatim).
+/// One node of the counted layout (32 bytes, trivially copyable).
 ///
 /// The writer lays nodes out depth-first, reserving each node's child block
 /// the moment the node is first visited. Two structural guarantees follow,
@@ -99,7 +89,7 @@ struct CountedNode {
   /// First symbol of the incoming edge label (0 for the root). Child lookup
   /// binary-searches a child block on this field, so it needs no text.
   uint8_t first_symbol = 0;
-  /// Padding (keeps the struct at 32 bytes; always zero on disk).
+  /// Padding (keeps the struct at 32 bytes; always zero).
   uint8_t reserved[3] = {0, 0, 0};
 
   bool IsLeaf() const { return num_children == 0; }

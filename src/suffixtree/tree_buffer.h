@@ -62,10 +62,10 @@ class TreeBuffer {
   std::vector<TreeNode> nodes_;
 };
 
-/// Flat array of CountedNodes in the format-v2 layout (see node.h). Node 0
-/// is the root. Immutable once built; this is the representation every
-/// query-path consumer receives from TreeIndex::OpenSubTree, whether the
-/// file on disk was v1 (converted at load) or v2 (read verbatim).
+/// Flat array of CountedNodes in the canonical counted layout (see node.h).
+/// Node 0 is the root. Immutable once built; it is the encoder's input
+/// (ServedSubTree::EncodePayload) and ServedSubTree::Inflate's output, which
+/// the validator and the TRELLIS merge consume.
 class CountedTree {
  public:
   const CountedNode& node(uint32_t i) const { return nodes_[i]; }
@@ -93,9 +93,9 @@ class CountedTree {
 StatusOr<CountedTree> BuildCountedTree(const TreeBuffer& tree);
 
 /// Rebuilds a linked TreeBuffer from a counted tree (slot i maps to node i;
-/// child blocks become first_child/next_sibling chains). Used to hand v2
-/// files to consumers that still operate on the linked form, e.g. the
-/// TRELLIS merge phase.
+/// child blocks become first_child/next_sibling chains). Used to hand
+/// sub-tree files to consumers that operate on the linked form, e.g. the
+/// TRELLIS merge phase (via ReadSubTree).
 StatusOr<TreeBuffer> LinkedFromCounted(const CountedTree& tree);
 
 /// Full structural check of a counted node array: root has no incoming edge,
@@ -105,8 +105,8 @@ StatusOr<TreeBuffer> LinkedFromCounted(const CountedTree& tree);
 /// correctly, every node is reachable exactly once, and the canonical DFS
 /// block layout holds — each internal node's strict descendants occupy
 /// exactly [children_begin, children_begin + subtree_node_count - 1), which
-/// is the invariant the linear descendant scan in CollectLeaves relies on.
-/// Run by the serializer on every v2 load and by the validator.
+/// is the invariant the packed format's leaf ranges rely on (its decoder
+/// runs the same sweep over packed records). Run by the validator.
 Status ValidateCountedLayout(const CountedTree& tree);
 
 }  // namespace era

@@ -1,7 +1,8 @@
 #include "suffixtree/tree_index.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 #include "common/crc32.h"
 #include "suffixtree/serializer.h"
@@ -39,6 +40,15 @@ StatusOr<std::string> HexDecode(const std::string& in) {
   return out;
 }
 
+/// Parses all of `text` as a decimal number; false on any other character
+/// or on overflow.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 uint32_t TreeIndex::AddSubTree(const std::string& prefix, uint64_t frequency,
@@ -72,32 +82,33 @@ StatusOr<TreeIndex> TreeIndex::Load(Env* env, const std::string& dir) {
   std::string manifest;
   ERA_RETURN_NOT_OK(env->ReadFileToString(dir + "/MANIFEST", &manifest));
 
+  // The last line is the checksum of every byte before it (Save emits it
+  // last). Verify it before parsing any field, so a damaged MANIFEST is
+  // Corruption and never reaches a field parser.
+  const std::size_t last_line =
+      manifest.empty() ? 0 : manifest.rfind('\n', manifest.size() - 2) + 1;
+  const std::string_view crc_line =
+      std::string_view(manifest).substr(last_line);
+  uint32_t declared = 0;
+  if (!crc_line.starts_with("crc: ") || !crc_line.ends_with('\n')) {
+    return Status::Corruption("manifest missing checksum line in " + dir);
+  }
+  if (!ParseNumber(crc_line.substr(5, crc_line.size() - 6), &declared) ||
+      Crc32c(manifest.data(), last_line) != declared) {
+    return Status::Corruption("MANIFEST checksum mismatch in " + dir);
+  }
+
   TreeIndex index;
   index.dir_ = dir;
-  std::istringstream is(manifest);
+  std::istringstream is(manifest.substr(0, last_line));
   std::string line;
   bool saw_format = false;
-  bool saw_crc = false;
   while (std::getline(is, line)) {
     std::size_t colon = line.find(": ");
     if (colon == std::string::npos) continue;
     std::string key = line.substr(0, colon);
     std::string value = line.substr(colon + 2);
-    if (key == "crc") {
-      // Checksum of every byte before this line (which Save emits last).
-      std::size_t line_pos = manifest.rfind("\n" + line);
-      std::string body = line_pos == std::string::npos
-                             ? std::string()
-                             : manifest.substr(0, line_pos + 1);
-      char* end = nullptr;
-      uint32_t declared =
-          static_cast<uint32_t>(std::strtoull(value.c_str(), &end, 10));
-      if (end == value.c_str() ||
-          Crc32c(body.data(), body.size()) != declared) {
-        return Status::Corruption("MANIFEST checksum mismatch in " + dir);
-      }
-      saw_crc = true;
-    } else if (key == "format") {
+    if (key == "format") {
       if (value != "era-tree-index-v1") {
         return Status::NotSupported("unknown index format: " + value);
       }
@@ -105,13 +116,17 @@ StatusOr<TreeIndex> TreeIndex::Load(Env* env, const std::string& dir) {
     } else if (key == "text_path") {
       index.text_.path = value;
     } else if (key == "text_length") {
-      index.text_.length = std::stoull(value);
+      if (!ParseNumber(value, &index.text_.length)) {
+        return Status::Corruption("bad text_length in manifest: " + line);
+      }
     } else if (key == "alphabet") {
       ERA_ASSIGN_OR_RETURN(index.text_.alphabet, Alphabet::Create(value));
     } else if (key == "subtree") {
       std::istringstream fields(value);
       SubTreeEntry e;
-      if (!(fields >> e.prefix >> e.frequency >> e.filename)) {
+      std::string frequency;
+      if (!(fields >> e.prefix >> frequency >> e.filename) ||
+          !ParseNumber(frequency, &e.frequency)) {
         return Status::Corruption("bad subtree manifest line: " + line);
       }
       index.subtrees_.push_back(std::move(e));
@@ -122,9 +137,6 @@ StatusOr<TreeIndex> TreeIndex::Load(Env* env, const std::string& dir) {
   }
   if (!saw_format) {
     return Status::Corruption("manifest missing format line in " + dir);
-  }
-  if (!saw_crc) {
-    return Status::Corruption("manifest missing checksum line in " + dir);
   }
   index.dispatch_.Build(index.trie_, index.text_.alphabet.symbols());
   return index;

@@ -154,8 +154,8 @@ Status ValidateSubTree(const TreeBuffer& tree, const std::string& text,
 Status ValidateSubTree(const CountedTree& tree, const std::string& text,
                        const std::string& prefix) {
   // Counted-only invariants first (stored counts, acyclic child blocks,
-  // canonical DFS descendant contiguity — the Locate scan's contract),
-  // shared with the serializer's load-time check; then the full structural/
+  // canonical DFS descendant contiguity — the leaf-range contract, which
+  // the packed decoder also checks at load); then the full structural/
   // semantic suite over the identical node mapping in linked form.
   ERA_RETURN_NOT_OK(ValidateCountedLayout(tree));
   ERA_ASSIGN_OR_RETURN(TreeBuffer linked, LinkedFromCounted(tree));
@@ -167,7 +167,7 @@ Status ValidateSubTree(const ServedSubTree& tree, const std::string& text,
   ERA_ASSIGN_OR_RETURN(CountedTree counted, tree.Inflate());
   ERA_RETURN_NOT_OK(ValidateSubTree(counted, text, prefix));
   // The cursor walk over the serving form (bit-packed field decode + lazy
-  // leaf-slot ranges for v3) must agree with the inflated counted layout.
+  // leaf-slot ranges) must agree with the inflated counted layout.
   if (TreeToSaLcp(tree) != TreeToSaLcp(counted)) {
     return Status::Corruption(
         "compressed cursor walk disagrees with inflated tree");

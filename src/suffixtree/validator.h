@@ -35,12 +35,12 @@ Status ValidateSubTree(const TreeBuffer& tree, const std::string& text,
 Status ValidateSubTree(const CountedTree& tree, const std::string& text,
                        const std::string& prefix);
 
-/// Serving-form overload. For compressed (format v3) trees the bit-packed
-/// invariants — header widths minimal for the recorded maxima, leaf-stream
-/// restart offsets and delta decode, stored subtree counts — were already
-/// enforced when the payload was decoded; this additionally inflates to the
-/// counted form, runs every check above on it, and cross-checks that the
-/// compressed cursor walk yields the identical canonical (SA, LCP).
+/// Serving-form overload. The bit-packed invariants — header widths minimal
+/// for the recorded maxima, leaf-stream restart offsets and delta decode,
+/// stored subtree counts — were already enforced when the payload was
+/// decoded; this additionally inflates to the counted form, runs every
+/// check above on it, and cross-checks that the compressed cursor walk
+/// yields the identical canonical (SA, LCP).
 Status ValidateSubTree(const ServedSubTree& tree, const std::string& text,
                        const std::string& prefix);
 

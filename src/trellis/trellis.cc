@@ -311,8 +311,7 @@ StatusOr<BuildResult> TrellisBuilder::Build(const TextInfo& text) {
       std::string filename = "seg_" + std::to_string(seg) + "_p" +
                              std::to_string(p) + ".bin";
       ERA_RETURN_NOT_OK(WriteSubTree(env, options_.work_dir + "/" + filename,
-                                     prepared.prefix, tree, &spill_io,
-                                     nullptr, options_.format));
+                                     prepared.prefix, tree, &spill_io));
       spills[{p, seg}] = filename;
       i = j;
     }
@@ -348,8 +347,7 @@ StatusOr<BuildResult> TrellisBuilder::Build(const TextInfo& text) {
     std::string filename = "st_" + std::to_string(p) + "_0.bin";
     ERA_RETURN_NOT_OK(WriteSubTree(env, options_.work_dir + "/" + filename,
                                    prefixes[p].prefix, merged,
-                                   &outputs[p].write_io, nullptr,
-                                   options_.format));
+                                   &outputs[p].write_io));
     outputs[p].subtrees.push_back(
         {prefixes[p].prefix, prefixes[p].frequency, filename});
     stats.io.Add(outputs[p].write_io);

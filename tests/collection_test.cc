@@ -12,7 +12,6 @@
 #include "collection/collection_builder.h"
 #include "collection/doc_engine.h"
 #include "io/mem_env.h"
-#include "suffixtree/serializer.h"
 #include "tests/test_util.h"
 #include "text/fasta.h"
 
@@ -486,71 +485,6 @@ TEST(DocEngineTest, OpenFailsOnCorruptDocmap) {
   EXPECT_FALSE(DocEngine::Open(&env, "/cor").ok());
 }
 
-TEST(DocEngineTest, V1MirrorAnswersIdentically) {
-  MemEnv env;
-  CollectionBuilder builder(Alphabet::Dna(),
-                            SmallCollectionOptions(&env, "/v2col"));
-  std::mt19937_64 rng(33);
-  std::vector<std::string> docs;
-  for (int d = 0; d < 20; ++d) {
-    std::string body = testing::RepetitiveText(Alphabet::Dna(), 150, rng());
-    body.pop_back();
-    docs.push_back(body);
-    ASSERT_TRUE(builder.AddDocument("doc" + std::to_string(d), body).ok());
-  }
-  auto built = builder.Build();
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-
-  // Mirror: same MANIFEST, TEXT reference and DOCMAP, but every sub-tree
-  // file rewritten in the legacy v1 linked format.
-  ASSERT_TRUE(env.CreateDir("/v1col").ok());
-  for (const char* file : {"MANIFEST", "DOCMAP"}) {
-    std::string raw;
-    ASSERT_TRUE(
-        env.ReadFileToString(std::string("/v2col/") + file, &raw).ok());
-    ASSERT_TRUE(env.WriteFile(std::string("/v1col/") + file, raw).ok());
-  }
-  for (const SubTreeEntry& entry : built->index.subtrees()) {
-    TreeBuffer tree;
-    std::string prefix;
-    ASSERT_TRUE(ReadSubTree(&env, "/v2col/" + entry.filename, &tree, &prefix,
-                            nullptr)
-                    .ok());
-    ASSERT_TRUE(WriteSubTreeV1(&env, "/v1col/" + entry.filename, prefix, tree,
-                               nullptr)
-                    .ok());
-  }
-
-  auto v2 = DocEngine::Open(&env, "/v2col");
-  auto v1 = DocEngine::Open(&env, "/v1col");
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-
-  std::vector<std::string> patterns;
-  for (const std::string& doc : docs) {
-    patterns.push_back(doc.substr(0, 5));
-    patterns.push_back(doc.substr(doc.size() / 2, 8));
-  }
-  patterns.push_back("ACGTACGTACGTACGT");  // likely absent
-  for (const std::string& pattern : patterns) {
-    auto h2 = (*v2)->DocumentHistogram(pattern);
-    auto h1 = (*v1)->DocumentHistogram(pattern);
-    ASSERT_TRUE(h2.ok());
-    ASSERT_TRUE(h1.ok());
-    EXPECT_EQ(*h2, *h1) << "pattern: " << pattern;
-    auto top2 = (*v2)->TopKDocuments(pattern, 4);
-    auto top1 = (*v1)->TopKDocuments(pattern, 4);
-    ASSERT_TRUE(top2.ok());
-    ASSERT_TRUE(top1.ok());
-    EXPECT_EQ(*top2, *top1);
-    auto loc2 = (*v2)->LocateInDoc(pattern, 7);
-    auto loc1 = (*v1)->LocateInDoc(pattern, 7);
-    ASSERT_TRUE(loc2.ok());
-    ASSERT_TRUE(loc1.ok());
-    EXPECT_EQ(*loc2, *loc1);
-  }
-}
-
 TEST(DocEngineTest, BatchedVariantsMatchSingles) {
   MemEnv env;
   CollectionBuilder builder(Alphabet::Dna(),
@@ -561,22 +495,16 @@ TEST(DocEngineTest, BatchedVariantsMatchSingles) {
   ASSERT_TRUE(engine.ok());
 
   std::vector<std::string> patterns = {"A", "AC", "GT", "ACGTACGT", "TTTT"};
-  auto counts = (*engine)->CountDocsBatch(patterns);
-  ASSERT_TRUE(counts.ok());
   auto topks = (*engine)->TopKDocumentsBatch(patterns, 3);
   ASSERT_TRUE(topks.ok());
-  ASSERT_EQ(counts->size(), patterns.size());
   ASSERT_EQ(topks->size(), patterns.size());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
-    auto count = (*engine)->CountDocs(patterns[i]);
-    ASSERT_TRUE(count.ok());
-    EXPECT_EQ((*counts)[i], *count);
     auto topk = (*engine)->TopKDocuments(patterns[i], 3);
     ASSERT_TRUE(topk.ok());
     EXPECT_EQ((*topks)[i], *topk);
   }
   // Errors propagate out of batches.
-  EXPECT_FALSE((*engine)->CountDocsBatch({"A", "|"}).ok());
+  EXPECT_FALSE((*engine)->TopKDocumentsBatch({"A", "|"}, 2).ok());
   EXPECT_FALSE((*engine)->TopKDocumentsBatch({"A", ""}, 2).ok());
 }
 

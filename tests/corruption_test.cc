@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "era/era_builder.h"
 #include "io/mem_env.h"
 #include "query/query_engine.h"
@@ -78,8 +80,8 @@ TEST(CorruptionTest, SubTreeBitFlipsAreCorruption) {
     std::string damaged = clean;
     damaged[offset] ^= 0x10;
     ASSERT_TRUE(env.WriteFile(path, damaged).ok());
-    CountedTree tree;
-    Status s = ReadCountedSubTree(&env, path, &tree, nullptr, nullptr);
+    ServedSubTree tree;
+    Status s = ReadServedSubTree(&env, path, &tree, nullptr, nullptr);
     EXPECT_FALSE(s.ok()) << "bit flip at offset " << offset << " undetected";
     EXPECT_TRUE(s.IsCorruption())
         << "offset " << offset << ": " << s.ToString();
@@ -96,8 +98,8 @@ TEST(CorruptionTest, TruncatedSubTreeIsCorruption) {
   for (std::size_t keep : {std::size_t{0}, std::size_t{4}, clean.size() / 2,
                            clean.size() - 1}) {
     ASSERT_TRUE(env.WriteFile(path, clean.substr(0, keep)).ok());
-    CountedTree tree;
-    Status s = ReadCountedSubTree(&env, path, &tree, nullptr, nullptr);
+    ServedSubTree tree;
+    Status s = ReadServedSubTree(&env, path, &tree, nullptr, nullptr);
     EXPECT_FALSE(s.ok()) << "truncation to " << keep << " bytes undetected";
     EXPECT_TRUE(s.IsCorruption()) << "keep=" << keep << ": " << s.ToString();
   }
@@ -106,43 +108,49 @@ TEST(CorruptionTest, TruncatedSubTreeIsCorruption) {
 TEST(CorruptionTest, DamagedStoredFirstSymbolIsCorruption) {
   // Child lookup binary-searches the stored first symbols without reading
   // the text, so a CRC-valid file whose symbols break the sorted child-block
-  // order must fail structurally, in both serving formats.
+  // order must fail structurally.
   MemEnv env;
   Built().CloneInto(&env);
-  CountedTree clean;
-  ASSERT_TRUE(ReadCountedSubTree(&env, "/idx/" + Built().subtrees[0].filename,
-                                 &clean, nullptr, nullptr)
-                  .ok());
+  const std::string path = "/idx/" + Built().subtrees[0].filename;
+  ServedSubTree served;
+  std::string prefix;
+  ASSERT_TRUE(ReadServedSubTree(&env, path, &served, &prefix, nullptr).ok());
+  auto clean = served.Inflate();
+  ASSERT_TRUE(clean.ok());
   uint32_t victim = 0;  // second child of the first branching node
-  for (uint32_t i = 0; i < clean.size() && victim == 0; ++i) {
-    if (clean.node(i).num_children >= 2) {
-      victim = clean.node(i).children_begin + 1;
+  for (uint32_t i = 0; i < clean->size() && victim == 0; ++i) {
+    if (clean->node(i).num_children >= 2) {
+      victim = clean->node(i).children_begin + 1;
     }
   }
   ASSERT_NE(victim, 0u);
+  std::string file;
+  ASSERT_TRUE(env.ReadFileToString(path, &file).ok());
+  const std::size_t payload_offset = 32 + prefix.size();  // header + prefix
 
-  for (SubTreeFormat format :
-       {SubTreeFormat::kCounted, SubTreeFormat::kPacked}) {
-    // Duplicate the left sibling's symbol (order broken), or clear it.
-    for (uint8_t symbol : {clean.node(victim - 1).first_symbol, uint8_t{0}}) {
-      CountedTree damaged;
-      damaged.mutable_nodes() = clean.nodes();
-      damaged.mutable_nodes()[victim].first_symbol = symbol;
-      ASSERT_TRUE(WriteCountedSubTree(&env, "/damaged", "A", damaged, nullptr,
-                                      nullptr, format)
-                      .ok());
-      CountedTree counted;
-      Status s = ReadCountedSubTree(&env, "/damaged", &counted, nullptr,
-                                    nullptr);
-      EXPECT_TRUE(s.IsCorruption())
-          << "format " << static_cast<int>(format) << " symbol "
-          << int{symbol} << ": " << s.ToString();
-      ServedSubTree served;
-      s = ReadServedSubTree(&env, "/damaged", &served, nullptr, nullptr);
-      EXPECT_TRUE(s.IsCorruption())
-          << "format " << static_cast<int>(format) << " symbol "
-          << int{symbol} << ": " << s.ToString();
-    }
+  // Duplicate the left sibling's symbol (order broken), or clear it.
+  for (uint8_t symbol : {clean->node(victim - 1).first_symbol, uint8_t{0}}) {
+    CountedTree damaged;
+    damaged.mutable_nodes() = clean->nodes();
+    damaged.mutable_nodes()[victim].first_symbol = symbol;
+    // The clean file's header and prefix, the damaged payload, and the CRC
+    // re-sealed so only the structural checks can catch it.
+    const std::string payload = ServedSubTree::EncodePayload(damaged);
+    std::string bytes = file.substr(0, payload_offset) + payload;
+    const uint32_t crc = Crc32c(payload.data(), payload.size(),
+                                Crc32c(prefix.data(), prefix.size()));
+    std::memcpy(bytes.data() + 24, &crc, sizeof(crc));  // header crc field
+    ASSERT_TRUE(env.WriteFile("/damaged", bytes).ok());
+
+    ServedSubTree as_served;
+    Status s = ReadServedSubTree(&env, "/damaged", &as_served, nullptr,
+                                 nullptr);
+    EXPECT_TRUE(s.IsCorruption()) << "symbol " << int{symbol} << ": "
+                                  << s.ToString();
+    TreeBuffer linked;
+    s = ReadSubTree(&env, "/damaged", &linked, nullptr, nullptr);
+    EXPECT_TRUE(s.IsCorruption()) << "symbol " << int{symbol} << ": "
+                                  << s.ToString();
   }
 }
 
@@ -168,6 +176,38 @@ TEST(CorruptionTest, ManifestDamageIsCorruption) {
   ASSERT_TRUE(
       env.WriteFile("/idx/MANIFEST", clean.substr(0, crc_line)).ok());
   EXPECT_TRUE(TreeIndex::Load(&env, "/idx").status().IsCorruption());
+
+  // A text_length that is not a number (first digit replaced), or too long
+  // for 64 bits. Left unsealed, the checksum catches it before any field is
+  // parsed; with the checksum re-sealed over the damage, the field parser
+  // must catch it. Either way: Corruption, never an exception.
+  auto seal = [](const std::string& body) {
+    return body + "crc: " +
+           std::to_string(Crc32c(body.data(), body.size())) + "\n";
+  };
+  // Sealing the clean body reproduces the MANIFEST byte for byte, so below
+  // the parser, not the sealing, is what rejects the damage.
+  ASSERT_EQ(seal(clean.substr(0, crc_line)), clean);
+  const std::size_t length_line = clean.find("text_length: ");
+  ASSERT_NE(length_line, std::string::npos);
+  const std::size_t value = length_line + std::strlen("text_length: ");
+  const std::size_t value_end = clean.find('\n', value);
+  for (const std::string& bad :
+       {"q" + clean.substr(value + 1, value_end - value - 1),
+        std::string("12345678901234567890123")}) {
+    std::string body = clean.substr(0, crc_line);
+    body.replace(value, value_end - value, bad);
+    const std::string unsealed = body + clean.substr(crc_line);
+    ASSERT_TRUE(env.WriteFile("/idx/MANIFEST", unsealed).ok());
+    Status s = TreeIndex::Load(&env, "/idx").status();
+    EXPECT_TRUE(s.IsCorruption()) << bad << ": " << s.ToString();
+
+    ASSERT_TRUE(env.WriteFile("/idx/MANIFEST", seal(body)).ok());
+    s = TreeIndex::Load(&env, "/idx").status();
+    EXPECT_TRUE(s.IsCorruption()) << bad << ": " << s.ToString();
+    EXPECT_NE(s.message().find("text_length"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 TEST(CorruptionTest, QueryEngineQuarantinesAndRecoversWithoutRestart) {

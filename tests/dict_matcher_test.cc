@@ -26,14 +26,12 @@
 namespace era {
 namespace {
 
-BuildOptions SmallBuildOptions(Env* env, const std::string& dir,
-                               SubTreeFormat format) {
+BuildOptions SmallBuildOptions(Env* env, const std::string& dir) {
   BuildOptions options;
   options.env = env;
   options.work_dir = dir;
   options.memory_budget = 256 << 10;  // force several sub-trees
   options.input_buffer_bytes = 4096;
-  options.format = format;
   return options;
 }
 
@@ -80,11 +78,11 @@ void ExpectSameOutcomes(const std::vector<DictOutcome>& got,
 }
 
 // ---------------------------------------------------------------------------
-// Randomized equivalence: every alphabet, both sub-tree formats, dictionary
-// sizes from one pattern to thousands, count and locate modes.
+// Randomized equivalence: every alphabet, dictionary sizes from one pattern
+// to thousands, count and locate modes.
 // ---------------------------------------------------------------------------
 
-TEST(DictMatcherEquivalence, MatchesPerPatternLoopAcrossAlphabetsAndFormats) {
+TEST(DictMatcherEquivalence, MatchesPerPatternLoopAcrossAlphabets) {
   const Alphabet alphabets[] = {Alphabet::Dna(), Alphabet::Protein(),
                                 Alphabet::English()};
   for (const Alphabet& alphabet : alphabets) {
@@ -92,44 +90,39 @@ TEST(DictMatcherEquivalence, MatchesPerPatternLoopAcrossAlphabetsAndFormats) {
     const std::string text = testing::RepetitiveText(alphabet, 6000, 29);
     auto info = MaterializeText(&env, "/text", alphabet, text);
     ASSERT_TRUE(info.ok());
-    for (SubTreeFormat format :
-         {SubTreeFormat::kPacked, SubTreeFormat::kCounted}) {
-      const std::string dir =
-          format == SubTreeFormat::kPacked ? "/idx_v3" : "/idx_v2";
-      EraBuilder builder(SmallBuildOptions(&env, dir, format));
-      auto result = builder.Build(*info);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      auto engine = QueryEngine::Open(&env, dir);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EraBuilder builder(SmallBuildOptions(&env, "/idx"));
+    auto result = builder.Build(*info);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto engine = QueryEngine::Open(&env, "/idx");
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-      for (std::size_t num_patterns : {1u, 7u, 300u, 2000u}) {
-        DictWorkloadOptions workload;
-        workload.num_patterns = num_patterns;
-        workload.num_prefix_groups = 8;
-        workload.prefix_len = 6;
-        workload.min_len = 3;
-        workload.max_len = 20;
-        workload.seed = 100 + num_patterns;
-        const std::vector<std::string> patterns =
-            SampleDictionaryWorkload(text, workload);
-        ASSERT_EQ(patterns.size(), num_patterns);
+    for (std::size_t num_patterns : {1u, 7u, 300u, 2000u}) {
+      DictWorkloadOptions workload;
+      workload.num_patterns = num_patterns;
+      workload.num_prefix_groups = 8;
+      workload.prefix_len = 6;
+      workload.min_len = 3;
+      workload.max_len = 20;
+      workload.seed = 100 + num_patterns;
+      const std::vector<std::string> patterns =
+          SampleDictionaryWorkload(text, workload);
+      ASSERT_EQ(patterns.size(), num_patterns);
 
-        DictMatchOptions count_mode;
-        auto counted = (*engine)->MatchDictionary(patterns, count_mode);
-        ASSERT_TRUE(counted.ok()) << counted.status().ToString();
-        ExpectSameOutcomes(*counted,
-                           PerPatternLoop(engine->get(), patterns, count_mode),
-                           patterns);
+      DictMatchOptions count_mode;
+      auto counted = (*engine)->MatchDictionary(patterns, count_mode);
+      ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+      ExpectSameOutcomes(*counted,
+                         PerPatternLoop(engine->get(), patterns, count_mode),
+                         patterns);
 
-        DictMatchOptions locate_mode;
-        locate_mode.locate = true;
-        locate_mode.locate_limit = 13;
-        auto located = (*engine)->MatchDictionary(patterns, locate_mode);
-        ASSERT_TRUE(located.ok()) << located.status().ToString();
-        ExpectSameOutcomes(
-            *located, PerPatternLoop(engine->get(), patterns, locate_mode),
-            patterns);
-      }
+      DictMatchOptions locate_mode;
+      locate_mode.locate = true;
+      locate_mode.locate_limit = 13;
+      auto located = (*engine)->MatchDictionary(patterns, locate_mode);
+      ASSERT_TRUE(located.ok()) << located.status().ToString();
+      ExpectSameOutcomes(
+          *located, PerPatternLoop(engine->get(), patterns, locate_mode),
+          patterns);
     }
   }
 }
@@ -139,7 +132,7 @@ TEST(DictMatcherEquivalence, AhoCorasickStreamingBaselineAgreesOnCounts) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 53);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&env, "/idx", SubTreeFormat::kPacked));
+  EraBuilder builder(SmallBuildOptions(&env, "/idx"));
   ASSERT_TRUE(builder.Build(*info).ok());
   auto engine = QueryEngine::Open(&env, "/idx");
   ASSERT_TRUE(engine.ok());
@@ -188,7 +181,7 @@ TEST(DictMatcherEquivalence, DescentReadsTextOnlyForEdgeLabels) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 61);
   auto info = MaterializeText(&mem, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&mem, "/idx", SubTreeFormat::kPacked));
+  EraBuilder builder(SmallBuildOptions(&mem, "/idx"));
   ASSERT_TRUE(builder.Build(*info).ok());
   FaultSpec spec;
   spec.path_filter = "/text";  // count text reads only
@@ -223,8 +216,7 @@ class DictMatcherTest : public ::testing::Test {
     text_ = testing::RepetitiveText(Alphabet::Dna(), 8000, 71);
     auto info = MaterializeText(&env_, "/text", Alphabet::Dna(), text_);
     ASSERT_TRUE(info.ok());
-    EraBuilder builder(
-        SmallBuildOptions(&env_, "/idx", SubTreeFormat::kPacked));
+    EraBuilder builder(SmallBuildOptions(&env_, "/idx"));
     auto result = builder.Build(*info);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     auto engine = QueryEngine::Open(&env_, "/idx");
@@ -267,8 +259,7 @@ TEST_F(DictMatcherTest, TrieResolvedMissingAndEmptyPatterns) {
 }
 
 // ---------------------------------------------------------------------------
-// Duplicate folding: duplicated items must not add tree work, in the plain
-// batches and in the dictionary path.
+// Duplicate folding: duplicated items must not add tree work.
 // ---------------------------------------------------------------------------
 
 TEST_F(DictMatcherTest, BatchDuplicatesFoldWithoutExtraTreeWork) {
@@ -289,58 +280,23 @@ TEST_F(DictMatcherTest, BatchDuplicatesFoldWithoutExtraTreeWork) {
   }
   const uint64_t expected_folds = duplicated.size() - unique.size();
 
-  // Context-free CountBatch: the duplicated batch must cost exactly the
-  // unique batch's tree work (the regression this test pins).
-  QueryStats before = engine_->stats();
-  auto unique_counts = engine_->CountBatch(unique);
-  ASSERT_TRUE(unique_counts.ok());
-  QueryStats mid = engine_->stats();
-  auto dup_counts = engine_->CountBatch(duplicated);
-  ASSERT_TRUE(dup_counts.ok());
-  QueryStats after = engine_->stats();
-  EXPECT_EQ(after.nodes_visited - mid.nodes_visited,
-            mid.nodes_visited - before.nodes_visited);
-  EXPECT_EQ(after.leaves_enumerated - mid.leaves_enumerated,
-            mid.leaves_enumerated - before.leaves_enumerated);
-  EXPECT_EQ(after.batch_duplicates_folded - mid.batch_duplicates_folded,
-            expected_folds);
-  for (std::size_t i = 0; i < duplicated.size(); ++i) {
-    EXPECT_EQ((*dup_counts)[i], (*unique_counts)[i % unique.size()]);
-  }
-
-  // Context overload of LocateBatch: same fold, same answers per duplicate.
-  const QueryContext ctx;
-  before = engine_->stats();
-  auto unique_hits = engine_->LocateBatch(ctx, unique, 10);
-  ASSERT_TRUE(unique_hits.ok());
-  mid = engine_->stats();
-  auto dup_hits = engine_->LocateBatch(ctx, duplicated, 10);
-  ASSERT_TRUE(dup_hits.ok());
-  after = engine_->stats();
-  EXPECT_EQ(after.leaves_enumerated - mid.leaves_enumerated,
-            mid.leaves_enumerated - before.leaves_enumerated);
-  EXPECT_EQ(after.batch_duplicates_folded - mid.batch_duplicates_folded,
-            expected_folds);
-  for (std::size_t i = 0; i < duplicated.size(); ++i) {
-    ASSERT_TRUE((*dup_hits)[i].status.ok());
-    EXPECT_EQ((*dup_hits)[i].offsets,
-              (*unique_hits)[i % unique.size()].offsets);
-  }
-
-  // Dictionary path: duplicated items fold before routing, so descents and
-  // leaf enumeration match the unique run exactly.
+  // Duplicated items fold before routing, so the duplicated dictionary must
+  // cost exactly the unique one's tree work (the regression this test
+  // pins): descents, child probes and leaf enumeration all match.
   DictMatchOptions locate_mode;
   locate_mode.locate = true;
   locate_mode.locate_limit = 10;
-  before = engine_->stats();
+  const QueryStats before = engine_->stats();
   auto unique_dict = engine_->MatchDictionary(unique, locate_mode);
   ASSERT_TRUE(unique_dict.ok());
-  mid = engine_->stats();
+  const QueryStats mid = engine_->stats();
   auto dup_dict = engine_->MatchDictionary(duplicated, locate_mode);
   ASSERT_TRUE(dup_dict.ok());
-  after = engine_->stats();
+  const QueryStats after = engine_->stats();
   EXPECT_EQ(after.dict_descents_shared - mid.dict_descents_shared,
             mid.dict_descents_shared - before.dict_descents_shared);
+  EXPECT_EQ(after.nodes_visited - mid.nodes_visited,
+            mid.nodes_visited - before.nodes_visited);
   EXPECT_EQ(after.leaves_enumerated - mid.leaves_enumerated,
             mid.leaves_enumerated - before.leaves_enumerated);
   EXPECT_EQ(after.batch_duplicates_folded - mid.batch_duplicates_folded,
@@ -430,7 +386,7 @@ TEST(DictMatcherServingTest, MidDictionaryCancellationLeavesEngineReusable) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 12000, 47);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&env, "/idx", SubTreeFormat::kPacked));
+  EraBuilder builder(SmallBuildOptions(&env, "/idx"));
   ASSERT_TRUE(builder.Build(*info).ok());
 
   // ~1ms of device time per request and an all-straggler dictionary (no
@@ -504,7 +460,7 @@ TEST(DictMatcherConcurrencyTest, ParallelDictionariesReturnIdenticalOutcomes) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 13);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&env, "/idx", SubTreeFormat::kPacked));
+  EraBuilder builder(SmallBuildOptions(&env, "/idx"));
   ASSERT_TRUE(builder.Build(*info).ok());
   QueryEngineOptions engine_options;
   engine_options.cache.budget_bytes = 128 << 10;  // keep evictions happening

@@ -100,9 +100,13 @@ TEST_F(QueryConcurrencyTest, EightThreadsMatchSerialAnswers) {
             break;
           }
           default: {
-            auto counts = engine_->CountBatch({pattern});
-            if (!counts.ok() || counts->size() != 1) ++errors;
-            else if ((*counts)[0] != expected_counts_[i]) ++mismatches;
+            auto outcomes = engine_->MatchDictionary({pattern});
+            if (!outcomes.ok() || outcomes->size() != 1 ||
+                !(*outcomes)[0].status.ok()) {
+              ++errors;
+            } else if ((*outcomes)[0].count != expected_counts_[i]) {
+              ++mismatches;
+            }
             break;
           }
         }

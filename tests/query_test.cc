@@ -15,18 +15,7 @@
 namespace era {
 namespace {
 
-/// All occurrence positions of `pattern` in `text` by naive scan (the
-/// terminal byte is part of the text and may match).
-std::vector<uint64_t> NaiveLocate(const std::string& text,
-                                  const std::string& pattern) {
-  std::vector<uint64_t> hits;
-  std::size_t pos = text.find(pattern);
-  while (pos != std::string::npos) {
-    hits.push_back(pos);
-    pos = text.find(pattern, pos + 1);
-  }
-  return hits;
-}
+using testing::NaiveLocate;
 
 class QueryEngineTest : public ::testing::Test {
  protected:
@@ -183,29 +172,6 @@ TEST_F(QueryEngineTest, CountNeverEnumeratesLeaves) {
   ASSERT_TRUE(contains.ok());
   EXPECT_TRUE(*contains);
   EXPECT_EQ(engine_->stats().leaves_enumerated, hits->size());
-}
-
-TEST_F(QueryEngineTest, BatchedApisMatchSingles) {
-  std::vector<std::string> patterns = {"A",
-                                       "ACG",
-                                       text_.substr(10, 12),
-                                       text_.substr(3000, 7),
-                                       "ACGTACGTACGTACGTACGTACGTACGTACGT"};
-  auto counts = engine_->CountBatch(patterns);
-  ASSERT_TRUE(counts.ok());
-  auto locates = engine_->LocateBatch(patterns, 20);
-  ASSERT_TRUE(locates.ok());
-  ASSERT_EQ(counts->size(), patterns.size());
-  ASSERT_EQ(locates->size(), patterns.size());
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    auto count = engine_->Count(patterns[i]);
-    ASSERT_TRUE(count.ok());
-    EXPECT_EQ((*counts)[i], *count) << "pattern: " << patterns[i];
-    auto hits = engine_->Locate(patterns[i], 20);
-    ASSERT_TRUE(hits.ok());
-    EXPECT_EQ((*locates)[i], *hits) << "pattern: " << patterns[i];
-  }
-  EXPECT_FALSE(engine_->CountBatch({"A", ""}).ok());  // errors propagate
 }
 
 TEST_F(QueryEngineTest, CountUsesTrieWithoutSubTreeIo) {

@@ -159,10 +159,10 @@ TEST(CountedTreeTest, ConversionRejectsMalformedTrees) {
 }
 
 TEST(CountedTreeTest, LayoutCheckRejectsInterleavedDescendantBlocks) {
-  // A CRC-valid v2 array can pass per-node bounds and count-consistency
-  // checks while two subtrees' descendant ranges interleave — which would
-  // make the linear Locate scan surface another subtree's leaves. The
-  // canonical-layout check must reject it (regression for the load check).
+  // A counted array can pass per-node bounds and count-consistency checks
+  // while two subtrees' descendant ranges interleave — which would make a
+  // node's contiguous leaf range surface another subtree's leaves. The
+  // canonical-layout check must reject it.
   //
   //   slot0 root   cb=1 #2 Σ=3
   //   slot1 inner  cb=3 #1 Σ=2      (its descendants should be 3..4)
@@ -232,8 +232,8 @@ TEST(TreeIndexCacheTest, LruEvictsWithinBudgetAndPinsInFlight) {
     ASSERT_TRUE(WriteSubTree(&env, "/" + name, "A", *tree, nullptr).ok());
     index.AddSubTree("A", CountLeaves(*tree), name);
   }
-  // The budget math must use the actual serving charge (the packed blob for
-  // the default v3 format), not the inflated counted size.
+  // The budget math must use the actual serving charge (the packed blob),
+  // not the inflated counted size.
   ServedSubTree served;
   ASSERT_TRUE(ReadServedSubTree(&env, "/st_0", &served, nullptr, nullptr).ok());
   const uint64_t tree_bytes = served.MemoryBytes();

