@@ -1,4 +1,4 @@
-// Bit-level and byte-level codecs for the compressed sub-tree format (v3).
+// Bit-level and byte-level codecs for the compressed sub-tree format (v4).
 //
 // Three primitives, all deterministic and allocation-light:
 //  * LEB128 varints (PutVarint64/GetVarint64) with zigzag for signed deltas —
@@ -60,7 +60,7 @@ inline int64_t ZigZagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-/// Bits needed to store `v` exactly: 0 for 0, 64 for ~0ull. The v3 width
+/// Bits needed to store `v` exactly: 0 for 0, 64 for ~0ull. The packed width
 /// rule is w_field = BitWidth(max over the sub-tree).
 inline uint32_t BitWidth(uint64_t v) {
   uint32_t w = 0;
@@ -80,32 +80,28 @@ inline uint64_t MaskLow(uint32_t width) {
 inline constexpr std::size_t kBitReaderPadBytes = 8;
 
 /// Appends fixed-width fields to a byte string, LSB-first within each byte.
-/// Call Finish() once to flush the final partial byte.
+/// Fields collect in a 64-bit accumulator that is appended 8 bytes at a time
+/// (little-endian hosts, like BitReader). Call Finish() once to flush the
+/// final partial word; bytes() is complete only after it.
 class BitWriter {
  public:
   void Put(uint64_t v, uint32_t width) {
+    if (width == 0) return;
     v &= MaskLow(width);
-    uint32_t done = 0;
-    while (done < width) {
-      const uint32_t take = width - done < 8u - nbits_ ? width - done
-                                                       : 8u - nbits_;
-      acc_ |= static_cast<uint32_t>((v >> done) & MaskLow(take)) << nbits_;
-      nbits_ += take;
-      done += take;
-      if (nbits_ == 8) {
-        buf_.push_back(static_cast<char>(acc_));
-        acc_ = 0;
-        nbits_ = 0;
-      }
+    acc_ |= v << nbits_;
+    nbits_ += width;
+    if (nbits_ >= 64) {
+      buf_.append(reinterpret_cast<const char*>(&acc_), sizeof(acc_));
+      nbits_ -= 64;
+      // The high nbits_ bits of v did not fit; v >> 64 would be undefined.
+      acc_ = nbits_ == 0 ? 0 : v >> (width - nbits_);
     }
   }
 
   void Finish() {
-    if (nbits_ > 0) {
-      buf_.push_back(static_cast<char>(acc_));
-      acc_ = 0;
-      nbits_ = 0;
-    }
+    buf_.append(reinterpret_cast<const char*>(&acc_), (nbits_ + 7) / 8);
+    acc_ = 0;
+    nbits_ = 0;
   }
 
   const std::string& bytes() const { return buf_; }
@@ -113,8 +109,8 @@ class BitWriter {
 
  private:
   std::string buf_;
-  uint32_t acc_ = 0;    // partial byte, low nbits_ bits valid
-  uint32_t nbits_ = 0;  // always < 8 between calls
+  uint64_t acc_ = 0;    // pending bits, low nbits_ bits valid
+  uint32_t nbits_ = 0;  // always < 64 between calls
 };
 
 /// Random-access reads over a BitWriter stream. The buffer must extend

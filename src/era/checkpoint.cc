@@ -5,6 +5,7 @@
 
 #include "common/crc32.h"
 #include "common/logging.h"
+#include "suffixtree/serializer.h"
 
 namespace era {
 
@@ -140,13 +141,16 @@ ResumePlan PlanResume(Env* env, const std::string& work_dir,
         plan.groups[group.group_id].prefixes.size();
     if (group.subtree_crcs.size() != expected) continue;
     // Re-read every recorded file: resume trusts checksums, not existence.
+    // A file a build of an older format left behind is intact but
+    // unreadable, so its format version must be the current one too.
     bool all_ok = true;
     for (std::size_t k = 0; k < expected && all_ok; ++k) {
       const std::string path =
           work_dir + "/" + SubTreeFileName(group.group_id, k);
       std::string bytes;
       if (!env->ReadFileToString(path, &bytes).ok() ||
-          Crc32c(bytes.data(), bytes.size()) != group.subtree_crcs[k]) {
+          Crc32c(bytes.data(), bytes.size()) != group.subtree_crcs[k] ||
+          !InspectSubTreeFile(env, path).ok()) {
         all_ok = false;
       }
     }

@@ -99,7 +99,7 @@ void QueryEngine::InitObservability() {
     metrics_->query.push_back(
         metrics_->registry->GetCounter(field.name, field.help, labels));
   }
-  // Snapshot-style sources (sharded cache counters, the quarantine map,
+  // Snapshot-style sources (cache counters, the quarantine map,
   // in-flight, trace rings) contribute through a collector instead of
   // double-booking into counters.
   metrics_->collector_id = metrics_->registry->AddCollector(

@@ -3,7 +3,8 @@
 //
 // A query routes through the index's k-mer dispatch table (one array probe
 // replacing the pointer-trie walk) to the responsible sub-tree, loads it
-// through the index's sharded LRU cache, and continues matching inside it.
+// through the index's byte-budgeted LRU cache, and continues matching inside
+// it.
 // Sub-trees are walked in their serving form (ServedSubTree): compressed
 // payloads are never inflated — child lookup is a binary search over the
 // symbol-table ranks of the sorted child block's stored first symbols and
@@ -15,9 +16,10 @@
 //
 // The engine is thread-safe: any number of threads may issue queries
 // concurrently. Each call leases a text-reader session from an internal pool
-// (readers are pooled, never shared), the sub-tree cache is sharded, and
-// per-session I/O and query counters are folded into the engine aggregates
-// when the lease is returned.
+// (readers are pooled, never shared), the sub-tree cache holds its lock only
+// for lookups and inserts (never across a load), and per-session I/O and
+// query counters are folded into the engine aggregates when the lease is
+// returned.
 //
 // Overload control: every entry point has a QueryContext overload carrying
 // an absolute deadline and a cancellation token, checked at node-visit and
@@ -60,7 +62,7 @@ struct QueryTraceOptions {
 
 /// Tuning for a serving engine.
 struct QueryEngineOptions {
-  /// Sub-tree cache budget and sharding (see TreeCacheOptions).
+  /// Sub-tree cache budget and load retries (see TreeCacheOptions).
   TreeCacheOptions cache;
   /// Buffer of each pooled text reader.
   uint64_t reader_buffer_bytes = 64 << 10;

@@ -1,6 +1,7 @@
 #include "suffixtree/compressed_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/query_context.h"
@@ -17,6 +18,9 @@ constexpr uint32_t kLeafRestartInterval = 64;
 /// Cancellation/deadline poll period inside decode loops.
 constexpr uint64_t kCtxCheckStride = 4096;
 
+/// Slots per leaf-bits word, and so per rank sample.
+constexpr uint64_t kSlotsPerWord = 64;
+
 uint64_t ReadRestart(const std::string& blob, uint64_t restarts_off,
                      uint64_t block) {
   uint64_t v;
@@ -25,34 +29,80 @@ uint64_t ReadRestart(const std::string& blob, uint64_t restarts_off,
   return v;
 }
 
+uint64_t LeafBitsWords(uint64_t slots) {
+  return (slots + kSlotsPerWord - 1) / kSlotsPerWord;
+}
+
+/// Bytes of `fields` bit-packed fields of `width` bits each.
+uint64_t PackedBytes(uint64_t fields, uint32_t width) {
+  return (fields * width + 7) / 8;
+}
+
+uint32_t InternalRecordBits(const PackedHeader& h) {
+  return uint32_t{h.w_edge_start} + h.w_edge_len + h.w_count +
+         h.w_children_begin + h.w_num_children;
+}
+
 }  // namespace
 
-std::string ServedSubTree::EncodePayload(const CountedTree& tree) {
+PackedSections PackedSections::Of(const PackedHeader& h,
+                                  uint64_t node_count) {
+  PackedSections s;
+  s.symbols = h.num_symbols;
+  s.leaf_bits = LeafBitsWords(node_count) * sizeof(uint64_t);
+  s.symbol_ranks = PackedBytes(node_count, h.w_symbol_rank);
+  s.internal_records =
+      PackedBytes(node_count - h.leaf_count, InternalRecordBits(h));
+  s.leaf_records = PackedBytes(h.leaf_count, h.w_leaf_edge_start);
+  s.restarts = uint64_t{h.num_restarts} * sizeof(uint64_t);
+  s.leaf_stream = h.leaf_stream_bytes;
+  return s;
+}
+
+uint64_t PackedSections::PayloadBytes() const {
+  return sizeof(PackedHeader) + symbols + leaf_bits + symbol_ranks +
+         internal_records + leaf_records + restarts + leaf_stream;
+}
+
+StatusOr<std::string> ServedSubTree::EncodePayload(const CountedTree& tree) {
   const uint32_t n = tree.size();
+  if (n == 0 || tree.node(0).IsLeaf()) {
+    return Status::Internal("packed sub-tree needs an internal root");
+  }
   PackedHeader h;
   h.leaf_restart_interval = kLeafRestartInterval;
 
-  // Pass 1: per-field maxima, leaf ranks, the leaf-id stream source, and
-  // the set of first symbols.
-  std::vector<uint64_t> leaf_prefix(n + 1, 0);  // leaf slots before slot i
+  // Pass 1: leaf bits, per-field maxima (internal and leaf records apart),
+  // the shared leaf edge end, the leaf-id stream source, and the set of
+  // first symbols.
+  std::vector<uint64_t> leaf_bits(LeafBitsWords(n), 0);
   std::vector<uint64_t> leaves_by_rank;
   bool used[256] = {};
   for (uint32_t i = 0; i < n; ++i) {
     const CountedNode& u = tree.node(i);
     if (i != 0) used[u.first_symbol] = true;
-    leaf_prefix[i + 1] = leaf_prefix[i] + (u.IsLeaf() ? 1 : 0);
-    if (u.IsLeaf()) leaves_by_rank.push_back(u.leaf_id());
-    if (u.edge_start > h.max_edge_start) h.max_edge_start = u.edge_start;
-    if (u.edge_len > h.max_edge_len) h.max_edge_len = u.edge_len;
-    if (u.LeafCount() > h.max_count) h.max_count = u.LeafCount();
-    if (u.children_begin > h.max_children_begin) {
-      h.max_children_begin = u.children_begin;
+    if (u.IsLeaf()) {
+      const uint64_t end = u.edge_start + u.edge_len;
+      if (leaves_by_rank.empty()) {
+        h.leaf_edge_end = end;
+      } else if (end != h.leaf_edge_end) {
+        return Status::Internal(
+            "leaf edges of one sub-tree end at " +
+            std::to_string(h.leaf_edge_end) + " and " + std::to_string(end) +
+            "; the packed format stores one leaf edge end");
+      }
+      leaf_bits[i / kSlotsPerWord] |= 1ull << (i % kSlotsPerWord);
+      leaves_by_rank.push_back(u.leaf_id());
+      h.max_leaf_edge_start = std::max(h.max_leaf_edge_start, u.edge_start);
+      continue;
     }
-    if (u.num_children > h.max_num_children) {
-      h.max_num_children = u.num_children;
-    }
+    h.max_edge_start = std::max(h.max_edge_start, u.edge_start);
+    h.max_edge_len = std::max(h.max_edge_len, u.edge_len);
+    h.max_count = std::max(h.max_count, u.LeafCount());
+    h.max_children_begin = std::max(h.max_children_begin, u.children_begin);
+    h.max_num_children = std::max(h.max_num_children, u.num_children);
   }
-  h.leaf_count = leaf_prefix[n];
+  h.leaf_count = leaves_by_rank.size();
   std::string symbols;
   uint8_t rank_of[256] = {};
   for (uint32_t c = 1; c < 256; ++c) {
@@ -63,34 +113,33 @@ std::string ServedSubTree::EncodePayload(const CountedTree& tree) {
   h.num_symbols = static_cast<uint8_t>(symbols.size());
   h.w_symbol_rank = static_cast<uint8_t>(
       symbols.empty() ? 0 : BitWidth(symbols.size() - 1));
-  for (uint32_t i = 0; i < n; ++i) {
-    const CountedNode& u = tree.node(i);
-    const uint64_t ref =
-        u.IsLeaf() ? leaf_prefix[i] : leaf_prefix[u.children_begin];
-    if (ref > h.max_leaf_ref) h.max_leaf_ref = ref;
-  }
+  h.w_leaf_edge_start = static_cast<uint8_t>(BitWidth(h.max_leaf_edge_start));
   h.w_edge_start = static_cast<uint8_t>(BitWidth(h.max_edge_start));
   h.w_edge_len = static_cast<uint8_t>(BitWidth(h.max_edge_len));
   h.w_count = static_cast<uint8_t>(BitWidth(h.max_count));
-  h.w_leaf_ref = static_cast<uint8_t>(BitWidth(h.max_leaf_ref));
   h.w_children_begin = static_cast<uint8_t>(BitWidth(h.max_children_begin));
   h.w_num_children = static_cast<uint8_t>(BitWidth(h.max_num_children));
 
-  // Pass 2: bit-pack the records.
-  BitWriter records;
+  // Pass 2: bit-pack the per-slot symbol ranks and the two record arrays.
+  BitWriter ranks;
+  BitWriter internals;
+  BitWriter leaves;
   for (uint32_t i = 0; i < n; ++i) {
     const CountedNode& u = tree.node(i);
-    const uint64_t ref =
-        u.IsLeaf() ? leaf_prefix[i] : leaf_prefix[u.children_begin];
-    records.Put(u.edge_start, h.w_edge_start);
-    records.Put(u.edge_len, h.w_edge_len);
-    records.Put(u.LeafCount(), h.w_count);
-    records.Put(ref, h.w_leaf_ref);
-    records.Put(u.children_begin, h.w_children_begin);
-    records.Put(u.num_children, h.w_num_children);
-    records.Put(i == 0 ? 0 : rank_of[u.first_symbol], h.w_symbol_rank);
+    ranks.Put(i == 0 ? 0 : rank_of[u.first_symbol], h.w_symbol_rank);
+    if (u.IsLeaf()) {
+      leaves.Put(u.edge_start, h.w_leaf_edge_start);
+      continue;
+    }
+    internals.Put(u.edge_start, h.w_edge_start);
+    internals.Put(u.edge_len, h.w_edge_len);
+    internals.Put(u.LeafCount(), h.w_count);
+    internals.Put(u.children_begin, h.w_children_begin);
+    internals.Put(u.num_children, h.w_num_children);
   }
-  records.Finish();
+  ranks.Finish();
+  internals.Finish();
+  leaves.Finish();
 
   // Pass 3: restart array + delta/varint leaf stream in slot order.
   std::string leaf_stream;
@@ -111,17 +160,24 @@ std::string ServedSubTree::EncodePayload(const CountedTree& tree) {
   h.leaf_stream_bytes = leaf_stream.size();
 
   std::string payload;
-  payload.reserve(sizeof(PackedHeader) + symbols.size() +
-                  records.bytes().size() + restarts.size() * sizeof(uint64_t) +
-                  leaf_stream.size());
+  payload.reserve(PackedSections::Of(h, n).PayloadBytes());
   payload.append(reinterpret_cast<const char*>(&h), sizeof(h));
   payload.append(symbols);
-  payload.append(records.bytes());
-  for (uint64_t off : restarts) {
-    payload.append(reinterpret_cast<const char*>(&off), sizeof(off));
-  }
+  payload.append(reinterpret_cast<const char*>(leaf_bits.data()),
+                 leaf_bits.size() * sizeof(uint64_t));
+  payload.append(ranks.bytes());
+  payload.append(internals.bytes());
+  payload.append(leaves.bytes());
+  payload.append(reinterpret_cast<const char*>(restarts.data()),
+                 restarts.size() * sizeof(uint64_t));
   payload.append(leaf_stream);
   return payload;
+}
+
+uint64_t ServedSubTree::ServingBytes(uint64_t payload_bytes,
+                                     uint64_t node_count) {
+  return payload_bytes + kBitReaderPadBytes +
+         (LeafBitsWords(node_count) + 1) * sizeof(uint32_t);
 }
 
 StatusOr<ServedSubTree> ServedSubTree::FromPayload(
@@ -135,26 +191,24 @@ StatusOr<ServedSubTree> ServedSubTree::FromPayload(
   if (node_count == 0 || node_count > 0xFFFFFFFFull) {
     return Status::Corruption("packed subtree node count out of range");
   }
-  // Every written sub-tree has a non-root edge, so an empty symbol table
-  // means the file predates stored first symbols.
+  // Every written sub-tree has a non-root edge, so its symbol table is never
+  // empty.
   if (h.num_symbols == 0) {
-    return Status::NotSupported(
-        "packed sub-tree has no stored first symbols (written by an older "
-        "version); rebuild the index");
+    return Status::Corruption("packed subtree has an empty symbol table");
   }
-  if (h.leaf_count == 0 || h.leaf_count > node_count) {
+  if (h.leaf_count == 0 || h.leaf_count >= node_count) {
     return Status::Corruption("packed subtree leaf count out of range");
   }
-  if (h.w_edge_start > 64 || h.w_count > 64 || h.w_leaf_ref > 64 ||
+  if (h.w_leaf_edge_start > 64 || h.w_edge_start > 64 || h.w_count > 64 ||
       h.w_edge_len > 32 || h.w_children_begin > 32 || h.w_num_children > 32) {
     return Status::Corruption("packed field width exceeds field size");
   }
   // The width rule is part of the format: widths must be exactly minimal for
   // the recorded maxima (and the maxima themselves are re-derived below).
-  if (h.w_edge_start != BitWidth(h.max_edge_start) ||
+  if (h.w_leaf_edge_start != BitWidth(h.max_leaf_edge_start) ||
+      h.w_edge_start != BitWidth(h.max_edge_start) ||
       h.w_edge_len != BitWidth(h.max_edge_len) ||
       h.w_count != BitWidth(h.max_count) ||
-      h.w_leaf_ref != BitWidth(h.max_leaf_ref) ||
       h.w_children_begin != BitWidth(h.max_children_begin) ||
       h.w_num_children != BitWidth(h.max_num_children) ||
       h.w_symbol_rank != BitWidth(h.num_symbols - 1u)) {
@@ -169,17 +223,10 @@ StatusOr<ServedSubTree> ServedSubTree::FromPayload(
   if (h.num_restarts != expected_restarts) {
     return Status::Corruption("packed restart count mismatch");
   }
-
-  const uint32_t rank_bit = h.w_edge_start + h.w_edge_len + h.w_count +
-                            h.w_leaf_ref + h.w_children_begin +
-                            h.w_num_children;
-  const uint32_t record_bits = rank_bit + h.w_symbol_rank;
-  const uint64_t record_bytes = (node_count * record_bits + 7) / 8;
-  const uint64_t expected_size = sizeof(PackedHeader) + h.num_symbols +
-                                 record_bytes +
-                                 h.num_restarts * sizeof(uint64_t) +
-                                 h.leaf_stream_bytes;
-  if (payload.size() != expected_size) {
+  // Bounding the one unbounded size field first keeps the sum exact.
+  const PackedSections sections = PackedSections::Of(h, node_count);
+  if (h.leaf_stream_bytes > payload.size() ||
+      payload.size() != sections.PayloadBytes()) {
     return Status::Corruption("packed subtree payload size mismatch");
   }
 
@@ -188,11 +235,13 @@ StatusOr<ServedSubTree> ServedSubTree::FromPayload(
   t.blob_.append(kBitReaderPadBytes, '\0');
   t.header_ = h;
   t.node_count_ = static_cast<uint32_t>(node_count);
-  t.record_bits_ = record_bits;
-  t.rank_bit_ = rank_bit;
-  t.records_off_ = sizeof(PackedHeader) + h.num_symbols;
-  t.restarts_off_ = t.records_off_ + record_bytes;
-  t.leaves_off_ = t.restarts_off_ + h.num_restarts * sizeof(uint64_t);
+  t.internal_bits_ = InternalRecordBits(h);
+  t.leaf_bits_off_ = sizeof(PackedHeader) + sections.symbols;
+  t.ranks_off_ = t.leaf_bits_off_ + sections.leaf_bits;
+  t.internals_off_ = t.ranks_off_ + sections.symbol_ranks;
+  t.leaf_records_off_ = t.internals_off_ + sections.internal_records;
+  t.restarts_off_ = t.leaf_records_off_ + sections.leaf_records;
+  t.leaves_off_ = t.restarts_off_ + sections.restarts;
 
   // Symbol table: strictly ascending, no 0 (it marks the root).
   const uint8_t* symbols =
@@ -204,111 +253,177 @@ StatusOr<ServedSubTree> ServedSubTree::FromPayload(
     }
   }
 
-  // Structural pass 1 (forward): field ranges, leaf ranks, recorded maxima.
+  // Leaf bits: build the rank samples; the popcount must be the leaf count
+  // and no bit may be set past the last slot.
   const uint32_t n = t.node_count_;
-  std::vector<NodeView> nodes(n);
-  std::vector<uint64_t> leaf_prefix(n + 1, 0);
-  std::vector<char> rank_used(h.num_symbols, 0);
+  const uint64_t words = LeafBitsWords(n);
+  t.rank_samples_.resize(words + 1);
+  uint64_t popcount = 0;
+  for (uint64_t w = 0; w < words; ++w) {
+    t.rank_samples_[w] = static_cast<uint32_t>(popcount);
+    popcount += std::popcount(t.LeafBitsWord(w));
+  }
+  t.rank_samples_[words] = static_cast<uint32_t>(popcount);
+  if (n % kSlotsPerWord != 0 &&
+      (t.LeafBitsWord(words - 1) >> (n % kSlotsPerWord)) != 0) {
+    return Status::Corruption("packed leaf bit set past the last slot");
+  }
+  if (popcount != h.leaf_count) {
+    return Status::Corruption(
+        "packed leaf-bit popcount does not match the leaf count");
+  }
+  if (t.IsLeafSlot(0)) {
+    return Status::Corruption("packed root is marked as a leaf");
+  }
+
+  // Structural pass 1 (forward): decode every field once, section by
+  // section, checking ranges and re-deriving the recorded maxima. Internal
+  // nodes keep what pass 2 needs (24 bytes each); leaves keep nothing.
   PackedHeader actual;  // re-derived maxima
-  uint64_t leaf_rank = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t rank = t.FirstSymbolRank(i);
-    if (rank >= h.num_symbols || (i == 0 && rank != 0)) {
-      return Status::Corruption("packed symbol rank out of range");
+  const BitReader leaf_records(t.blob_.data() + t.leaf_records_off_,
+                               t.blob_.size() - t.leaf_records_off_);
+  for (uint64_t r = 0; r < h.leaf_count; ++r) {
+    const uint64_t start =
+        leaf_records.Get(r * h.w_leaf_edge_start, h.w_leaf_edge_start);
+    if (start >= h.leaf_edge_end || h.leaf_edge_end - start > 0xFFFFFFFFull) {
+      return Status::Corruption(
+          "packed leaf edge does not end at the leaf edge end");
     }
-    if (i != 0) rank_used[rank] = 1;
-    const NodeView v = t.node(i);
-    nodes[i] = v;
-    leaf_prefix[i + 1] = leaf_prefix[i] + (v.IsLeaf() ? 1 : 0);
-    if (v.IsLeaf()) {
-      if (v.count != 1) {
-        return Status::Corruption("packed leaf stores a subtree count != 1");
-      }
-      if (v.leaf_ref != leaf_rank) {
-        return Status::Corruption("packed leaf rank out of sequence");
-      }
-      ++leaf_rank;
-    } else {
-      if (v.children_begin <= i || v.children_begin > n ||
-          n - v.children_begin < v.num_children) {
+    actual.max_leaf_edge_start = std::max(actual.max_leaf_edge_start, start);
+  }
+
+  struct Internal {
+    uint64_t count = 0;
+    uint32_t children_begin = 0;
+    uint32_t num_children = 0;
+    uint32_t span = 0;  // slots in the subtree, filled by pass 2
+  };
+  std::vector<Internal> internals(n - h.leaf_count);
+  // Bit i set iff slot i starts a child block.
+  std::vector<uint64_t> block_starts(words, 0);
+  const BitReader internal_records(t.blob_.data() + t.internals_off_,
+                                   t.blob_.size() - t.internals_off_);
+  uint64_t internal_rank = 0;
+  for (uint64_t w = 0; w < words; ++w) {
+    // Internal slots of this word: its clear bits below slot n.
+    uint64_t internal_slots =
+        ~t.LeafBitsWord(w) &
+        MaskLow(static_cast<uint32_t>(
+            std::min<uint64_t>(kSlotsPerWord, n - w * kSlotsPerWord)));
+    for (; internal_slots != 0; internal_slots &= internal_slots - 1) {
+      const uint64_t i = w * kSlotsPerWord + std::countr_zero(internal_slots);
+      uint64_t bit = internal_rank * t.internal_bits_;
+      const uint64_t edge_start = internal_records.Get(bit, h.w_edge_start);
+      bit += h.w_edge_start;
+      const auto edge_len =
+          static_cast<uint32_t>(internal_records.Get(bit, h.w_edge_len));
+      bit += h.w_edge_len;
+      Internal& u = internals[internal_rank++];
+      u.count = internal_records.Get(bit, h.w_count);
+      bit += h.w_count;
+      u.children_begin = static_cast<uint32_t>(
+          internal_records.Get(bit, h.w_children_begin));
+      bit += h.w_children_begin;
+      u.num_children =
+          static_cast<uint32_t>(internal_records.Get(bit, h.w_num_children));
+      if (u.num_children == 0 || u.children_begin <= i ||
+          u.children_begin > n || n - u.children_begin < u.num_children) {
         return Status::Corruption("counted child block out of bounds");
       }
-      if (v.count == 0) {
+      if (u.count == 0) {
         return Status::Corruption("packed internal node with zero count");
       }
-    }
-    if (v.edge_start > actual.max_edge_start) {
-      actual.max_edge_start = v.edge_start;
-    }
-    if (v.edge_len > actual.max_edge_len) actual.max_edge_len = v.edge_len;
-    if (v.count > actual.max_count) actual.max_count = v.count;
-    if (v.leaf_ref > actual.max_leaf_ref) actual.max_leaf_ref = v.leaf_ref;
-    if (v.children_begin > actual.max_children_begin) {
-      actual.max_children_begin = v.children_begin;
-    }
-    if (v.num_children > actual.max_num_children) {
-      actual.max_num_children = v.num_children;
+      if (i == 0 && edge_len != 0) {
+        return Status::Corruption("counted root has an incoming edge");
+      }
+      block_starts[u.children_begin / kSlotsPerWord] |=
+          1ull << (u.children_begin % kSlotsPerWord);
+      actual.max_edge_start = std::max(actual.max_edge_start, edge_start);
+      actual.max_edge_len = std::max(actual.max_edge_len, edge_len);
+      actual.max_count = std::max(actual.max_count, u.count);
+      actual.max_children_begin =
+          std::max(actual.max_children_begin, u.children_begin);
+      actual.max_num_children =
+          std::max(actual.max_num_children, u.num_children);
     }
   }
-  if (leaf_rank != h.leaf_count) {
-    return Status::Corruption("packed leaf count does not match leaf slots");
-  }
-  if (std::find(rank_used.begin(), rank_used.end(), 0) != rank_used.end()) {
-    return Status::Corruption("packed symbol table lists an unused symbol");
-  }
-  if (actual.max_edge_start != h.max_edge_start ||
+  if (actual.max_leaf_edge_start != h.max_leaf_edge_start ||
+      actual.max_edge_start != h.max_edge_start ||
       actual.max_edge_len != h.max_edge_len ||
       actual.max_count != h.max_count ||
-      actual.max_leaf_ref != h.max_leaf_ref ||
       actual.max_children_begin != h.max_children_begin ||
       actual.max_num_children != h.max_num_children) {
     return Status::Corruption("packed field maxima do not match records");
   }
-  if (nodes[0].edge_len != 0) {
-    return Status::Corruption("counted root has an incoming edge");
+
+  // Symbol ranks, in slot order: in range, every table entry used, and
+  // strictly ascending inside each child block. Pass 2 proves the blocks
+  // tile slots [1, n), so "not a block start" means "same block as the
+  // previous slot".
+  const BitReader ranks(t.blob_.data() + t.ranks_off_,
+                        t.blob_.size() - t.ranks_off_);
+  if (ranks.Get(0, h.w_symbol_rank) != 0) {
+    return Status::Corruption("packed symbol rank out of range");
   }
-  for (uint32_t i = 0; i < n; ++i) {
-    const NodeView& v = nodes[i];
-    if (!v.IsLeaf() && v.leaf_ref != leaf_prefix[v.children_begin]) {
-      return Status::Corruption("packed leaf reference is inconsistent");
+  std::vector<char> rank_used(h.num_symbols, 0);
+  uint64_t prev_rank = 0;
+  for (uint32_t i = 1; i < n; ++i) {
+    const uint64_t rank =
+        ranks.Get(uint64_t{i} * h.w_symbol_rank, h.w_symbol_rank);
+    if (rank >= h.num_symbols) {
+      return Status::Corruption("packed symbol rank out of range");
     }
+    // Whether a slot starts a block is data, so test without branching on
+    // it.
+    const uint64_t block_start =
+        (block_starts[i / kSlotsPerWord] >> (i % kSlotsPerWord)) & 1;
+    if ((block_start ^ 1) & (rank <= prev_rank)) {
+      return Status::Corruption(
+          "child block first symbols are not strictly ascending");
+    }
+    prev_rank = rank;
+    rank_used[rank] = 1;
+  }
+  if (std::find(rank_used.begin(), rank_used.end(), 0) != rank_used.end()) {
+    return Status::Corruption("packed symbol table lists an unused symbol");
   }
 
   // Structural pass 2 (reverse): the canonical counted DFS layout — same
-  // sweep as ValidateCountedLayout, over the packed records.
-  std::vector<uint64_t> span(n);
-  for (uint64_t i = n; i-- > 0;) {
-    const NodeView& u = nodes[i];
-    if (u.IsLeaf()) {
-      span[i] = 1;
-      continue;
-    }
-    uint64_t subtree_nodes = 1;
-    uint64_t leaves = 0;
-    for (uint32_t c = 0; c < u.num_children; ++c) {
-      if (c > 0 && nodes[u.children_begin + c].first_symbol <=
-                       nodes[u.children_begin + c - 1].first_symbol) {
-        return Status::Corruption(
-            "child block first symbols are not strictly ascending");
+  // sweep as ValidateCountedLayout, over the decoded internal records.
+  // Children live at higher slots than their parent, so walking internal
+  // ranks downward sees every child before its parent. A child block's
+  // leaf children are counted by rank, and its internal children are the
+  // consecutive internal ranks in between.
+  for (uint64_t k = internals.size(); k-- > 0;) {
+    Internal& u = internals[k];
+    const uint32_t block_end = u.children_begin + u.num_children;
+    const uint64_t leaves_before = t.LeafRank(u.children_begin);
+    const uint64_t leaf_children = t.LeafRank(block_end) - leaves_before;
+    uint64_t subtree_nodes = 1 + leaf_children;
+    uint64_t leaves = leaf_children;
+    uint64_t next = block_end;
+    const uint64_t first_internal = u.children_begin - leaves_before;
+    const uint64_t end_internal =
+        first_internal + u.num_children - leaf_children;
+    for (uint64_t c = first_internal; c < end_internal; ++c) {
+      const Internal& child = internals[c];
+      if (child.children_begin != next) {
+        return Status::Corruption("descendant blocks are not contiguous");
       }
-      subtree_nodes += span[u.children_begin + c];
-      leaves += nodes[u.children_begin + c].count;
+      next += child.span - 1;
+      subtree_nodes += child.span;
+      leaves += child.count;
+    }
+    // Each child's span is at most n, so the sum cannot overflow first.
+    if (subtree_nodes > n) {
+      return Status::Corruption("unreachable nodes in counted tree");
     }
     if (leaves != u.count) {
       return Status::Corruption("inconsistent subtree leaf count");
     }
-    span[i] = subtree_nodes;
-    uint64_t next = u.children_begin + u.num_children;
-    for (uint32_t c = 0; c < u.num_children; ++c) {
-      const NodeView& child = nodes[u.children_begin + c];
-      if (child.IsLeaf()) continue;
-      if (child.children_begin != next) {
-        return Status::Corruption("descendant blocks are not contiguous");
-      }
-      next += span[u.children_begin + c] - 1;
-    }
+    u.span = static_cast<uint32_t>(subtree_nodes);
   }
-  if (span[0] != n) {
+  if (internals[0].span != n) {
     return Status::Corruption("unreachable nodes in counted tree");
   }
 
@@ -336,30 +451,55 @@ StatusOr<ServedSubTree> ServedSubTree::FromPayload(
   return t;
 }
 
+uint64_t ServedSubTree::LeafBitsWord(uint64_t w) const {
+  uint64_t word;
+  std::memcpy(&word, blob_.data() + leaf_bits_off_ + w * sizeof(uint64_t),
+              sizeof(word));
+  return word;
+}
+
+bool ServedSubTree::IsLeafSlot(uint32_t i) const {
+  return (LeafBitsWord(i / kSlotsPerWord) >> (i % kSlotsPerWord)) & 1;
+}
+
+uint64_t ServedSubTree::LeafRank(uint64_t i) const {
+  const uint64_t below = LeafBitsWord(i / kSlotsPerWord) &
+                         MaskLow(static_cast<uint32_t>(i % kSlotsPerWord));
+  return rank_samples_[i / kSlotsPerWord] + std::popcount(below);
+}
+
 NodeView ServedSubTree::node(uint32_t i) const {
-  const BitReader records(blob_.data() + records_off_,
-                          blob_.size() - records_off_);
-  uint64_t bit = static_cast<uint64_t>(i) * record_bits_;
   NodeView v;
+  if (i != 0) {
+    v.first_symbol =
+        static_cast<uint8_t>(blob_[sizeof(PackedHeader) + FirstSymbolRank(i)]);
+  }
+  const uint64_t leaf_rank = LeafRank(i);
+  if (IsLeafSlot(i)) {
+    const BitReader records(blob_.data() + leaf_records_off_,
+                            blob_.size() - leaf_records_off_);
+    v.edge_start = records.Get(leaf_rank * header_.w_leaf_edge_start,
+                               header_.w_leaf_edge_start);
+    v.edge_len = static_cast<uint32_t>(header_.leaf_edge_end - v.edge_start);
+    v.count = 1;
+    v.leaf_ref = leaf_rank;
+    return v;
+  }
+  const BitReader records(blob_.data() + internals_off_,
+                          blob_.size() - internals_off_);
+  uint64_t bit = (i - leaf_rank) * internal_bits_;
   v.edge_start = records.Get(bit, header_.w_edge_start);
   bit += header_.w_edge_start;
   v.edge_len = static_cast<uint32_t>(records.Get(bit, header_.w_edge_len));
   bit += header_.w_edge_len;
   v.count = records.Get(bit, header_.w_count);
   bit += header_.w_count;
-  v.leaf_ref = records.Get(bit, header_.w_leaf_ref);
-  bit += header_.w_leaf_ref;
   v.children_begin =
       static_cast<uint32_t>(records.Get(bit, header_.w_children_begin));
   bit += header_.w_children_begin;
   v.num_children =
       static_cast<uint32_t>(records.Get(bit, header_.w_num_children));
-  bit += header_.w_num_children;
-  if (i != 0) {
-    const uint64_t rank = records.Get(bit, header_.w_symbol_rank);
-    v.first_symbol =
-        static_cast<uint8_t>(blob_[sizeof(PackedHeader) + rank]);
-  }
+  v.leaf_ref = LeafRank(v.children_begin);
   return v;
 }
 
@@ -374,10 +514,9 @@ bool ServedSubTree::SymbolRank(uint8_t symbol, uint32_t* rank) const {
 }
 
 uint32_t ServedSubTree::FirstSymbolRank(uint32_t i) const {
-  const BitReader records(blob_.data() + records_off_,
-                          blob_.size() - records_off_);
-  return static_cast<uint32_t>(records.Get(
-      static_cast<uint64_t>(i) * record_bits_ + rank_bit_,
+  const BitReader ranks(blob_.data() + ranks_off_, blob_.size() - ranks_off_);
+  return static_cast<uint32_t>(ranks.Get(
+      static_cast<uint64_t>(i) * header_.w_symbol_rank,
       header_.w_symbol_rank));
 }
 

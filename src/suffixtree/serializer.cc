@@ -9,8 +9,9 @@ namespace era {
 namespace {
 
 constexpr char kMagic[8] = {'E', 'R', 'A', 'S', 'U', 'B', 'T', 'R'};
-/// The bit-packed format (compressed_tree.h), the only version read.
-constexpr uint32_t kVersionPacked = 3;
+/// The leaf/internal split bit-packed format (compressed_tree.h), the only
+/// version read.
+constexpr uint32_t kVersionPacked = 4;
 
 struct Header {
   char magic[8];
@@ -22,30 +23,21 @@ struct Header {
 };
 static_assert(sizeof(Header) == 32, "keep the header fixed-size");
 
-/// Reads and checks the header and prefix of `file`: magic, version and the
-/// prefix's bounds. The payload follows at sizeof(Header) + prefix size.
-Status ReadHeader(RandomAccessFile* file, const std::string& path,
-                  Header* header, std::string* prefix) {
-  std::size_t got = 0;
-  ERA_RETURN_NOT_OK(
-      file->Read(0, sizeof(*header), reinterpret_cast<char*>(header), &got));
-  if (got != sizeof(*header) ||
-      std::memcmp(header->magic, kMagic, sizeof(kMagic)) != 0) {
+/// Checks a header read from a `file_size`-byte file: magic, version and the
+/// prefix's bounds. The prefix follows the header; the payload follows the
+/// prefix.
+Status CheckHeader(const Header& header, uint64_t file_size,
+                   const std::string& path) {
+  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad sub-tree magic in " + path);
   }
-  if (header->version != kVersionPacked) {
+  if (header.version != kVersionPacked) {
     return Status::NotSupported(
         "sub-tree " + path + " has format version " +
-        std::to_string(header->version) + " (only version " +
+        std::to_string(header.version) + " (only version " +
         std::to_string(kVersionPacked) + " is read); rebuild the index");
   }
-  if (sizeof(*header) + header->prefix_len > file->Size()) {
-    return Status::Corruption("truncated prefix in " + path);
-  }
-  prefix->resize(header->prefix_len);
-  ERA_RETURN_NOT_OK(
-      file->Read(sizeof(*header), prefix->size(), prefix->data(), &got));
-  if (got != prefix->size()) {
+  if (sizeof(header) + header.prefix_len > file_size) {
     return Status::Corruption("truncated prefix in " + path);
   }
   return Status::OK();
@@ -57,7 +49,8 @@ Status WriteSubTree(Env* env, const std::string& path,
                     const std::string& prefix, const TreeBuffer& tree,
                     IoStats* stats, uint32_t* file_crc) {
   ERA_ASSIGN_OR_RETURN(CountedTree counted, BuildCountedTree(tree));
-  const std::string payload = ServedSubTree::EncodePayload(counted);
+  ERA_ASSIGN_OR_RETURN(const std::string payload,
+                       ServedSubTree::EncodePayload(counted));
 
   Header header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
@@ -89,36 +82,40 @@ Status ReadServedSubTree(Env* env, const std::string& path,
                          ServedSubTree* tree, std::string* prefix_out,
                          IoStats* stats) {
   ERA_ASSIGN_OR_RETURN(auto file, env->OpenRandomAccess(path));
-  Header header;
-  std::string prefix;
-  ERA_RETURN_NOT_OK(ReadHeader(file.get(), path, &header, &prefix));
-
-  // The payload is whatever follows the prefix; the packed decoder
-  // cross-checks its size against the node count and recorded section
-  // sizes.
-  const std::size_t payload_bytes =
-      file->Size() - sizeof(header) - prefix.size();
-  std::string payload;
-  // Room for the decoder's reader pad up front, so appending it neither
-  // copies the payload nor doubles the resident blob's capacity.
-  payload.reserve(payload_bytes + kBitReaderPadBytes);
-  payload.resize(payload_bytes);
+  // One device read per load: the whole file, then header, prefix and
+  // payload are parsed from memory. Room for the decoder's reader pad up
+  // front, so appending it neither copies the payload nor doubles the
+  // resident blob's capacity.
+  const uint64_t file_bytes = file->Size();
+  std::string bytes;
+  bytes.reserve(file_bytes + kBitReaderPadBytes);
+  bytes.resize(file_bytes);
   std::size_t got = 0;
-  ERA_RETURN_NOT_OK(file->Read(sizeof(header) + prefix.size(), payload_bytes,
-                               payload.data(), &got));
-  if (got != payload_bytes) {
-    return Status::Corruption("truncated payload in " + path);
+  ERA_RETURN_NOT_OK(file->Read(0, file_bytes, bytes.data(), &got));
+  if (got != file_bytes) {
+    return Status::Corruption("short read of sub-tree " + path);
   }
-  if (Crc32c(payload.data(), payload.size(),
-             Crc32c(prefix.data(), prefix.size())) != header.crc) {
+  Header header;
+  if (file_bytes < sizeof(header)) {
+    return Status::Corruption("bad sub-tree magic in " + path);
+  }
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  ERA_RETURN_NOT_OK(CheckHeader(header, file_bytes, path));
+  // The CRC covers the prefix and the payload, which are contiguous.
+  if (Crc32c(bytes.data() + sizeof(header), file_bytes - sizeof(header)) !=
+      header.crc) {
     return Status::Corruption("CRC mismatch in " + path);
   }
   if (stats != nullptr) {
-    stats->bytes_read += sizeof(header) + prefix.size() + payload_bytes;
+    stats->bytes_read += file_bytes;
     ++stats->seeks;  // sub-tree loads are random accesses
   }
-  auto served =
-      ServedSubTree::FromPayload(std::move(payload), header.node_count);
+  std::string prefix = bytes.substr(sizeof(header), header.prefix_len);
+  // The payload is whatever follows the prefix; the packed decoder
+  // cross-checks its size against the node count and recorded section
+  // sizes.
+  bytes.erase(0, sizeof(header) + header.prefix_len);
+  auto served = ServedSubTree::FromPayload(std::move(bytes), header.node_count);
   if (!served.ok()) {
     return served.status().WithContext("packed sub-tree " + path);
   }
@@ -139,14 +136,38 @@ Status ReadSubTree(Env* env, const std::string& path, TreeBuffer* tree,
 StatusOr<SubTreeFileInfo> InspectSubTreeFile(Env* env,
                                              const std::string& path) {
   ERA_ASSIGN_OR_RETURN(auto file, env->OpenRandomAccess(path));
-  Header header;
   SubTreeFileInfo info;
-  ERA_RETURN_NOT_OK(ReadHeader(file.get(), path, &header, &info.prefix));
-  info.node_count = header.node_count;
   info.file_bytes = file->Size();
+  Header header;
+  std::size_t got = 0;
+  ERA_RETURN_NOT_OK(
+      file->Read(0, sizeof(header), reinterpret_cast<char*>(&header), &got));
+  if (got != sizeof(header)) {
+    return Status::Corruption("bad sub-tree magic in " + path);
+  }
+  ERA_RETURN_NOT_OK(CheckHeader(header, info.file_bytes, path));
+  info.prefix.resize(header.prefix_len);
+  ERA_RETURN_NOT_OK(
+      file->Read(sizeof(header), info.prefix.size(), info.prefix.data(), &got));
+  if (got != info.prefix.size()) {
+    return Status::Corruption("truncated prefix in " + path);
+  }
+  PackedHeader packed;
+  ERA_RETURN_NOT_OK(file->Read(sizeof(header) + header.prefix_len,
+                               sizeof(packed),
+                               reinterpret_cast<char*>(&packed), &got));
+  if (got != sizeof(packed) || packed.leaf_count > header.node_count) {
+    return Status::Corruption("bad packed header in " + path);
+  }
+  const PackedSections sections =
+      PackedSections::Of(packed, header.node_count);
+  info.node_count = header.node_count;
   info.payload_bytes = info.file_bytes - sizeof(header) - header.prefix_len;
-  info.serving_bytes = info.payload_bytes + kBitReaderPadBytes;
+  info.serving_bytes =
+      ServedSubTree::ServingBytes(info.payload_bytes, header.node_count);
   info.inflated_bytes = header.node_count * sizeof(CountedNode);
+  info.internal_record_bytes = sections.internal_records;
+  info.leaf_record_bytes = sections.leaf_records;
   return info;
 }
 

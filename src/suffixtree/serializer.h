@@ -1,12 +1,13 @@
 // Sub-tree persistence: a fixed 32-byte header (magic, version, prefix
-// length, node count, CRC-32C) + the S-prefix + the format-v3 payload (see
-// suffixtree/compressed_tree.h): bit-packed width-minimal counted records
-// plus a delta/varint leaf stream. Every builder writes it.
+// length, node count, CRC-32C) + the S-prefix + the format-v4 payload (see
+// suffixtree/compressed_tree.h): leaf and internal records bit-packed apart,
+// each width-minimal, plus a delta/varint leaf stream. Every builder writes
+// it.
 //
-// Version 3 is the only version read. Files whose header says version 1
-// (the linked TreeNode array) or 2 (the 32-byte CountedNode array), and v3
-// files written before first edge symbols were stored (an empty symbol
-// table), fail to read with NotSupported: rebuild the index.
+// Version 4 is the only version read. Files whose header says version 1
+// (the linked TreeNode array), 2 (the 32-byte CountedNode array) or 3 (one
+// fixed-width record per node) fail to read with NotSupported: rebuild the
+// index.
 //
 // ReadServedSubTree is the serving path (the payload stays compressed);
 // ReadSubTree inflates to the linked form for consumers that operate on it
@@ -38,7 +39,8 @@ Status WriteSubTree(Env* env, const std::string& path,
 /// Reads a sub-tree into the serving form TreeIndex caches: the payload
 /// stays compressed (no CountedNode inflation — the cache charges the
 /// packed size) and is fully structure-validated before any query walks
-/// it. Verifies magic, version and CRC. `prefix_out` may be nullptr.
+/// it. Verifies magic, version and CRC. Reads the file with one device
+/// request. `prefix_out` may be nullptr.
 Status ReadServedSubTree(Env* env, const std::string& path,
                          ServedSubTree* tree, std::string* prefix_out,
                          IoStats* stats);
@@ -48,15 +50,17 @@ Status ReadSubTree(Env* env, const std::string& path, TreeBuffer* tree,
                    std::string* prefix_out, IoStats* stats);
 
 /// Cheap per-file facts for `era_cli inspect` and the bench: header fields
-/// plus the sizes needed to compute compression ratios. Reads the header and
-/// prefix only (no payload decode beyond what Size() gives).
+/// plus the sizes needed to compute compression ratios. Reads the file
+/// header, the prefix and the packed header only (no payload decode).
 struct SubTreeFileInfo {
   uint64_t node_count = 0;
   std::string prefix;
   uint64_t file_bytes = 0;      // total on-disk size
   uint64_t payload_bytes = 0;   // file minus header and prefix
-  uint64_t serving_bytes = 0;   // resident size when cached (packed blob)
+  uint64_t serving_bytes = 0;   // resident size when cached (blob + ranks)
   uint64_t inflated_bytes = 0;  // node_count * sizeof(CountedNode)
+  uint64_t internal_record_bytes = 0;  // packed internal-node records
+  uint64_t leaf_record_bytes = 0;      // packed leaf records
 };
 
 StatusOr<SubTreeFileInfo> InspectSubTreeFile(Env* env, const std::string& path);

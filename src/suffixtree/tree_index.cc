@@ -148,23 +148,22 @@ StatusOr<std::shared_ptr<const ServedSubTree>> TreeIndex::OpenSubTree(
     return Status::InvalidArgument("sub-tree id out of range");
   }
   Cache& cache = *cache_;
-  Shard& shard = cache.shards[id % cache.shards.size()];
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(id);
-    if (it != shard.entries.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-      ++shard.hits;
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    auto it = cache.entries.find(id);
+    if (it != cache.entries.end()) {
+      cache.lru.splice(cache.lru.begin(), cache.lru, it->second.pos);
+      ++cache.hits;
       if (stats != nullptr) ++stats->cache_hits;
       return it->second.tree;
     }
   }
 
-  // Load outside the shard lock so a slow device never serializes the other
-  // ids of this shard (concurrent misses on the same id may duplicate the
-  // read; the insert below keeps exactly one copy). Transient device errors
-  // are retried; Corruption fails straight through (and is never inserted
-  // into the cache below).
+  // Load outside the lock so a slow device never serializes other ids
+  // (concurrent misses on the same id may duplicate the read; the insert
+  // below keeps exactly one copy). Transient device errors are retried;
+  // Corruption fails straight through (and is never inserted into the
+  // cache below).
   // The device-read boundary: a cache hit above always succeeds, but a dead
   // query does not get to start a sub-tree load.
   if (ctx != nullptr) ERA_RETURN_NOT_OK(ctx->Check());
@@ -188,28 +187,31 @@ StatusOr<std::shared_ptr<const ServedSubTree>> TreeIndex::OpenSubTree(
   std::shared_ptr<const ServedSubTree> shared = std::move(tree);
   const uint64_t bytes = shared->MemoryBytes();
 
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.misses;
+  // Evicted trees are released after the lock: freeing a large blob must
+  // not stall other lookups (in-flight queries may still pin them anyway).
+  std::vector<std::shared_ptr<const ServedSubTree>> evicted;
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  ++cache.misses;
   if (stats != nullptr) ++stats->cache_misses;
-  auto it = shard.entries.find(id);
-  if (it != shard.entries.end()) {
+  auto it = cache.entries.find(id);
+  if (it != cache.entries.end()) {
     // Another thread inserted while we were loading; keep its copy.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
+    cache.lru.splice(cache.lru.begin(), cache.lru, it->second.pos);
     return it->second.tree;
   }
-  shard.lru.push_front(id);
-  shard.entries.emplace(id, Shard::Entry{shared, shard.lru.begin(), bytes});
-  shard.resident_bytes += bytes;
-  while (shard.resident_bytes > cache.per_shard_budget &&
-         shard.entries.size() > 1) {
-    uint32_t victim = shard.lru.back();
-    auto vit = shard.entries.find(victim);
-    shard.resident_bytes -= vit->second.bytes;
-    shard.evicted_bytes += vit->second.bytes;
+  cache.lru.push_front(id);
+  cache.entries.emplace(id, Cache::Entry{shared, cache.lru.begin(), bytes});
+  cache.resident_bytes += bytes;
+  while (cache.resident_bytes > cache.options.budget_bytes &&
+         cache.entries.size() > 1) {
+    auto vit = cache.entries.find(cache.lru.back());
+    cache.resident_bytes -= vit->second.bytes;
+    cache.evicted_bytes += vit->second.bytes;
     if (stats != nullptr) stats->cache_evicted_bytes += vit->second.bytes;
-    ++shard.evictions;
-    shard.lru.pop_back();
-    shard.entries.erase(vit);
+    ++cache.evictions;
+    evicted.push_back(std::move(vit->second.tree));
+    cache.lru.pop_back();
+    cache.entries.erase(vit);
   }
   return shared;
 }
@@ -219,25 +221,24 @@ void TreeIndex::ConfigureCache(const TreeCacheOptions& options) const {
 }
 
 void TreeIndex::EvictCache() const {
-  for (Shard& shard : cache_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.clear();
-    shard.lru.clear();
-    shard.resident_bytes = 0;
-  }
+  Cache& cache = *cache_;
+  std::unordered_map<uint32_t, Cache::Entry> dropped;  // freed after unlock
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  dropped.swap(cache.entries);
+  cache.lru.clear();
+  cache.resident_bytes = 0;
 }
 
 TreeIndex::CacheSnapshot TreeIndex::CacheStats() const {
+  Cache& cache = *cache_;
+  std::lock_guard<std::mutex> lock(cache.mutex);
   CacheSnapshot snap;
-  for (Shard& shard : cache_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    snap.hits += shard.hits;
-    snap.misses += shard.misses;
-    snap.evictions += shard.evictions;
-    snap.evicted_bytes += shard.evicted_bytes;
-    snap.resident_bytes += shard.resident_bytes;
-    snap.resident_trees += shard.entries.size();
-  }
+  snap.hits = cache.hits;
+  snap.misses = cache.misses;
+  snap.evictions = cache.evictions;
+  snap.evicted_bytes = cache.evicted_bytes;
+  snap.resident_bytes = cache.resident_bytes;
+  snap.resident_trees = cache.entries.size();
   return snap;
 }
 

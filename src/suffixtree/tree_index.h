@@ -4,13 +4,13 @@
 // TRELLIS) produces a TreeIndex, so validation, canonicalization and the
 // query engine are shared.
 //
-// The reading side serves sub-trees through a sharded, byte-budgeted LRU
-// cache of ServedSubTree values: files stay in their compressed form (the
-// cache charges the packed size, which is what fits 2-4x more sub-trees in
-// the same budget than 32-byte counted records would). Lookups lock only
-// their shard, loads run outside any lock, and entries are handed out as
-// shared_ptr so an eviction never invalidates a tree an in-flight query is
-// still walking. Pattern-to-sub-tree routing goes through a flat k-mer
+// The reading side serves sub-trees through one byte-budgeted LRU cache of
+// ServedSubTree values: files stay in their compressed form (the cache
+// charges the packed size, which is what fits about 4.5x more sub-trees in
+// the same budget than 32-byte counted records would). Lookups and inserts
+// hold one mutex briefly, loads run outside it, and entries are handed out
+// as shared_ptr so an eviction never invalidates a tree an in-flight query
+// is still walking. Pattern-to-sub-tree routing goes through a flat k-mer
 // dispatch table built over the trie at Load time (Route()).
 
 #ifndef ERA_SUFFIXTREE_TREE_INDEX_H_
@@ -45,12 +45,10 @@ struct SubTreeEntry {
 
 /// Tuning knobs for the sub-tree cache.
 struct TreeCacheOptions {
-  /// Total bytes of resident sub-trees across all shards. A shard evicts
-  /// from its LRU end once it exceeds its share (budget / shards), but never
-  /// below one resident entry, so a single oversized sub-tree still caches.
+  /// Total bytes of resident sub-trees. After every insert the cache
+  /// evicts from its LRU end until it is within budget, but never below one
+  /// resident entry, so a single oversized sub-tree still caches (alone).
   uint64_t budget_bytes = 64ull << 20;
-  /// Number of independently locked shards (sub-tree id modulo shards).
-  uint32_t shards = 8;
   /// Retry schedule for sub-tree loads. Only IOError is retried; a
   /// Corruption (bad checksum) fails immediately and is never cached.
   RetryPolicy retry;
@@ -105,7 +103,7 @@ class TreeIndex {
   /// evictions.
   void EvictCache() const;
 
-  /// Point-in-time cache totals across shards.
+  /// Point-in-time cache totals.
   struct CacheSnapshot {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -126,33 +124,25 @@ class TreeIndex {
   uint64_t TotalSuffixes() const;
 
  private:
-  struct Shard {
-    std::mutex mutex;
-    /// Most-recently-used at the front.
-    std::list<uint32_t> lru;
+  // Cache state lives behind a pointer so TreeIndex stays movable despite
+  // the mutex.
+  struct Cache {
+    explicit Cache(const TreeCacheOptions& opts) : options(opts) {}
     struct Entry {
       std::shared_ptr<const ServedSubTree> tree;
       std::list<uint32_t>::iterator pos;
       uint64_t bytes = 0;
     };
+    const TreeCacheOptions options;
+    std::mutex mutex;
+    /// Most-recently-used at the front.
+    std::list<uint32_t> lru;
     std::unordered_map<uint32_t, Entry> entries;
     uint64_t resident_bytes = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t evictions = 0;
     uint64_t evicted_bytes = 0;
-  };
-  // Cache state lives behind a pointer so TreeIndex stays movable despite
-  // the shard mutexes.
-  struct Cache {
-    explicit Cache(const TreeCacheOptions& opts)
-        : options(opts),
-          shards(opts.shards == 0 ? 1 : opts.shards),
-          per_shard_budget(options.budget_bytes /
-                           (opts.shards == 0 ? 1 : opts.shards)) {}
-    TreeCacheOptions options;
-    std::vector<Shard> shards;
-    uint64_t per_shard_budget;
   };
 
   TextInfo text_;

@@ -408,13 +408,15 @@ int CmdInspect(const std::vector<std::string>& args) {
   auto index = TreeIndex::Load(env, args[0]);
   if (!index.ok()) return Fail(index.status());
 
-  std::printf("%-6s %-9s %10s %12s %12s %14s %6s\n", "id", "prefix",
-              "nodes", "disk_bytes", "serve_bytes", "inflated_bytes",
-              "ratio");
+  std::printf("%-6s %-9s %10s %12s %12s %12s %12s %14s %6s\n", "id",
+              "prefix", "nodes", "int_rec", "leaf_rec", "disk_bytes",
+              "serve_bytes", "inflated_bytes", "ratio");
   uint64_t total_disk = 0;
   uint64_t total_serving = 0;
   uint64_t total_inflated = 0;
   uint64_t total_nodes = 0;
+  uint64_t total_internal_records = 0;
+  uint64_t total_leaf_records = 0;
   for (uint32_t id = 0; id < index->subtrees().size(); ++id) {
     const SubTreeEntry& entry = index->subtrees()[id];
     auto info = InspectSubTreeFile(env, index->dir() + "/" + entry.filename);
@@ -423,9 +425,11 @@ int CmdInspect(const std::vector<std::string>& args) {
         info->serving_bytes == 0
             ? 0.0
             : static_cast<double>(info->inflated_bytes) / info->serving_bytes;
-    std::printf("%-6u %-9s %10llu %12llu %12llu %14llu %5.2fx\n", id,
-                entry.prefix.c_str(),
+    std::printf("%-6u %-9s %10llu %12llu %12llu %12llu %12llu %14llu %5.2fx\n",
+                id, entry.prefix.c_str(),
                 static_cast<unsigned long long>(info->node_count),
+                static_cast<unsigned long long>(info->internal_record_bytes),
+                static_cast<unsigned long long>(info->leaf_record_bytes),
                 static_cast<unsigned long long>(info->file_bytes),
                 static_cast<unsigned long long>(info->serving_bytes),
                 static_cast<unsigned long long>(info->inflated_bytes), ratio);
@@ -433,16 +437,21 @@ int CmdInspect(const std::vector<std::string>& args) {
     total_serving += info->serving_bytes;
     total_inflated += info->inflated_bytes;
     total_nodes += info->node_count;
+    total_internal_records += info->internal_record_bytes;
+    total_leaf_records += info->leaf_record_bytes;
   }
   const double total_ratio =
       total_serving == 0
           ? 0.0
           : static_cast<double>(total_inflated) / total_serving;
   std::printf(
-      "total: %zu sub-trees, %llu nodes, %llu disk bytes, %llu serving "
-      "bytes (%.2fx vs %llu inflated), %.2f bytes/node resident\n",
+      "total: %zu sub-trees, %llu nodes, %llu disk bytes (%llu internal + "
+      "%llu leaf record bytes), %llu serving bytes (%.2fx vs %llu "
+      "inflated), %.2f bytes/node resident\n",
       index->subtrees().size(), static_cast<unsigned long long>(total_nodes),
       static_cast<unsigned long long>(total_disk),
+      static_cast<unsigned long long>(total_internal_records),
+      static_cast<unsigned long long>(total_leaf_records),
       static_cast<unsigned long long>(total_serving), total_ratio,
       static_cast<unsigned long long>(total_inflated),
       total_nodes == 0 ? 0.0

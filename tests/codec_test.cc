@@ -1,20 +1,24 @@
-// Codec-layer tests for the v3 compressed sub-tree format: varint/zigzag
+// Codec-layer tests for the v4 compressed sub-tree format: varint/zigzag
 // round-trips, bit-packing at every width (including the 0 and 64 edges),
 // randomized fuzz against a reference model, and payload-level corruption —
-// every truncation of a valid payload must decode to Corruption, never to a
-// wrong tree.
+// every truncation of a valid payload and every broken format invariant
+// must decode to Corruption, never to a wrong tree.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "common/codec.h"
+#include "io/mem_env.h"
 #include "suffixtree/compressed_tree.h"
+#include "suffixtree/serializer.h"
 #include "suffixtree/tree_buffer.h"
 #include "tests/test_util.h"
 #include "ukkonen/ukkonen.h"
@@ -115,8 +119,8 @@ TEST(BitPackTest, RoundTripsEveryWidth) {
 }
 
 TEST(BitPackTest, FuzzMixedWidthRecordsAgainstModel) {
-  // Random records of six random-width fields (the v3 node shape), written
-  // once and then read back in random access order.
+  // Random records of six random-width fields (a packed-record shape),
+  // written once and then read back in random access order.
   std::mt19937_64 rng(20260807);
   for (int round = 0; round < 50; ++round) {
     std::vector<uint32_t> widths(6);
@@ -167,16 +171,25 @@ CountedTree EncodableTree(uint64_t text_bytes, uint64_t seed) {
   return std::move(*counted);
 }
 
+std::string Encode(const CountedTree& tree) {
+  auto payload = ServedSubTree::EncodePayload(tree);
+  EXPECT_TRUE(payload.ok()) << payload.status().ToString();
+  return payload.ok() ? *payload : std::string();
+}
+
 TEST(CompressedPayloadTest, RoundTripsExactly) {
   for (uint64_t seed : {1u, 7u, 23u}) {
     CountedTree tree = EncodableTree(1500, seed);
-    std::string payload = ServedSubTree::EncodePayload(tree);
+    std::string payload = Encode(tree);
     auto packed = ServedSubTree::FromPayload(payload, tree.size());
     ASSERT_TRUE(packed.ok()) << packed.status().ToString();
     EXPECT_EQ(packed->size(), tree.size());
     EXPECT_EQ(packed->LeafCount(), tree.LeafCount());
+    EXPECT_EQ(packed->MemoryBytes(),
+              ServedSubTree::ServingBytes(payload.size(), tree.size()) +
+                  sizeof(ServedSubTree));
     // Deterministic encoding: same tree, same bytes.
-    EXPECT_EQ(ServedSubTree::EncodePayload(tree), payload);
+    EXPECT_EQ(Encode(tree), payload);
 
     auto inflated = packed->Inflate();
     ASSERT_TRUE(inflated.ok());
@@ -189,13 +202,14 @@ TEST(CompressedPayloadTest, RoundTripsExactly) {
       EXPECT_EQ(a.edge_len, b.edge_len);
       EXPECT_EQ(a.children_begin, b.children_begin);
       EXPECT_EQ(a.num_children, b.num_children);
+      EXPECT_EQ(a.first_symbol, b.first_symbol);
     }
   }
 }
 
 TEST(CompressedPayloadTest, EveryTruncationIsCorruption) {
   CountedTree tree = EncodableTree(600, 5);
-  std::string payload = ServedSubTree::EncodePayload(tree);
+  std::string payload = Encode(tree);
   ASSERT_GT(payload.size(), 80u);
   // Check every length near the structural boundaries plus a sample of the
   // rest (full O(n^2) is slow for no extra coverage).
@@ -218,10 +232,11 @@ TEST(CompressedPayloadTest, EveryTruncationIsCorruption) {
 
 TEST(CompressedPayloadTest, HeaderTamperingIsCorruption) {
   CountedTree tree = EncodableTree(600, 11);
-  std::string payload = ServedSubTree::EncodePayload(tree);
+  std::string payload = Encode(tree);
   // Flipping any declared width breaks the w == BitWidth(max) rule or the
   // total-size equation; both must be caught.
-  for (std::size_t off = 60; off < 66; ++off) {  // the six width bytes
+  for (std::size_t off = offsetof(PackedHeader, w_leaf_edge_start);
+       off <= offsetof(PackedHeader, w_symbol_rank); ++off) {
     std::string bad = payload;
     bad[off] = static_cast<char>(bad[off] + 1);
     EXPECT_FALSE(ServedSubTree::FromPayload(bad, tree.size()).ok())
@@ -229,9 +244,108 @@ TEST(CompressedPayloadTest, HeaderTamperingIsCorruption) {
   }
 }
 
+/// Byte offsets of a payload's sections, for tampering with them.
+struct PayloadLayout {
+  PackedHeader header;
+  std::size_t leaf_bits = 0;
+  std::size_t internal_records = 0;
+};
+
+PayloadLayout LayoutOf(const std::string& payload, uint64_t node_count) {
+  PayloadLayout layout;
+  std::memcpy(&layout.header, payload.data(), sizeof(PackedHeader));
+  const PackedSections s = PackedSections::Of(layout.header, node_count);
+  layout.leaf_bits = sizeof(PackedHeader) + s.symbols;
+  layout.internal_records = layout.leaf_bits + s.leaf_bits + s.symbol_ranks;
+  return layout;
+}
+
+/// Overwrites `width` bits at bit `bit` of the section at byte `section`.
+void PokeBits(std::string* payload, std::size_t section, uint64_t bit,
+              uint32_t width, uint64_t value) {
+  for (uint32_t k = 0; k < width; ++k) {
+    char& byte = (*payload)[section + (bit + k) / 8];
+    const char mask = static_cast<char>(1u << ((bit + k) % 8));
+    byte = static_cast<char>(((value >> k) & 1) ? (byte | mask)
+                                                 : (byte & ~mask));
+  }
+}
+
+void ExpectCorruption(const std::string& payload, uint64_t node_count,
+                      const std::string& needle) {
+  auto packed = ServedSubTree::FromPayload(payload, node_count);
+  ASSERT_FALSE(packed.ok()) << "tampering with " << needle << " undetected";
+  EXPECT_TRUE(packed.status().IsCorruption()) << packed.status().ToString();
+  EXPECT_NE(packed.status().message().find(needle), std::string::npos)
+      << packed.status().ToString();
+}
+
+TEST(CompressedPayloadTest, BrokenLeafSplitInvariantsAreCorruption) {
+  CountedTree tree = EncodableTree(600, 17);
+  const std::string payload = Encode(tree);
+  ASSERT_TRUE(ServedSubTree::FromPayload(payload, tree.size()).ok());
+  const PayloadLayout layout = LayoutOf(payload, tree.size());
+  uint32_t first_leaf = 0;
+  while (!tree.node(first_leaf).IsLeaf()) ++first_leaf;
+
+  // One leaf bit cleared: the popcount no longer matches leaf_count.
+  std::string bad = payload;
+  PokeBits(&bad, layout.leaf_bits, first_leaf, 1, 0);
+  ExpectCorruption(bad, tree.size(), "popcount");
+
+  // The root marked as a leaf (with another leaf bit cleared, so the
+  // popcount still matches).
+  PokeBits(&bad, layout.leaf_bits, 0, 1, 1);
+  ExpectCorruption(bad, tree.size(), "root");
+
+  // A leaf edge that starts at the shared leaf edge end.
+  bad = payload;
+  const uint64_t end = layout.header.max_leaf_edge_start;
+  std::memcpy(bad.data() + offsetof(PackedHeader, leaf_edge_end), &end,
+              sizeof(end));
+  ExpectCorruption(bad, tree.size(), "leaf edge end");
+
+  // The root's child block starting at slot 0 (before the root's own slot).
+  bad = payload;
+  const PackedHeader& h = layout.header;
+  PokeBits(&bad, layout.internal_records,
+           h.w_edge_start + h.w_edge_len + h.w_count, h.w_children_begin, 0);
+  ExpectCorruption(bad, tree.size(), "child block out of bounds");
+
+  // A leaf-record width one bit wider than its maximum needs.
+  bad = payload;
+  ++bad[offsetof(PackedHeader, w_leaf_edge_start)];
+  ExpectCorruption(bad, tree.size(), "width-minimal");
+}
+
+TEST(CompressedPayloadTest, LeavesEndingApartFailWriteSubTree) {
+  // Root with two leaf children whose edges end at 9 and 8: the packed
+  // format keeps one leaf edge end per sub-tree, so the writer refuses.
+  TreeBuffer tree;
+  const uint32_t a = tree.AddNode();
+  const uint32_t b = tree.AddNode();
+  tree.node(a) = TreeNode{.edge_start = 3, .leaf_id = 3, .edge_len = 6,
+                          .first_symbol = 'A'};
+  tree.node(b) = TreeNode{.edge_start = 5, .leaf_id = 5, .edge_len = 3,
+                          .first_symbol = 'C'};
+  tree.AppendChildLast(0, a);
+  tree.AppendChildLast(0, b);
+  MemEnv env;
+  Status s = WriteSubTree(&env, "/st", "", tree, nullptr);
+  EXPECT_TRUE(s.IsInternal()) << s.ToString();
+  EXPECT_FALSE(env.FileExists("/st"));
+
+  // The same tree with both edges ending at 9 writes and reads back.
+  tree.node(b).edge_len = 4;
+  ASSERT_TRUE(WriteSubTree(&env, "/st", "", tree, nullptr).ok());
+  ServedSubTree served;
+  ASSERT_TRUE(ReadServedSubTree(&env, "/st", &served, nullptr, nullptr).ok());
+  EXPECT_EQ(served.node(2).edge_len, 4u);
+}
+
 TEST(CompressedPayloadTest, LazyLeafRangesMatchFullDecode) {
   CountedTree tree = EncodableTree(2000, 13);
-  std::string payload = ServedSubTree::EncodePayload(tree);
+  std::string payload = Encode(tree);
   auto packed = ServedSubTree::FromPayload(std::move(payload), tree.size());
   ASSERT_TRUE(packed.ok());
 

@@ -135,7 +135,9 @@ TEST(CorruptionTest, DamagedStoredFirstSymbolIsCorruption) {
     damaged.mutable_nodes()[victim].first_symbol = symbol;
     // The clean file's header and prefix, the damaged payload, and the CRC
     // re-sealed so only the structural checks can catch it.
-    const std::string payload = ServedSubTree::EncodePayload(damaged);
+    auto encoded = ServedSubTree::EncodePayload(damaged);
+    ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
+    const std::string& payload = *encoded;
     std::string bytes = file.substr(0, payload_offset) + payload;
     const uint32_t crc = Crc32c(payload.data(), payload.size(),
                                 Crc32c(prefix.data(), prefix.size()));

@@ -43,7 +43,6 @@ class DocConcurrencyTest : public ::testing::Test {
     // Tiny cache budget so concurrent traffic constantly loads and evicts.
     QueryEngineOptions engine_options;
     engine_options.cache.budget_bytes = 64 << 10;
-    engine_options.cache.shards = 4;
     auto engine = DocEngine::Open(&env_, "/col", engine_options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     engine_ = std::move(*engine);

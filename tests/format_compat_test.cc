@@ -1,8 +1,8 @@
-// Sub-tree file format: every builder emits bit-packed version-3 files that
+// Sub-tree file format: every builder emits bit-packed version-4 files that
 // validate, serve smaller than their inflated counted records, and answer
 // queries like a scan of the text. Files of retired versions (1: linked, 2:
-// counted) and v3 files written before first edge symbols were stored are
-// refused with NotSupported: rebuild the index.
+// counted, 3: one fixed-width record per node) are refused with
+// NotSupported: rebuild the index.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "b2st/b2st.h"
-#include "common/crc32.h"
 #include "era/era_builder.h"
 #include "io/mem_env.h"
 #include "query/query_engine.h"
@@ -102,11 +101,11 @@ TEST_P(BuilderFormatTest, EmitsPackedFilesThatValidateAndAnswerLikeTheText) {
   const TreeIndex& index = result->index;
   ASSERT_GT(index.subtrees().size(), 1u);
 
-  // Every emitted file is version 3, validates, and serves smaller than the
+  // Every emitted file is version 4, validates, and serves smaller than the
   // counted records it inflates to (the cache-density win of the format).
   for (const SubTreeEntry& entry : index.subtrees()) {
     const std::string path = index.dir() + "/" + entry.filename;
-    EXPECT_EQ(FileVersion(&env, path), 3u);
+    EXPECT_EQ(FileVersion(&env, path), 4u);
     ServedSubTree served;
     std::string prefix;
     ASSERT_TRUE(ReadServedSubTree(&env, path, &served, &prefix, nullptr).ok());
@@ -169,56 +168,34 @@ void ExpectNotSupported(MemEnv* env, const std::string& path) {
 }
 
 TEST(FormatCompatTest, RetiredVersionsAreNotSupported) {
-  // Version 1 (linked TreeNode array) and version 2 (counted CountedNode
-  // array) files are no longer read. A v3 file with only its header version
-  // patched stands in for them: the CRC covers prefix and payload, not the
-  // header, so the version check is what refuses it.
+  // Version 1 (linked TreeNode array), 2 (counted CountedNode array) and 3
+  // (one fixed-width packed record per node) files are no longer read. A v4
+  // file with only its header version patched stands in for them: the CRC
+  // covers prefix and payload, not the header, so the version check is what
+  // refuses it.
   std::string text = testing::RandomText(Alphabet::Dna(), 500, 3);
   auto tree = BuildUkkonenTree(text);
   ASSERT_TRUE(tree.ok());
   MemEnv env;
-  ASSERT_TRUE(WriteSubTree(&env, "/v3.bin", "AC", *tree, nullptr).ok());
+  ASSERT_TRUE(WriteSubTree(&env, "/v4.bin", "AC", *tree, nullptr).ok());
   std::string raw;
-  ASSERT_TRUE(env.ReadFileToString("/v3.bin", &raw).ok());
-  for (uint32_t version : {1u, 2u}) {
+  ASSERT_TRUE(env.ReadFileToString("/v4.bin", &raw).ok());
+  for (uint32_t version : {1u, 2u, 3u}) {
     const std::string path = "/v" + std::to_string(version) + ".bin";
     std::string patched = raw;
     std::memcpy(patched.data() + 8, &version, sizeof(version));
     ASSERT_TRUE(env.WriteFile(path, patched).ok());
     EXPECT_EQ(FileVersion(&env, path), version);
     ExpectNotSupported(&env, path);
-    EXPECT_TRUE(InspectSubTreeFile(&env, path).status().IsNotSupported());
+    Status s = InspectSubTreeFile(&env, path).status();
+    EXPECT_TRUE(s.IsNotSupported()) << path << ": " << s.ToString();
+    EXPECT_NE(s.message().find("rebuild the index"), std::string::npos)
+        << s.ToString();
   }
   // The untouched file still reads.
   ServedSubTree served;
-  EXPECT_TRUE(ReadServedSubTree(&env, "/v3.bin", &served, nullptr, nullptr)
+  EXPECT_TRUE(ReadServedSubTree(&env, "/v4.bin", &served, nullptr, nullptr)
                   .ok());
-}
-
-TEST(FormatCompatTest, FilesWithoutStoredSymbolsAreNotSupported) {
-  // v3 files written before first symbols were stored left the symbol-table
-  // count 0 (then a pad byte). Serving them would need a text read per
-  // child probe, so both readers refuse them with NotSupported (rebuild the
-  // index) instead of serving or reporting damage.
-  std::string text = testing::RandomText(Alphabet::Dna(), 500, 3);
-  auto tree = BuildUkkonenTree(text);
-  ASSERT_TRUE(tree.ok());
-
-  // A current file with its header rewritten the way the old encoder left
-  // it (symbol count and rank width zero), CRC re-sealed.
-  MemEnv env;
-  const std::string prefix = "AC";
-  ASSERT_TRUE(WriteSubTree(&env, "/v3.bin", prefix, *tree, nullptr).ok());
-  std::string raw;
-  ASSERT_TRUE(env.ReadFileToString("/v3.bin", &raw).ok());
-  const std::size_t payload = 32 + prefix.size();
-  raw[payload + offsetof(PackedHeader, num_symbols)] = 0;
-  raw[payload + offsetof(PackedHeader, w_symbol_rank)] = 0;
-  const uint32_t crc = Crc32c(raw.data() + payload, raw.size() - payload,
-                              Crc32c(prefix.data(), prefix.size()));
-  std::memcpy(raw.data() + 24, &crc, sizeof(crc));  // header crc field
-  ASSERT_TRUE(env.WriteFile("/v3.bin", raw).ok());
-  ExpectNotSupported(&env, "/v3.bin");
 }
 
 }  // namespace

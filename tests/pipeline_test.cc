@@ -127,8 +127,10 @@ TreeBuffer MakeTree(uint32_t leaves) {
   TreeBuffer tree;
   for (uint32_t i = 0; i < leaves; ++i) {
     uint32_t node = tree.AddNode();
+    // Every leaf edge runs to the end of the text (offset `leaves`), as in
+    // any suffix tree; the sub-tree format stores that end once.
     tree.node(node).edge_start = i;
-    tree.node(node).edge_len = 1;
+    tree.node(node).edge_len = leaves - i;
     tree.node(node).leaf_id = i;
     // Distinct ascending first symbols, as every sub-tree file must store.
     tree.node(node).first_symbol = static_cast<uint8_t>('A' + i);

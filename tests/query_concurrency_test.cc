@@ -38,7 +38,6 @@ class QueryConcurrencyTest : public ::testing::Test {
     // Tiny cache budget so concurrent traffic constantly loads and evicts.
     QueryEngineOptions engine_options;
     engine_options.cache.budget_bytes = 64 << 10;
-    engine_options.cache.shards = 4;
     auto engine = QueryEngine::Open(&env_, "/idx", engine_options);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     engine_ = std::move(*engine);

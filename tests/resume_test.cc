@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "era/checkpoint.h"
 #include "era/era_builder.h"
 #include "era/parallel_builder.h"
@@ -260,6 +262,43 @@ TEST(ResumeTest, CorruptSubTreeGetsItsGroupRebuilt) {
   EXPECT_EQ(resumed.groups_resumed, Ref().num_groups - 1)
       << "exactly the damaged group must rebuild";
   EXPECT_EQ(resumed.bytes, Ref().bytes) << "the rebuild must repair the file";
+}
+
+TEST(ResumeTest, OldFormatSubTreeGetsItsGroupRebuilt) {
+  MemEnv env;
+  auto info = MaterializeText(&env, "/text", Alphabet::Dna(), TestText());
+  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE(RunBuild(&env, *info, 0, /*resume=*/false).status.ok());
+
+  // A build of an older release left group 0's first file: header version 3
+  // and a CHECKPOINT whose recorded CRC matches it.
+  const std::string victim = "/idx/" + SubTreeFileName(0, 0);
+  std::string bytes;
+  ASSERT_TRUE(env.ReadFileToString(victim, &bytes).ok());
+  const uint32_t old_crc = Crc32c(bytes.data(), bytes.size());
+  const uint32_t version = 3;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  ASSERT_TRUE(env.WriteFile(victim, bytes).ok());
+  const uint32_t new_crc = Crc32c(bytes.data(), bytes.size());
+
+  std::string checkpoint;
+  ASSERT_TRUE(env.ReadFileToString("/idx/CHECKPOINT", &checkpoint).ok());
+  const std::string old_line = "group: 0 " + std::to_string(old_crc);
+  const std::size_t at = checkpoint.find(old_line);
+  ASSERT_NE(at, std::string::npos);
+  checkpoint.replace(at, old_line.size(),
+                     "group: 0 " + std::to_string(new_crc));
+  const std::size_t crc_line = checkpoint.rfind("crc: ");
+  checkpoint = checkpoint.substr(0, crc_line) + "crc: " +
+               std::to_string(Crc32c(checkpoint.data(), crc_line)) + "\n";
+  ASSERT_TRUE(env.WriteFile("/idx/CHECKPOINT", checkpoint).ok());
+  ASSERT_TRUE(LoadCheckpoint(&env, "/idx").ok()) << "sanity: re-sealed";
+
+  TrialResult resumed = RunBuild(&env, *info, 0, /*resume=*/true);
+  ASSERT_TRUE(resumed.status.ok());
+  EXPECT_EQ(resumed.groups_resumed, Ref().num_groups - 1)
+      << "the group holding the old-format file must rebuild";
+  EXPECT_EQ(resumed.bytes, Ref().bytes) << "the rebuild must rewrite it";
 }
 
 TEST(ResumeTest, FingerprintMismatchForcesFullRebuild) {

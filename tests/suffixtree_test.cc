@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <random>
+#include <vector>
+
 #include "io/mem_env.h"
 #include "suffixtree/canonical.h"
 #include "suffixtree/serializer.h"
@@ -238,9 +244,8 @@ TEST(TreeIndexCacheTest, LruEvictsWithinBudgetAndPinsInFlight) {
   ASSERT_TRUE(ReadServedSubTree(&env, "/st_0", &served, nullptr, nullptr).ok());
   const uint64_t tree_bytes = served.MemoryBytes();
 
-  // Single shard with room for ~2 trees: opening 8 distinct ids must evict.
+  // Room for ~2 trees: opening 8 distinct ids must evict.
   TreeCacheOptions options;
-  options.shards = 1;
   options.budget_bytes = 2 * tree_bytes + tree_bytes / 2;
   index.ConfigureCache(options);
 
@@ -284,6 +289,134 @@ TEST(TreeIndexCacheTest, LruEvictsWithinBudgetAndPinsInFlight) {
   EXPECT_EQ(snap.resident_trees, 0u);
   EXPECT_EQ(snap.resident_bytes, 0u);
   EXPECT_EQ(snap.evictions, evictions_before);
+}
+
+/// Forwarding Env that counts RandomAccessFile reads (device requests).
+class ReadCountingEnv : public Env {
+ public:
+  explicit ReadCountingEnv(Env* base) : base_(base) {}
+
+  StatusOr<std::unique_ptr<RandomAccessFile>> OpenRandomAccess(
+      const std::string& path) override {
+    ERA_ASSIGN_OR_RETURN(auto file, base_->OpenRandomAccess(path));
+    return std::unique_ptr<RandomAccessFile>(
+        new CountingFile(std::move(file), &reads_));
+  }
+  StatusOr<std::unique_ptr<WritableFile>> NewWritable(
+      const std::string& path) override {
+    return base_->NewWritable(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  StatusOr<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+
+  uint64_t reads() const { return reads_.load(); }
+
+ private:
+  class CountingFile : public RandomAccessFile {
+   public:
+    CountingFile(std::unique_ptr<RandomAccessFile> base,
+                 std::atomic<uint64_t>* reads)
+        : base_(std::move(base)), reads_(reads) {}
+    Status Read(uint64_t offset, std::size_t n, char* scratch,
+                std::size_t* out_n) const override {
+      ++*reads_;
+      return base_->Read(offset, n, scratch, out_n);
+    }
+    uint64_t Size() const override { return base_->Size(); }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    std::atomic<uint64_t>* reads_;
+  };
+
+  Env* base_;
+  std::atomic<uint64_t> reads_{0};
+};
+
+/// A hand-assembled index (dir is the MemEnv root) of `count` sub-trees,
+/// each the Ukkonen tree of its own random text, so their sizes differ.
+/// `serving_bytes` receives each one's cache charge.
+TreeIndex DistinctSubTrees(MemEnv* env, uint32_t count,
+                           std::vector<uint64_t>* serving_bytes) {
+  TreeIndex index;
+  for (uint32_t i = 0; i < count; ++i) {
+    const std::string text =
+        testing::RandomText(Alphabet::Dna(), 1500 + 100 * i, 100 + i);
+    auto tree = BuildUkkonenTree(text);
+    EXPECT_TRUE(tree.ok());
+    const std::string name = "st_" + std::to_string(i);
+    EXPECT_TRUE(WriteSubTree(env, "/" + name, "A", *tree, nullptr).ok());
+    index.AddSubTree("A", CountLeaves(*tree), name);
+    ServedSubTree served;
+    EXPECT_TRUE(
+        ReadServedSubTree(env, "/" + name, &served, nullptr, nullptr).ok());
+    serving_bytes->push_back(served.MemoryBytes());
+  }
+  return index;
+}
+
+TEST(TreeIndexCacheTest, EachMissIsOneDeviceRead) {
+  MemEnv base;
+  std::vector<uint64_t> sizes;
+  TreeIndex index = DistinctSubTrees(&base, 3, &sizes);
+  ReadCountingEnv env(&base);
+  IoStats stats;
+  for (uint32_t id : {0u, 1u, 0u, 2u, 1u}) {
+    const uint64_t before = env.reads();
+    const uint64_t misses_before = stats.cache_misses;
+    ASSERT_TRUE(index.OpenSubTree(&env, id, &stats).ok());
+    EXPECT_EQ(env.reads() - before, stats.cache_misses - misses_before)
+        << "id " << id << ": a miss is one read, a hit none";
+  }
+  EXPECT_EQ(stats.cache_misses, 3u);
+  EXPECT_EQ(env.reads(), 3u);
+}
+
+TEST(TreeIndexCacheTest, RandomOpensNeverExceedTheBudget) {
+  MemEnv env;
+  std::vector<uint64_t> sizes;
+  TreeIndex index = DistinctSubTrees(&env, 12, &sizes);
+  // Room for two of the largest; every sub-tree is larger than an eighth of
+  // the budget, the regime where per-shard budgets with one pinned entry
+  // per shard overshoot.
+  TreeCacheOptions options;
+  options.budget_bytes = 2 * *std::max_element(sizes.begin(), sizes.end());
+  for (uint64_t bytes : sizes) ASSERT_GT(bytes, options.budget_bytes / 8);
+  index.ConfigureCache(options);
+
+  std::mt19937 rng(5);
+  for (int op = 0; op < 400; ++op) {
+    const uint32_t id = rng() % sizes.size();
+    ASSERT_TRUE(index.OpenSubTree(&env, id, nullptr).ok());
+    const TreeIndex::CacheSnapshot snap = index.CacheStats();
+    ASSERT_LE(snap.resident_bytes, options.budget_bytes) << "op " << op;
+    ASSERT_GE(snap.resident_trees, 1u);
+  }
+  EXPECT_GT(index.CacheStats().evictions, 0u);
+
+  // A sub-tree larger than the whole budget still caches, alone.
+  options.budget_bytes = sizes[5] - 1;
+  index.ConfigureCache(options);
+  ASSERT_TRUE(index.OpenSubTree(&env, 0, nullptr).ok());
+  ASSERT_TRUE(index.OpenSubTree(&env, 5, nullptr).ok());
+  TreeIndex::CacheSnapshot snap = index.CacheStats();
+  EXPECT_EQ(snap.resident_trees, 1u);
+  EXPECT_EQ(snap.resident_bytes, sizes[5]);
+  ASSERT_TRUE(index.OpenSubTree(&env, 5, nullptr).ok());
+  EXPECT_EQ(index.CacheStats().hits, 1u);
 }
 
 TEST(TrieTest, InsertAndDescend) {
