@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "alphabet/encoded_string.h"
 #include "common/crc32.h"
 #include "era/build_subtree.h"
@@ -47,14 +49,33 @@ void BM_KasaiLcp(benchmark::State& state) {
 }
 BENCHMARK(BM_KasaiLcp)->Arg(64 << 10)->Arg(512 << 10);
 
+/// A virtual tree's prefix set: `n` prefix-free DNA strings of length 3-6
+/// drawn from the text, as the occurrence scan of one group sees them.
+std::vector<std::string> GroupPrefixes(const std::string& text, std::size_t n) {
+  std::vector<std::string> prefixes;
+  for (uint64_t i = 0; prefixes.size() < n; ++i) {
+    const std::string p =
+        text.substr((i * 7919) % (text.size() - 8), 3 + i % 4);
+    const bool clashes = std::any_of(
+        prefixes.begin(), prefixes.end(), [&](const std::string& q) {
+          return q.compare(0, p.size(), p) == 0 ||
+                 p.compare(0, q.size(), q) == 0;
+        });
+    if (!clashes) prefixes.push_back(p);
+  }
+  return prefixes;
+}
+
+/// Streams 1 MiB of DNA through the automaton: Arg(0) scans for 5 fixed
+/// patterns, Arg(n > 0) for a group-like set of n prefixes.
 void BM_AhoCorasickScan(benchmark::State& state) {
   std::string text = DnaText(1 << 20);
   MemEnv env;
   (void)env.WriteFile("/s", text);
-  std::vector<std::string> patterns;
-  for (const char* p : {"ACGT", "TTA", "GGAC", "CACA", "TGTGT"}) {
-    patterns.push_back(p);
-  }
+  std::vector<std::string> patterns =
+      state.range(0) == 0
+          ? std::vector<std::string>{"ACGT", "TTA", "GGAC", "CACA", "TGTGT"}
+          : GroupPrefixes(text, static_cast<std::size_t>(state.range(0)));
   auto ac = AhoCorasick::Build(patterns);
   IoStats stats;
   auto reader = OpenStringReader(&env, "/s", {}, &stats);
@@ -67,7 +88,7 @@ void BM_AhoCorasickScan(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(text.size()));
 }
-BENCHMARK(BM_AhoCorasickScan);
+BENCHMARK(BM_AhoCorasickScan)->Arg(0)->Arg(40);
 
 // SubTreePrepare old-vs-new: BM_SubTreePrepare runs the allocation-free
 // radix/arena/batched-fetch kernel, BM_SubTreePrepareBaseline the checked-in

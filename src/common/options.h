@@ -40,7 +40,9 @@ struct BuildOptions {
 
   /// Read-ahead buffer R for next-symbol ranges; 0 = auto (Figure 8's tuned
   /// values, scaled: budget/16 clamped to [64 KB, 32 MB] for 4-symbol
-  /// alphabets and [256 KB, 256 MB] for larger ones).
+  /// alphabets and [256 KB, 256 MB] for larger ones), to which PlanMemory
+  /// adds the processing area's surplus over FM leaves. An explicit value is
+  /// honored exactly.
   uint64_t r_buffer_bytes = 0;
 
   /// Input buffer B_S (the paper uses 1 MB).

@@ -99,15 +99,17 @@ StatusOr<ClusterBuildResult> ClusterBuilder::Build(const TextInfo& text) {
                                OpenStringReader(env, text.path, edge_options,
                                                 &result.node_io[nd]));
         }
+        PrepareScratch scratch;  // one prepare arena for the node's groups
         for (std::size_t g : assignment[nd]) {
           if (wavefront) {
             ERA_RETURN_NOT_OK(WaveFrontProcessUnit(
                 text, node_options, plan.groups[g], g, reader.get(),
                 suffix_reader.get(), edge_reader.get(), &outputs[g]));
           } else {
-            ERA_RETURN_NOT_OK(ProcessGroup(text, node_options, layout,
-                                           plan.groups[g], g, reader.get(),
-                                           &outputs[g]));
+            ERA_RETURN_NOT_OK(ProcessGroup(
+                text, node_options, layout, plan.groups[g], g, reader.get(),
+                &outputs[g], /*writer=*/nullptr, /*checkpoint=*/nullptr,
+                /*profiler=*/nullptr, /*worker=*/0, &scratch));
           }
         }
         return Status::OK();
@@ -124,6 +126,7 @@ StatusOr<ClusterBuildResult> ClusterBuilder::Build(const TextInfo& text) {
   for (const IoStats& io : result.node_io) stats.io.Add(io);
   for (const GroupOutput& output : outputs) {
     stats.prepare_rounds += output.rounds;
+    stats.prepare_times.Add(output.prepare_times);
     stats.peak_tree_bytes = std::max(stats.peak_tree_bytes, output.tree_bytes);
     stats.io.Add(output.write_io);
   }

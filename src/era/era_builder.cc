@@ -24,6 +24,10 @@ std::string BuildStats::ToString() const {
      << " subtrees_verified=" << subtrees_verified
      << " io_amplification=" << io_amplification()
      << " tile_hit_rate=" << tile_hit_rate()
+     << " prepare{scan=" << prepare_times.scan_seconds
+     << "s layout=" << prepare_times.layout_seconds
+     << "s fetch=" << prepare_times.fetch_seconds
+     << "s sort=" << prepare_times.sort_seconds << "s}"
      << " io{" << io.ToString() << "}";
   return os.str();
 }
@@ -100,7 +104,7 @@ void FoldTileCacheStats(const std::shared_ptr<TileCache>& cache,
 
 StatusOr<uint64_t> BuildAndEmitPrefix(const BuildOptions& options,
                                       uint64_t text_length, uint64_t group_id,
-                                      std::size_t k, PreparedSubTree&& prepared,
+                                      std::size_t k, PreparedSubTree prepared,
                                       GroupOutput* out,
                                       BackgroundSubTreeWriter* writer,
                                       CheckpointManager* checkpoint,
@@ -111,10 +115,14 @@ StatusOr<uint64_t> BuildAndEmitPrefix(const BuildOptions& options,
   if (profiler != nullptr) {
     profiler->Record("build_subtree", worker, build_timer.Seconds());
   }
+  const uint64_t frequency = prepared.leaves.size();
+  // L and B (24 bytes per leaf) are dead once the tree exists; free them
+  // before the hand-off, which may block on a full writer backlog.
+  std::vector<uint64_t>().swap(prepared.leaves);
+  std::vector<BranchInfo>().swap(prepared.branches);
   return EmitBuiltSubTree(options, group_id, k, std::move(prepared.prefix),
-                          static_cast<uint64_t>(prepared.leaves.size()),
-                          std::move(tree), out, writer, checkpoint, profiler,
-                          worker);
+                          frequency, std::move(tree), out, writer, checkpoint,
+                          profiler, worker);
 }
 
 StatusOr<uint64_t> EmitBuiltSubTree(const BuildOptions& options,
@@ -175,7 +183,7 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
                     uint64_t group_id, StringReader* reader, GroupOutput* out,
                     BackgroundSubTreeWriter* writer,
                     CheckpointManager* checkpoint, PhaseProfiler* profiler,
-                    unsigned worker) {
+                    unsigned worker, PrepareScratch* scratch) {
   RangePolicy policy = RangePolicy::FromOptions(options, layout.r_buffer_bytes);
   out->subtrees.resize(group.prefixes.size());
 
@@ -197,7 +205,7 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
       out->tree_bytes += bytes;
     }
   } else {
-    GroupPreparer preparer(group, policy, reader, text.length);
+    GroupPreparer preparer(group, policy, reader, text.length, scratch);
     // Stream: a resolved prefix is built and handed to the writer while the
     // remaining prefixes are still scanning S (pipeline stages 2 and 3
     // overlap stage 1 even inside a single group). Build/write time spent
@@ -224,6 +232,7 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
           std::max(0.0, prepare_timer.Seconds() - nested_seconds));
     }
     out->rounds = preparer.stats().rounds;
+    out->prepare_times = preparer.stats().times;
   }
   return Status::OK();
 }
@@ -318,6 +327,7 @@ StatusOr<BuildResult> EraBuilder::Build(const TextInfo& text) {
   }
 
   std::vector<GroupOutput> outputs(plan.groups.size());
+  PrepareScratch scratch;
   for (std::size_t g = 0; g < plan.groups.size(); ++g) {
     if (resume.group_done[g]) {
       ReconstructGroupOutput(plan.groups[g], g, &outputs[g]);
@@ -326,8 +336,9 @@ StatusOr<BuildResult> EraBuilder::Build(const TextInfo& text) {
     ERA_RETURN_NOT_OK(ProcessGroup(text, options_, layout, plan.groups[g], g,
                                    reader.get(), &outputs[g],
                                    /*writer=*/nullptr, checkpoint.get(),
-                                   &profiler, /*worker=*/0));
+                                   &profiler, /*worker=*/0, &scratch));
     stats.prepare_rounds += outputs[g].rounds;
+    stats.prepare_times.Add(outputs[g].prepare_times);
     stats.peak_tree_bytes =
         std::max(stats.peak_tree_bytes, outputs[g].tree_bytes);
     stats.io.Add(outputs[g].write_io);

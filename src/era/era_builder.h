@@ -12,6 +12,7 @@
 #include "common/options.h"
 #include "common/status.h"
 #include "era/memory_layout.h"
+#include "era/subtree_prepare.h"
 #include "era/vertical_partitioner.h"
 #include "io/string_reader.h"
 #include "suffixtree/tree_index.h"
@@ -43,6 +44,11 @@ struct BuildStats {
   /// time is attributed to a synthetic worker id one past the build workers.
   /// Render with FormatPhaseTable().
   std::vector<PhaseProfiler::Entry> phases;
+  /// Prepare's sub-phases (occurrence scan, round layout, fetch, sort +
+  /// B-scan), summed over groups and workers. They nest inside the
+  /// "prepare" phase, so they stay out of `phases`, whose entries are
+  /// disjoint.
+  PrepareTimes prepare_times;
 
   /// Device bytes read per text byte — the cost of re-streaming S across
   /// groups and rounds. io.bytes_read counts only true device transfers
@@ -81,7 +87,6 @@ struct BuildResult {
 
 class BackgroundSubTreeWriter;
 class CheckpointManager;
-struct PreparedSubTree;
 
 /// Output of processing one virtual tree (used by serial and parallel
 /// drivers alike).
@@ -96,6 +101,7 @@ struct GroupOutput {
   /// writer) finishes a sub-tree first.
   std::vector<SubTreeOut> subtrees;
   uint32_t rounds = 0;
+  PrepareTimes prepare_times;
   uint64_t tree_bytes = 0;  // sum of the group's sub-tree bytes
   IoStats write_io;         // synchronous serialization traffic
 };
@@ -120,10 +126,12 @@ StatusOr<uint64_t> EmitBuiltSubTree(const BuildOptions& options,
 /// The full per-prefix tail of the pipeline: BuildSubTree on a prepared
 /// prefix, then EmitBuiltSubTree. One body shared by the serial streaming
 /// callback and the parallel kBuildPrefix task so the two paths cannot
-/// diverge. Returns the tree's in-memory size.
+/// diverge. Takes (L, B) by value, so the caller's copy is left empty, and
+/// frees them as soon as the tree is built. Returns the tree's in-memory
+/// size.
 StatusOr<uint64_t> BuildAndEmitPrefix(const BuildOptions& options,
                                       uint64_t text_length, uint64_t group_id,
-                                      std::size_t k, PreparedSubTree&& prepared,
+                                      std::size_t k, PreparedSubTree prepared,
                                       GroupOutput* out,
                                       BackgroundSubTreeWriter* writer,
                                       CheckpointManager* checkpoint = nullptr,
@@ -135,14 +143,16 @@ StatusOr<uint64_t> BuildAndEmitPrefix(const BuildOptions& options,
 /// `reader` supplies the (instrumented) scans of S. The prepare stage
 /// streams: each prefix is built and written (or enqueued on `writer`, when
 /// given) as soon as it resolves, before the group's remaining prefixes
-/// finish preparing.
+/// finish preparing. `scratch`, when given, is the caller's prepare arena,
+/// reused across its groups.
 Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
                     const MemoryLayout& layout, const VirtualTree& group,
                     uint64_t group_id, StringReader* reader,
                     GroupOutput* out,
                     BackgroundSubTreeWriter* writer = nullptr,
                     CheckpointManager* checkpoint = nullptr,
-                    PhaseProfiler* profiler = nullptr, unsigned worker = 0);
+                    PhaseProfiler* profiler = nullptr, unsigned worker = 0,
+                    PrepareScratch* scratch = nullptr);
 
 /// Fills `out` for a group that a resume pass verified on disk: sub-tree
 /// entries are reconstructed from the plan (prefix, frequency) and the

@@ -83,12 +83,20 @@ StatusOr<MemoryLayout> PlanMemory(const BuildOptions& options,
   }
   uint64_t remaining = options.memory_budget - fixed;
   layout.tree_area_bytes = remaining * 6 / 10;
-  layout.processing_bytes = remaining - layout.tree_area_bytes;
+  const uint64_t processing_share = remaining - layout.tree_area_bytes;
 
-  layout.fm = std::min(layout.tree_area_bytes / kTreeBytesPerLeaf,
-                       layout.processing_bytes / kProcessingBytesPerLeaf);
+  layout.fm = std::min({layout.tree_area_bytes / kTreeBytesPerLeaf,
+                        processing_share / kProcessingBytesPerLeaf, kMaxFm});
   if (layout.fm < 2) {
     return Status::OutOfBudget("memory budget yields FM < 2");
+  }
+  // The tree area binds FM, so 60/40 leaves part of the processing share
+  // idle (0.1 of what remains). The processing area keeps exactly what FM
+  // leaves need; an auto-sized R takes the rest, which cuts prepare rounds
+  // without moving FM. An explicit R is honored as given.
+  layout.processing_bytes = layout.fm * kProcessingBytesPerLeaf;
+  if (options.r_buffer_bytes == 0) {
+    layout.r_buffer_bytes += processing_share - layout.processing_bytes;
   }
   return layout;
 }

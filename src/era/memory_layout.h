@@ -2,13 +2,16 @@
 //
 // ERA divides the budget into: the retrieved-data area (input buffer B_S, the
 // next-symbol buffer R, a small trie area), the suffix-tree area MTS (~60% of
-// what remains), and the processing area (arrays L and B, ~40%). I, A and P
-// live inside the tree area: they are only needed by SubTreePrepare, and
+// what remains), and the processing area (arrays L and B). I, A and P live
+// inside the tree area: they are only needed by SubTreePrepare, and
 // BuildSubTree — which is what fills the tree area — runs afterwards and only
 // needs L and B, so the regions can safely overlap.
 //
 // FM (Equation 1) is MTS / (2 * sizeof(TreeNode)), further constrained by the
-// per-leaf processing footprint.
+// per-leaf processing footprint. Figure 6 gives the processing area the other
+// ~40%, but the tree area binds FM, so a quarter of that share would sit
+// idle: the processing area is sized to exactly FM leaves and an auto-sized R
+// takes the surplus (fewer prepare rounds, same FM and partition).
 
 #ifndef ERA_ERA_MEMORY_LAYOUT_H_
 #define ERA_ERA_MEMORY_LAYOUT_H_
@@ -38,7 +41,7 @@ struct MemoryLayout {
   uint64_t tile_cache_bytes = 0;
   uint64_t trie_bytes = 0;          // top-level trie area
   uint64_t tree_area_bytes = 0;     // MTS (sub-tree nodes; hosts I/A/P too)
-  uint64_t processing_bytes = 0;    // L + B
+  uint64_t processing_bytes = 0;    // L + B: fm * kProcessingBytesPerLeaf
   /// Maximum sub-tree frequency that fits (Equation 1 + processing bound).
   uint64_t fm = 0;
 
@@ -57,6 +60,11 @@ inline constexpr uint64_t kProcessingBytesPerLeaf = 32;
 /// 2 * f_p * sizeof(tree node)); I/A/P (24 bytes/leaf) overlap this and are
 /// strictly smaller, so they do not constrain FM.
 inline constexpr uint64_t kTreeBytesPerLeaf = 64;
+
+/// FM ceiling: prepare's slot indices and slot->window map are 32-bit, and
+/// so are TreeBuffer node ids, of which a sub-tree of F leaves needs up to
+/// 2F. FM therefore stays below 2^31.
+inline constexpr uint64_t kMaxFm = (uint64_t{1} << 31) - 1;
 
 /// Computes the layout for `options` and `alphabet_size`. Fails with
 /// OutOfBudget if the fixed areas leave no room for trees.

@@ -70,7 +70,8 @@ namespace {
 /// Hand-off area between a group's prepare stage and the (stealable) build
 /// tasks it spawns. `prepared` is slot-indexed; a slot is written by the
 /// preparing worker strictly before the matching task is pushed (the queue
-/// mutex publishes it), and moved out by whichever worker pops that task.
+/// mutex publishes it), and moved out by whichever worker pops that task,
+/// which leaves it empty.
 struct GroupWork {
   std::vector<PreparedSubTree> prepared;
   std::atomic<uint64_t> tree_bytes{0};
@@ -221,6 +222,8 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
         ERA_ASSIGN_OR_RETURN(auto reader,
                              OpenStringReader(env, text.path, reader_options,
                                               &worker_io[w]));
+        // One prepare arena serves every group this worker prepares.
+        PrepareScratch scratch;
         std::unique_ptr<StringReader> suffix_reader;
         std::unique_ptr<StringReader> edge_reader;
         if (wavefront) {
@@ -275,7 +278,8 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
           GroupWork& gw = works[g];
           gw.prepared.resize(group.prefixes.size());
           outputs[g].subtrees.resize(group.prefixes.size());
-          GroupPreparer preparer(group, policy, reader.get(), text.length);
+          GroupPreparer preparer(group, policy, reader.get(), text.length,
+                                 &scratch);
           preparer.SetEmitCallback(
               [&](std::size_t k, PreparedSubTree&& prepared) -> Status {
                 gw.prepared[k] = std::move(prepared);
@@ -287,6 +291,7 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
           ERA_RETURN_NOT_OK(preparer.Run());
           profiler.Record("prepare", w, prepare_timer.Seconds());
           outputs[g].rounds = preparer.stats().rounds;
+          outputs[g].prepare_times = preparer.stats().times;
           return Status::OK();
         };
 
@@ -326,6 +331,7 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
     output.tree_bytes +=
         works[g].tree_bytes.load(std::memory_order_relaxed);
     stats.prepare_rounds += output.rounds;
+    stats.prepare_times.Add(output.prepare_times);
     stats.peak_tree_bytes = std::max(stats.peak_tree_bytes, output.tree_bytes);
     stats.io.Add(output.write_io);
   }

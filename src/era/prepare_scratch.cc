@@ -1,13 +1,14 @@
 #include "era/prepare_scratch.h"
 
+#include <algorithm>
+
 namespace era {
 
 void PrepareScratch::BeginRound(uint64_t total_active, uint32_t range,
                                 uint64_t max_area) {
   Size(&windows, total_active * range);
   Size(&window_len, total_active);
-  Size(&requests, total_active);
-  Size(&request_compact, total_active);
+  Size(&requests, std::min<uint64_t>(total_active, kFetchSlice));
   Size(&sort_records, max_area);
   Size(&perm_l, max_area);
   Size(&perm_p, max_area);

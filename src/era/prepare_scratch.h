@@ -2,12 +2,13 @@
 //
 // GroupPreparer::RunRound used to allocate ~8 fresh std::vectors per active
 // area per round (window storage, sort records, permutation temporaries).
-// PrepareScratch hoists all of that into one arena owned by the preparer:
-// BeginRound() sizes every buffer for the round's total active leaf count and
-// widest area, reusing capacity from previous rounds. In steady state no
-// round performs any heap allocation: the elastic range keeps
-// active_count * range bounded by the R budget while both factors drift, so
-// the high-water marks are established within the first couple of rounds.
+// PrepareScratch hoists all of that into one arena: BeginRound() sizes every
+// buffer for the round's total active leaf count and widest area, reusing
+// capacity from previous rounds. In steady state no round performs any heap
+// allocation: the elastic range keeps active_count * range bounded by the R
+// budget while both factors drift, so the high-water marks are established
+// within the first couple of rounds. A builder worker keeps one arena for
+// all of its groups, so later groups start at those marks too.
 //
 // The `allocations()` counter ticks once per buffer growth event; tests pin
 // the hot path's allocation-freedom by asserting it stops moving after the
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/loser_tree.h"
 #include "io/string_reader.h"
 
 namespace era {
@@ -46,10 +48,10 @@ class PrepareScratch {
   std::vector<char> windows;
   std::vector<uint32_t> window_len;
 
-  // The merged fetch stream and, parallel to it, the global compact index
-  // each request fills (FetchRequest carries no user tag).
+  // One slice of the merged fetch stream. A request's window (and with it
+  // its compact index) is where its `out` points into `windows`.
+  static constexpr uint64_t kFetchSlice = 8192;
   std::vector<FetchRequest> requests;
-  std::vector<uint64_t> request_compact;
 
   // Radix sort records for one area.
   std::vector<WindowSortRec> sort_records;
@@ -64,12 +66,24 @@ class PrepareScratch {
   // Next round's active areas for the state being processed.
   std::vector<std::pair<uint32_t, uint32_t>> area_tmp;
 
+  // The k-way merger of the per-state fetch streams and each state's
+  // appearance-rank cursor into it.
+  LoserTree merge;
+  std::vector<std::size_t> cursor_rank;
+
  private:
-  /// resize() that counts capacity growth (the allocation events the hot
-  /// path must not produce in steady state).
+  /// Makes `vec` hold at least `n` elements. Buffers only grow: a round
+  /// smaller than the high-water mark neither frees nor re-zeroes anything,
+  /// and a growth starts from an empty vector, so it copies nothing. Counts
+  /// capacity growth (the allocation events the hot path must not produce
+  /// in steady state).
   template <typename V>
   void Size(V* vec, std::size_t n) {
-    if (vec->capacity() < n) ++allocations_;
+    if (vec->size() >= n) return;
+    if (vec->capacity() < n) {
+      ++allocations_;
+      vec->clear();
+    }
     vec->resize(n);
   }
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "common/timer.h"
 #include "text/aho_corasick.h"
 
 namespace era {
@@ -176,8 +177,9 @@ void SortArea(WindowSortRec* a, uint32_t n, uint32_t depth,
         }
         SortArea(a + i, j - i, next, ctx);
       } else {
-        // A window ended inside the key (only possible at end-of-file);
-        // runs like this are tiny and about to be invariant-checked.
+        // A window ends inside the key: near end-of-file, or whenever the
+        // range is below depth + 8, so every tied run of a round whose
+        // range is below 8 takes this comparator sort.
         std::sort(a + i, a + j,
                   [&ctx](const WindowSortRec& x, const WindowSortRec& y) {
                     uint32_t lx = 0, ly = 0;
@@ -198,13 +200,15 @@ void SortArea(WindowSortRec* a, uint32_t n, uint32_t depth,
 
 GroupPreparer::GroupPreparer(const VirtualTree& group,
                              const RangePolicy& policy, StringReader* reader,
-                             uint64_t text_length)
+                             uint64_t text_length, PrepareScratch* scratch)
     : group_(group),
       policy_(policy),
       reader_(reader),
-      text_length_(text_length) {}
+      text_length_(text_length),
+      scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
 
 Status GroupPreparer::ScanOccurrences() {
+  WallTimer scan_timer;
   std::vector<std::string> patterns;
   patterns.reserve(group_.prefixes.size());
   states_.resize(group_.prefixes.size());
@@ -219,6 +223,7 @@ Status GroupPreparer::ScanOccurrences() {
     states_[static_cast<std::size_t>(id)].L.push_back(pos);
     ++stats_.occurrence_scan_matches;
   }));
+  stats_.times.scan_seconds += scan_timer.Seconds();
 
   for (State& state : states_) {
     if (state.expected_frequency != 0 &&
@@ -249,11 +254,13 @@ Status GroupPreparer::ScanOccurrences() {
       if (m == 1) state.I[0] = kDoneSlot;
     }
   }
-  cursor_rank_.resize(states_.size());
+  scratch_->cursor_rank.resize(states_.size());
   return Status::OK();
 }
 
 Status GroupPreparer::RunRound(uint32_t range) {
+  PrepareScratch& scratch = *scratch_;
+  WallTimer phase_timer;
   // ---- Lay the round out in the arena: per-state compact maps and window
   // slabs (paper lines 10-12's bookkeeping, without the per-round vectors).
   uint64_t total_active = 0;
@@ -272,68 +279,88 @@ Status GroupPreparer::RunRound(uint32_t range) {
     state.active_count = compact;
     total_active += compact;
   }
-  scratch_.BeginRound(total_active, range, max_area);
+  scratch.BeginRound(total_active, range, max_area);
 
   // ---- Fill R with one merged sequential pass. Each state's unresolved
   // leaves are visited in appearance order via I, so per-state positions are
   // increasing; the loser tree merges the k sorted streams into one
   // monotone request stream, and FetchBatch serves it in a single pass over
-  // the input buffer.
+  // the input buffer, one bounded slice at a time (consecutive sorted slices
+  // of one scan read exactly what a single call would).
   auto advance = [](State* state, std::size_t from) -> std::size_t {
     std::size_t rank = from;
     while (rank < state->I.size() && state->I[rank] == kDoneSlot) ++rank;
     return rank;
   };
-  merge_.Reset(static_cast<uint32_t>(states_.size()));
+  LoserTree& merge = scratch.merge;
+  merge.Reset(static_cast<uint32_t>(states_.size()));
   for (std::size_t i = 0; i < states_.size(); ++i) {
     State& state = states_[i];
     std::size_t rank = advance(&state, 0);
-    cursor_rank_[i] = rank;
+    scratch.cursor_rank[i] = rank;
     if (rank < state.I.size()) {
       uint64_t slot = static_cast<uint64_t>(state.I[rank]);
-      merge_.SetKey(static_cast<uint32_t>(i), state.L[slot] + state.start);
+      merge.SetKey(static_cast<uint32_t>(i), state.L[slot] + state.start);
     }
   }
-  merge_.Build();
-  uint64_t num_requests = 0;
-  while (!merge_.Empty()) {
-    const uint32_t way = merge_.MinWay();
-    const uint64_t pos = merge_.MinKey();
+  merge.Build();
+  reader_->BeginScan();
+  const uint64_t file_size = reader_->size();
+  char* const windows = scratch.windows.data();
+  double fetch_seconds = 0;
+  [[maybe_unused]] uint64_t served = 0;
+  auto serve = [&](uint64_t n) -> Status {
+    WallTimer fetch_timer;
+    served += n;
+    ERA_RETURN_NOT_OK(reader_->FetchBatch(
+        std::span<FetchRequest>(scratch.requests.data(), n)));
+    // A fetch comes back short only at end-of-file, and the stream is
+    // sorted by position, so only a tail of the requests can need their
+    // optimistic window_len corrected.
+    stats_.symbols_fetched += n * range;
+    for (uint64_t r = n; r-- > 0;) {
+      const FetchRequest& request = scratch.requests[r];
+      if (request.pos + range <= file_size) break;
+      scratch.window_len[static_cast<uint64_t>(request.out - windows) /
+                         range] = request.got;
+      stats_.symbols_fetched -= range - request.got;
+    }
+    fetch_seconds += fetch_timer.Seconds();
+    return Status::OK();
+  };
+  uint64_t num_requests = 0;  // in the current slice
+  while (!merge.Empty()) {
+    const uint32_t way = merge.MinWay();
+    const uint64_t pos = merge.MinKey();
     State& state = states_[way];
-    std::size_t rank = cursor_rank_[way];
+    std::size_t rank = scratch.cursor_rank[way];
     uint64_t slot = static_cast<uint64_t>(state.I[rank]);
     uint64_t compact = state.window_base + state.slot_to_compact[slot];
-    scratch_.requests[num_requests] = {
-        pos, range, scratch_.windows.data() + compact * range, 0};
-    scratch_.request_compact[num_requests] = compact;
-    scratch_.window_len[compact] = range;  // optimistic; EOF tail patched below
-    ++num_requests;
+    scratch.requests[num_requests] = {pos, range, windows + compact * range,
+                                      0};
+    scratch.window_len[compact] = range;  // optimistic; EOF tail patched
+    if (++num_requests == scratch.requests.size()) {
+      ERA_RETURN_NOT_OK(serve(num_requests));
+      num_requests = 0;
+    }
     rank = advance(&state, rank + 1);
-    cursor_rank_[way] = rank;
-    merge_.Replace(rank < state.I.size()
-                       ? state.L[static_cast<uint64_t>(state.I[rank])] +
-                             state.start
-                       : LoserTree::kExhausted);
+    scratch.cursor_rank[way] = rank;
+    merge.Replace(rank < state.I.size()
+                      ? state.L[static_cast<uint64_t>(state.I[rank])] +
+                            state.start
+                      : LoserTree::kExhausted);
   }
-  assert(num_requests == total_active);
-  reader_->BeginScan();
-  ERA_RETURN_NOT_OK(reader_->FetchBatch(
-      std::span<FetchRequest>(scratch_.requests.data(), num_requests)));
-  // A fetch comes back short only at end-of-file, and the stream is sorted
-  // by position — so only a tail of the requests can need their optimistic
-  // window_len corrected.
-  stats_.symbols_fetched += num_requests * range;
-  const uint64_t file_size = reader_->size();
-  for (uint64_t r = num_requests; r-- > 0;) {
-    if (scratch_.requests[r].pos + range <= file_size) break;
-    scratch_.window_len[scratch_.request_compact[r]] = scratch_.requests[r].got;
-    stats_.symbols_fetched -= range - scratch_.requests[r].got;
-  }
+  ERA_RETURN_NOT_OK(serve(num_requests));
+  assert(served == total_active);
+  const double merge_and_fetch = phase_timer.Seconds();
+  stats_.times.layout_seconds += merge_and_fetch - fetch_seconds;
+  stats_.times.fetch_seconds += fetch_seconds;
+  phase_timer.Restart();
 
   // ---- Sort active areas, define B, retire resolved leaves (lines 13-23).
   for (State& state : states_) {
     if (state.areas.empty()) continue;
-    AreaSortContext ctx{scratch_.windows.data(), scratch_.window_len.data(),
+    AreaSortContext ctx{scratch.windows.data(), scratch.window_len.data(),
                         state.slot_to_compact.data(), state.window_base,
                         range};
     auto window_of = [&](uint32_t slot) {
@@ -342,7 +369,7 @@ Status GroupPreparer::RunRound(uint32_t range) {
       return std::pair<const char*, uint32_t>(w, len);
     };
 
-    scratch_.area_tmp.clear();
+    scratch.area_tmp.clear();
     for (const auto& [begin, end] : state.areas) {
       const uint32_t area_size = end - begin;
       if (area_size == 2) {
@@ -363,7 +390,7 @@ Status GroupPreparer::RunRound(uint32_t range) {
             return Status::Internal(
                 "equal short windows: two suffixes share the terminal");
           }
-          scratch_.area_tmp.emplace_back(begin, end);  // still undecidable
+          scratch.area_tmp.emplace_back(begin, end);  // still undecidable
           continue;
         }
         char c1 = w1[cs];
@@ -388,7 +415,7 @@ Status GroupPreparer::RunRound(uint32_t range) {
       // keys; see SortArea). Equal windows keep their relative slot order
       // (they stay in one active area), so the slot tie-break keeps the
       // sort stable.
-      WindowSortRec* order = scratch_.sort_records.data();
+      WindowSortRec* order = scratch.sort_records.data();
       for (uint32_t s = begin; s < end; ++s) {
         order[s - begin] = {ctx.KeyAt(s, 0), s};
       }
@@ -399,15 +426,15 @@ Status GroupPreparer::RunRound(uint32_t range) {
       // of two O(area * range) byte copies per round.
       for (uint32_t k = 0; k < area_size; ++k) {
         uint32_t src = order[k].slot;
-        scratch_.perm_l[k] = state.L[src];
-        scratch_.perm_p[k] = state.P[src];
-        scratch_.perm_compact[k] = state.slot_to_compact[src];
+        scratch.perm_l[k] = state.L[src];
+        scratch.perm_p[k] = state.P[src];
+        scratch.perm_compact[k] = state.slot_to_compact[src];
       }
       for (uint32_t k = 0; k < area_size; ++k) {
         uint32_t slot = begin + k;
-        state.L[slot] = scratch_.perm_l[k];
-        state.P[slot] = scratch_.perm_p[k];
-        state.slot_to_compact[slot] = scratch_.perm_compact[k];
+        state.L[slot] = scratch.perm_l[k];
+        state.P[slot] = scratch.perm_p[k];
+        state.slot_to_compact[slot] = scratch.perm_compact[k];
         state.I[state.P[slot]] = static_cast<int64_t>(slot);
       }
 
@@ -442,7 +469,7 @@ Status GroupPreparer::RunRound(uint32_t range) {
         if (!bond_open) {
           // Run [run_start, i) closed.
           if (i - run_start >= 2) {
-            scratch_.area_tmp.emplace_back(run_start, i);
+            scratch.area_tmp.emplace_back(run_start, i);
           } else {
             // Singleton: both bonds of this slot are now defined (or are
             // boundaries) — the leaf is resolved (lines 20-23).
@@ -452,9 +479,10 @@ Status GroupPreparer::RunRound(uint32_t range) {
         }
       }
     }
-    state.areas.assign(scratch_.area_tmp.begin(), scratch_.area_tmp.end());
+    state.areas.assign(scratch.area_tmp.begin(), scratch.area_tmp.end());
     state.start += range;
   }
+  stats_.times.sort_seconds += phase_timer.Seconds();
   return Status::OK();
 }
 
@@ -482,8 +510,8 @@ void GroupPreparer::EmitSnapshot(uint32_t range) {
     for (uint32_t slot = 0; slot < state.L.size(); ++slot) {
       if (!state.was_active[slot]) continue;
       uint64_t compact = state.window_base + state.slot_to_compact[slot];
-      s.R[slot].assign(scratch_.windows.data() + compact * range,
-                       scratch_.window_len[compact]);
+      s.R[slot].assign(scratch_->windows.data() + compact * range,
+                       scratch_->window_len[compact]);
     }
     s.B.resize(state.B.size());
     for (std::size_t i = 0; i < state.B.size(); ++i) {

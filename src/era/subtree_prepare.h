@@ -27,7 +27,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/loser_tree.h"
 #include "common/status.h"
 #include "era/prepare_scratch.h"
 #include "era/range_policy.h"
@@ -54,11 +53,28 @@ struct PreparedSubTree {
   std::vector<BranchInfo> branches;   // parallel to leaves; [0] unused
 };
 
+/// Wall seconds of prepare's sub-phases. Emit callbacks are excluded, so
+/// the sum never exceeds the enclosing "prepare" phase.
+struct PrepareTimes {
+  double scan_seconds = 0;    // occurrence scan (lines 1-7)
+  double layout_seconds = 0;  // compact maps, BeginRound, loser-tree merge
+  double fetch_seconds = 0;   // FetchBatch (lines 10-12)
+  double sort_seconds = 0;    // sort + B-scan + retire (lines 13-23)
+
+  void Add(const PrepareTimes& other) {
+    scan_seconds += other.scan_seconds;
+    layout_seconds += other.layout_seconds;
+    fetch_seconds += other.fetch_seconds;
+    sort_seconds += other.sort_seconds;
+  }
+};
+
 /// Counters for one group's preparation.
 struct PrepareStats {
   uint32_t rounds = 0;
   uint64_t symbols_fetched = 0;
   uint64_t occurrence_scan_matches = 0;
+  PrepareTimes times;
 };
 
 /// Post-round state exposed to tests (mirrors the paper's Traces 1-3).
@@ -82,8 +98,14 @@ struct PrepareSnapshot {
 class GroupPreparer {
  public:
   /// `reader` must outlive the preparer; its IoStats accumulate the scans.
+  /// `scratch`, when given, is the hot-path arena to use instead of a
+  /// private one: a worker passes the same arena to all of its groups, so
+  /// its buffers are grown once per worker rather than once per group.
   GroupPreparer(const VirtualTree& group, const RangePolicy& policy,
-                StringReader* reader, uint64_t text_length);
+                StringReader* reader, uint64_t text_length,
+                PrepareScratch* scratch = nullptr);
+  GroupPreparer(const GroupPreparer&) = delete;
+  GroupPreparer& operator=(const GroupPreparer&) = delete;
 
   /// Observer invoked after every iteration (tests reproduce the paper's
   /// traces through this hook).
@@ -111,7 +133,7 @@ class GroupPreparer {
 
   /// The hot-path arena (tests assert its allocation counter stops moving
   /// after the first round).
-  const PrepareScratch& scratch() const { return scratch_; }
+  const PrepareScratch& scratch() const { return *scratch_; }
 
  private:
   static constexpr int64_t kDoneSlot = -1;
@@ -155,11 +177,10 @@ class GroupPreparer {
   std::function<void(const PrepareSnapshot&)> observer_;
   EmitFn emit_;
 
-  // Recycled hot-path working memory (see prepare_scratch.h): the arena,
-  // the k-way cursor merger, and the per-state appearance-rank cursors.
-  PrepareScratch scratch_;
-  LoserTree merge_;
-  std::vector<std::size_t> cursor_rank_;
+  // Recycled hot-path working memory (see prepare_scratch.h): the caller's
+  // arena, or own_scratch_ when none was given.
+  PrepareScratch own_scratch_;
+  PrepareScratch* scratch_;
 };
 
 }  // namespace era

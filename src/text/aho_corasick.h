@@ -1,16 +1,27 @@
-// Multi-pattern matching automaton (Aho-Corasick).
+// Multi-pattern matching automaton (Aho-Corasick), compiled to a dense DFA.
 //
 // Vertical partitioning (frequency counting of the working set) and the
 // occurrence scans that seed L for each sub-tree both need every match of a
 // set of S-prefixes in one sequential pass over S. The automaton is built
 // per working set / per virtual tree; its size is the total pattern length,
 // a few KB in practice.
+//
+// The scan is the per-byte hot loop of every such pass, so the automaton is
+// laid out for it. Bytes that occur in some pattern get compact codes 1..m
+// and every other byte gets code 0, which always leads back to the root.
+// One flat table holds every state's transitions with the failure links
+// already folded in. Each state's row is padded to a power of two >= m + 1
+// and a state is named by its row's offset, so a byte costs one code lookup,
+// one add and one table load. States with matches are numbered last, so
+// "does this state report anything" is a single compare, and each keeps a
+// flat list of every pattern ending there (output links already followed).
 
 #ifndef ERA_TEXT_AHO_CORASICK_H_
 #define ERA_TEXT_AHO_CORASICK_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,32 +35,26 @@ namespace era {
 class AhoCorasick {
  public:
   /// Builds the automaton. Duplicate patterns are allowed (both ids fire).
+  /// Fails with InvalidArgument on an empty pattern, or on a set whose
+  /// transition table would outgrow 32-bit offsets.
   static StatusOr<AhoCorasick> Build(const std::vector<std::string>& patterns);
 
   /// Feeds one byte; invokes `emit(pattern_id, start_pos)` for every pattern
   /// ending at this byte. `pos` is the global position of `c`.
   template <typename Emit>
   void Step(char c, uint64_t pos, Emit&& emit) {
-    unsigned char byte = static_cast<unsigned char>(c);
-    while (state_ != 0 && nodes_[state_].next[byte] == kNoTransition) {
-      state_ = nodes_[state_].fail;
-    }
-    int32_t next = nodes_[state_].next[byte];
-    state_ = next == kNoTransition ? 0 : next;
-    for (int32_t s = state_; s != 0; s = nodes_[s].output_link) {
-      for (int32_t id : nodes_[s].matches) {
-        emit(id, pos + 1 - patterns_[static_cast<std::size_t>(id)].size());
-      }
-      if (nodes_[s].output_link == 0 && nodes_[s].matches.empty()) break;
-    }
+    state_ = delta_[state_ + code_[static_cast<unsigned char>(c)]];
+    if (state_ >= first_output_state_) EmitOutputs(state_, pos, emit);
   }
 
   /// Resets the automaton to the root state (start of a new scan).
   void Reset() { state_ = 0; }
 
-  /// Streams the whole file through the automaton (one sequential scan).
-  Status ScanAll(StringReader* reader,
-                 const std::function<void(int32_t, uint64_t)>& emit);
+  /// Streams the whole file through the automaton (one sequential scan),
+  /// invoking `emit(pattern_id, start_pos)` for every match in position
+  /// order.
+  template <typename Emit>
+  Status ScanAll(StringReader* reader, Emit&& emit);
 
   std::size_t num_patterns() const { return patterns_.size(); }
   const std::string& pattern(int32_t id) const {
@@ -57,19 +62,78 @@ class AhoCorasick {
   }
 
  private:
-  static constexpr int32_t kNoTransition = -1;
+  /// Bytes fetched per ScanAll refill.
+  static constexpr uint32_t kScanChunk = 64 << 10;
+  /// Bytes whose matching states ScanAll collects before reporting them.
+  static constexpr uint32_t kScanBlock = 4 << 10;
 
-  struct Node {
-    std::vector<int32_t> next;  // 256-wide transition row
-    int32_t fail = 0;
-    int32_t output_link = 0;     // nearest suffix state with matches
-    std::vector<int32_t> matches;
+  /// One pattern ending at a state: its id and its length (so the start
+  /// position needs no lookup into patterns_).
+  struct Output {
+    int32_t id = 0;
+    uint32_t length = 0;
   };
 
-  std::vector<Node> nodes_;
+  template <typename Emit>
+  void EmitOutputs(uint32_t state, uint64_t pos, Emit& emit) const {
+    const uint32_t row = (state - first_output_state_) >> row_shift_;
+    for (uint32_t i = output_begin_[row]; i < output_begin_[row + 1]; ++i) {
+      emit(outputs_[i].id, pos + 1 - outputs_[i].length);
+    }
+  }
+
+  std::array<uint32_t, 256> code_{};  // byte -> column; 0 = in no pattern
+  uint32_t row_shift_ = 0;            // log2 of the padded row width
+  /// delta_[state + code] is the next state; states are row offsets.
+  std::vector<uint32_t> delta_;
+  /// States at or above this offset report matches; the rest report none.
+  uint32_t first_output_state_ = 0;
+  /// The k-th reporting state's patterns are outputs_[output_begin_[k] ..
+  /// output_begin_[k + 1]).
+  std::vector<uint32_t> output_begin_;
+  std::vector<Output> outputs_;
   std::vector<std::string> patterns_;
-  int32_t state_ = 0;
+  uint32_t state_ = 0;
 };
+
+template <typename Emit>
+Status AhoCorasick::ScanAll(StringReader* reader, Emit&& emit) {
+  Reset();
+  reader->BeginScan();
+  std::vector<char> chunk(kScanChunk);
+  // The transition loop only records where a reporting state was reached,
+  // without a data-dependent branch; the matches are reported afterwards,
+  // block by block. Locals keep the table in registers across emit calls,
+  // which may write anywhere.
+  std::array<uint32_t, kScanBlock> hit_offset{};
+  std::array<uint32_t, kScanBlock> hit_state{};
+  const uint32_t* delta = delta_.data();
+  const uint32_t first_output = first_output_state_;
+  uint32_t state = 0;
+  uint64_t pos = 0;
+  const uint64_t size = reader->size();
+  while (pos < size) {
+    uint32_t got = 0;
+    ERA_RETURN_NOT_OK(reader->Fetch(pos, kScanChunk, chunk.data(), &got));
+    if (got == 0) break;
+    for (uint32_t block = 0; block < got; block += kScanBlock) {
+      const uint32_t end = std::min(got, block + kScanBlock);
+      uint32_t hits = 0;
+      for (uint32_t i = block; i < end; ++i) {
+        state = delta[state + code_[static_cast<unsigned char>(chunk[i])]];
+        hit_offset[hits] = i;
+        hit_state[hits] = state;
+        hits += state >= first_output;
+      }
+      for (uint32_t h = 0; h < hits; ++h) {
+        EmitOutputs(hit_state[h], pos + hit_offset[h], emit);
+      }
+    }
+    pos += got;
+  }
+  state_ = state;
+  return Status::OK();
+}
 
 }  // namespace era
 

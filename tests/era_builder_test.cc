@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "era/parallel_builder.h"
+#include "era/range_policy.h"
+#include "era/subtree_prepare.h"
 #include "io/mem_env.h"
 #include "suffixtree/validator.h"
 #include "tests/test_util.h"
@@ -252,6 +255,79 @@ TEST(EraBuilderTest, GroupingReducesScansOfS) {
   };
   // Virtual trees amortize scans across sub-trees (Figure 9(a)).
   EXPECT_LT(scans(true, "/g1"), scans(false, "/g2"));
+}
+
+TEST(EraBuilderTest, BuildAndEmitPrefixLeavesTheCallerSlotEmpty) {
+  // The parallel builder parks each resolved (L, B) in a slot until a
+  // worker builds it; the build must take L and B (24 bytes per leaf) out
+  // of the slot instead of leaving them there until the build ends.
+  MemEnv env;
+  std::string text = testing::RandomText(Alphabet::Dna(), 5000, 31);
+  ASSERT_TRUE(env.WriteFile("/s", text).ok());
+  ASSERT_TRUE(env.CreateDir("/idx").ok());
+  VirtualTree group;
+  group.prefixes = {{"A", 0}, {"C", 0}};
+  IoStats io;
+  auto reader = OpenStringReader(&env, "/s", {}, &io);
+  ASSERT_TRUE(reader.ok());
+  GroupPreparer preparer(group, RangePolicy::Elastic(64 << 10, 4, 256),
+                         reader->get(), text.size());
+  ASSERT_TRUE(preparer.Run().ok());
+
+  BuildOptions options;
+  options.env = &env;
+  options.work_dir = "/idx";
+  GroupOutput out;
+  out.subtrees.resize(group.prefixes.size());
+  PreparedSubTree& slot = preparer.results()[0];
+  const uint64_t leaves = slot.leaves.size();
+  ASSERT_GT(leaves, 1u);
+  auto bytes = BuildAndEmitPrefix(options, text.size(), /*group_id=*/0,
+                                  /*k=*/0, std::move(slot), &out,
+                                  /*writer=*/nullptr);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_GT(*bytes, 0u);
+  EXPECT_EQ(slot.leaves.capacity(), 0u);
+  EXPECT_EQ(slot.branches.capacity(), 0u);
+  EXPECT_EQ(out.subtrees[0].frequency, leaves);
+}
+
+TEST(EraBuilderTest, PrepareSubPhasesNestInsidePrepare) {
+  MemEnv env;
+  std::string text = testing::RandomText(Alphabet::Dna(), 30000, 41);
+  auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
+  ASSERT_TRUE(info.ok());
+  BuildOptions options;
+  options.env = &env;
+  options.memory_budget = 128 << 10;
+  options.input_buffer_bytes = 4096;
+
+  auto check = [](const BuildStats& stats) {
+    const PrepareTimes& t = stats.prepare_times;
+    EXPECT_GT(t.scan_seconds, 0);
+    EXPECT_GT(t.layout_seconds, 0);
+    EXPECT_GT(t.fetch_seconds, 0);
+    EXPECT_GT(t.sort_seconds, 0);
+    double prepare = 0;
+    for (const PhaseProfiler::Entry& e : stats.phases) {
+      if (e.phase == "prepare") prepare += e.seconds;
+    }
+    // Disjoint intervals of one clock, up to the seconds' rounding.
+    EXPECT_LE(t.scan_seconds + t.layout_seconds + t.fetch_seconds +
+                  t.sort_seconds,
+              prepare + 1e-9);
+    EXPECT_NE(stats.ToString().find("prepare{scan="), std::string::npos);
+  };
+  options.work_dir = "/serial";
+  auto serial = EraBuilder(options).Build(*info);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  check(serial->stats);
+
+  options.work_dir = "/parallel";
+  options.memory_budget = 256 << 10;
+  auto parallel = ParallelBuilder(options, 2).Build(*info);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  check(parallel->stats);
 }
 
 }  // namespace

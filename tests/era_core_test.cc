@@ -32,22 +32,82 @@ BuildOptions TestOptions(Env* env) {
 }
 
 TEST(MemoryLayoutTest, AreasSumToBudgetAndFmPositive) {
+  // Figure 6's split gives the tree area ~60% of what remains after the
+  // fixed buffers; FM is bound by it. The processing area keeps exactly FM
+  // leaves' worth of that remainder, and an auto-sized R takes the rest.
+  // The reference is the same budget with R set explicitly to the auto
+  // rule's base size: it shares every fixed area, and keeps its R as given.
+  for (uint64_t budget : {1ull << 20, 8ull << 20, 16ull << 20, 64ull << 20}) {
+    for (bool tile_cache : {false, true}) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + " tile_cache " +
+                   std::to_string(tile_cache));
+      BuildOptions options;
+      options.work_dir = "/w";
+      options.memory_budget = budget;
+      options.tile_cache = tile_cache;
+      BuildOptions explicit_r = options;
+      explicit_r.r_buffer_bytes =
+          std::min(ResolveRBufferBytes(options, 4), budget / 4);
+      auto layout = PlanMemory(options, 4);
+      auto fixed_r = PlanMemory(explicit_r, 4);
+      ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+      ASSERT_TRUE(fixed_r.ok()) << fixed_r.status().ToString();
+
+      // The old 60/40 formula, from the reference plan's fixed areas.
+      const uint64_t remaining =
+          budget - fixed_r->input_buffer_bytes - fixed_r->read_ahead_bytes -
+          fixed_r->r_buffer_bytes - fixed_r->tile_cache_bytes -
+          fixed_r->trie_bytes;
+      const uint64_t tree = remaining * 6 / 10;
+      const uint64_t old_processing = remaining - tree;
+      const uint64_t old_fm =
+          std::min(tree / kTreeBytesPerLeaf,
+                   old_processing / kProcessingBytesPerLeaf);
+      const uint64_t surplus =
+          old_processing - old_fm * kProcessingBytesPerLeaf;
+      EXPECT_GT(surplus, 0u);
+
+      for (const MemoryLayout& plan : {*layout, *fixed_r}) {
+        EXPECT_EQ(plan.fm, old_fm);
+        EXPECT_GT(plan.fm, 0u);
+        EXPECT_EQ(plan.tree_area_bytes, tree);
+        EXPECT_EQ(plan.processing_bytes, plan.fm * kProcessingBytesPerLeaf);
+        EXPECT_LE(plan.total(), budget);
+      }
+      // Both plans share every other area; the auto R gains exactly the
+      // surplus, so its areas sum to the whole budget.
+      EXPECT_EQ(layout->input_buffer_bytes, fixed_r->input_buffer_bytes);
+      EXPECT_EQ(layout->tile_cache_bytes, fixed_r->tile_cache_bytes);
+      EXPECT_EQ(layout->read_ahead_bytes, fixed_r->read_ahead_bytes);
+      EXPECT_EQ(layout->trie_bytes, fixed_r->trie_bytes);
+      EXPECT_EQ(layout->r_buffer_bytes, fixed_r->r_buffer_bytes + surplus);
+      EXPECT_EQ(layout->total(), budget);
+    }
+  }
+  // An explicit R is never topped up: without carves it is the plan's R.
+  BuildOptions plain;
+  plain.work_dir = "/w";
+  plain.memory_budget = 16 << 20;
+  plain.tile_cache = false;
+  plain.prefetch_reads = false;
+  plain.r_buffer_bytes = 300 << 10;
+  auto layout = PlanMemory(plain, 4);
+  ASSERT_TRUE(layout.ok());
+  EXPECT_EQ(layout->r_buffer_bytes, plain.r_buffer_bytes);
+}
+
+TEST(MemoryLayoutTest, FmStaysBelow2To31AtHugeBudgets) {
+  // Slot indices, the slot->window map and tree node ids are 32-bit. The
+  // test only plans; nothing of the budget is allocated.
   BuildOptions options;
   options.work_dir = "/w";
-  options.memory_budget = 64 << 20;
+  options.memory_budget = 1ull << 40;
   auto layout = PlanMemory(options, 4);
-  ASSERT_TRUE(layout.ok());
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  EXPECT_EQ(layout->fm, kMaxFm);
+  EXPECT_LT(layout->fm, uint64_t{1} << 31);
+  EXPECT_EQ(layout->processing_bytes, layout->fm * kProcessingBytesPerLeaf);
   EXPECT_LE(layout->total(), options.memory_budget);
-  EXPECT_GT(layout->fm, 0u);
-  // Tree area is ~60% of what remains after the fixed buffers (Figure 6);
-  // the tile-cache carve and the prefetch ring are part of the fixed
-  // retrieved-data area.
-  uint64_t remaining = options.memory_budget - layout->input_buffer_bytes -
-                       layout->read_ahead_bytes - layout->r_buffer_bytes -
-                       layout->tile_cache_bytes - layout->trie_bytes;
-  EXPECT_NEAR(static_cast<double>(layout->tree_area_bytes),
-              0.6 * static_cast<double>(remaining),
-              0.01 * static_cast<double>(remaining));
 }
 
 TEST(MemoryLayoutTest, TileCacheCarveComesFromRAndPreservesFm) {
@@ -456,6 +516,51 @@ TEST_F(PaperTraceTest, ElasticRangeGrowsAfterLeavesResolve) {
   ASSERT_GE(ranges.size(), 2u);
   EXPECT_EQ(ranges[0], 4u);
   EXPECT_EQ(ranges[1], 7u);
+}
+
+TEST(SubTreePrepareTest, SharedArenaIsReusedAcrossGroups) {
+  // A builder worker hands one arena to all of its groups. Preparing a
+  // group again on it grows nothing, and yields the same (L, B) as a
+  // private arena. The group's first round spans several fetch slices.
+  MemEnv env;
+  std::string text = testing::RandomText(Alphabet::Dna(), 30000, 5);
+  ASSERT_TRUE(env.WriteFile("/s", text).ok());
+  VirtualTree group;
+  group.prefixes = {{"A", 0}, {"CG", 0}, {"T", 0}};
+  IoStats io;
+  auto reader = OpenStringReader(&env, "/s", {}, &io);
+  ASSERT_TRUE(reader.ok());
+  const RangePolicy policy = RangePolicy::Elastic(64 << 10, 4, 256);
+
+  PrepareScratch scratch;
+  GroupPreparer first(group, policy, reader->get(), text.size(), &scratch);
+  ASSERT_TRUE(first.Run().ok());
+  const uint64_t grown = scratch.allocations();
+  EXPECT_GT(grown, 0u);
+  GroupPreparer again(group, policy, reader->get(), text.size(), &scratch);
+  ASSERT_TRUE(again.Run().ok());
+  EXPECT_EQ(scratch.allocations(), grown);
+  EXPECT_EQ(&again.scratch(), &scratch);
+
+  GroupPreparer alone(group, policy, reader->get(), text.size());
+  ASSERT_TRUE(alone.Run().ok());
+  EXPECT_EQ(alone.scratch().allocations(), grown);
+  ASSERT_EQ(again.results().size(), alone.results().size());
+  uint64_t leaves = 0;
+  for (std::size_t k = 0; k < alone.results().size(); ++k) {
+    const PreparedSubTree& got = again.results()[k];
+    const PreparedSubTree& want = alone.results()[k];
+    leaves += want.leaves.size();
+    EXPECT_EQ(got.leaves, want.leaves);
+    ASSERT_EQ(got.branches.size(), want.branches.size());
+    for (std::size_t b = 0; b < want.branches.size(); ++b) {
+      EXPECT_EQ(got.branches[b].offset, want.branches[b].offset);
+      EXPECT_EQ(got.branches[b].c1, want.branches[b].c1);
+      EXPECT_EQ(got.branches[b].c2, want.branches[b].c2);
+      EXPECT_EQ(got.branches[b].defined, want.branches[b].defined);
+    }
+  }
+  EXPECT_GT(leaves, PrepareScratch::kFetchSlice);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 
 #include "common/crc32.h"
 #include "common/options.h"
@@ -80,38 +82,112 @@ TEST(AhoCorasickTest, EmptyPatternRejected) {
   EXPECT_FALSE(AhoCorasick::Build({"A", ""}).ok());
 }
 
+/// Every DNA string of length `k`.
+std::vector<std::string> AllDnaKmers(int k) {
+  std::vector<std::string> kmers = {""};
+  for (int i = 0; i < k; ++i) {
+    std::vector<std::string> longer;
+    for (const std::string& p : kmers) {
+      for (char c : {'A', 'C', 'G', 'T'}) longer.push_back(p + c);
+    }
+    kmers = std::move(longer);
+  }
+  return kmers;
+}
+
+/// Pattern sets drawn from `text` (its body, never the terminal): random
+/// substrings of mixed lengths 1-8, which nest and overlap, and one string's
+/// prefixes and suffixes, each nested in the next.
+std::vector<std::vector<std::string>> SampledPatternSets(
+    const std::string& text, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::size_t body = text.size() - 1;
+  std::vector<std::string> mixed;
+  for (int i = 0; i < 12; ++i) {
+    const std::size_t len = 1 + rng() % 8;
+    mixed.push_back(text.substr(rng() % (body - len), len));
+  }
+  const std::string s = text.substr(rng() % (body - 8), 8);
+  std::vector<std::string> nested;
+  for (std::size_t k = 1; k <= s.size(); ++k) {
+    nested.push_back(s.substr(0, k));
+    nested.push_back(s.substr(s.size() - k));
+  }
+  return {mixed, nested};
+}
+
+/// Overwrites a few text bytes with bytes that occur in no pattern (NUL and
+/// 0xFF; the terminal already ends the text).
+void AddStrayBytes(std::string* text) {
+  (*text)[text->size() / 7] = '\0';
+  (*text)[text->size() / 3] = '\xFF';
+  (*text)[text->size() / 3 + 1] = '\0';
+}
+
 TEST(AhoCorasickTest, RandomTextsMatchOracle) {
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    std::string text = testing::RandomText(Alphabet::Dna(), 5000, seed);
-    std::vector<std::string> patterns = {"A",    "ACG", "TTT",
-                                         "GTGC", "CATG", "GGGGG"};
-    EXPECT_EQ(AcMatches(text, patterns), NaiveMatches(text, patterns))
-        << "seed " << seed;
+  for (const Alphabet& alphabet :
+       {Alphabet::Dna(), Alphabet::Protein(), Alphabet::English()}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      std::string text = testing::RandomText(alphabet, 5000, seed);
+      std::vector<std::vector<std::string>> sets =
+          SampledPatternSets(text, seed);
+      if (alphabet.size() == 4) {
+        sets.push_back({"A", "ACG", "TTT", "GTGC", "CATG", "GGGGG"});
+        sets.push_back(AllDnaKmers(5));
+      }
+      AddStrayBytes(&text);
+      for (const std::vector<std::string>& patterns : sets) {
+        EXPECT_EQ(AcMatches(text, patterns), NaiveMatches(text, patterns))
+            << "alphabet size " << alphabet.size() << " seed " << seed
+            << " first pattern '" << patterns[0] << "'";
+      }
+    }
   }
 }
 
 TEST(AhoCorasickTest, ScanAllStreamsWholeFile) {
-  MemEnv env;
+  constexpr uint64_t kChunk = 64 << 10;  // ScanAll's refill size
   std::string text = testing::RandomText(Alphabet::Dna(), 200000, 9);
+  // Planted patterns straddle the first two chunk boundaries.
+  const std::string straddle1 = text.substr(kChunk - 3, 7);
+  const std::string straddle2 = text.substr(2 * kChunk - 1, 2);
+  std::vector<std::vector<std::string>> sets = SampledPatternSets(text, 9);
+  const std::size_t planted = sets.size();
+  sets.push_back({"ACGT", "TTAA", straddle1, straddle2});
+  sets.push_back(AllDnaKmers(5));
+  AddStrayBytes(&text);
+  MemEnv env;
   ASSERT_TRUE(env.WriteFile("/s", text).ok());
-  std::vector<std::string> patterns = {"ACGT", "TTAA"};
-  auto ac = AhoCorasick::Build(patterns);
-  ASSERT_TRUE(ac.ok());
-  IoStats stats;
-  auto reader = OpenStringReader(&env, "/s", {}, &stats);
-  ASSERT_TRUE(reader.ok());
-  std::vector<std::pair<int32_t, uint64_t>> matches;
-  ASSERT_TRUE(ac->ScanAll(reader->get(), [&](int32_t id, uint64_t pos) {
-                  matches.emplace_back(id, pos);
-                }).ok());
-  std::sort(matches.begin(), matches.end(),
-            [](const auto& a, const auto& b) {
-              return a.second != b.second ? a.second < b.second
-                                          : a.first < b.first;
-            });
-  EXPECT_EQ(matches, NaiveMatches(text, patterns));
-  EXPECT_GE(stats.bytes_read, text.size());
-  EXPECT_EQ(stats.scans_started, 1u);
+
+  for (std::size_t set = 0; set < sets.size(); ++set) {
+    const std::vector<std::string>& patterns = sets[set];
+    auto ac = AhoCorasick::Build(patterns);
+    ASSERT_TRUE(ac.ok());
+    IoStats stats;
+    auto reader = OpenStringReader(&env, "/s", {}, &stats);
+    ASSERT_TRUE(reader.ok());
+    std::vector<std::pair<int32_t, uint64_t>> matches;
+    ASSERT_TRUE(ac->ScanAll(reader->get(), [&](int32_t id, uint64_t pos) {
+                    matches.emplace_back(id, pos);
+                  }).ok());
+    std::sort(matches.begin(), matches.end(),
+              [](const auto& a, const auto& b) {
+                return a.second != b.second ? a.second < b.second
+                                            : a.first < b.first;
+              });
+    EXPECT_EQ(matches, NaiveMatches(text, patterns))
+        << "first pattern '" << patterns[0] << "'";
+    EXPECT_GE(stats.bytes_read, text.size());
+    EXPECT_EQ(stats.scans_started, 1u);
+    if (set == planted) {
+      EXPECT_NE(std::find(matches.begin(), matches.end(),
+                          std::make_pair(int32_t{2}, kChunk - 3)),
+                matches.end());
+      EXPECT_NE(std::find(matches.begin(), matches.end(),
+                          std::make_pair(int32_t{3}, 2 * kChunk - 1)),
+                matches.end());
+    }
+  }
 }
 
 TEST(Crc32cTest, DetectsSingleBitFlip) {
