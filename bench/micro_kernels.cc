@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the computational kernels under
 // the paper's algorithms: SA-IS, Kasai LCP, Aho-Corasick scanning,
-// SubTreePrepare, BuildSubTree, Ukkonen, CRC32 and symbol packing.
+// SubTreePrepare, BuildSubTree, Ukkonen, sub-tree encode + write, CRC32 and
+// symbol packing.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +18,7 @@
 #include "io/string_reader.h"
 #include "sa/lcp.h"
 #include "sa/sais.h"
+#include "suffixtree/serializer.h"
 #include "text/aho_corasick.h"
 #include "text/text_generator.h"
 #include "ukkonen/ukkonen.h"
@@ -161,6 +163,21 @@ void BM_Ukkonen(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 BENCHMARK(BM_Ukkonen)->Arg(64 << 10)->Arg(256 << 10);
+
+/// The writer's encode layer: slot placement, bit-packing, CRC and the
+/// file write of one Ukkonen tree of 256 KiB of DNA into a MemEnv. Items
+/// are tree nodes, so the time per item is ns per node.
+void BM_WriteSubTree(benchmark::State& state) {
+  auto tree = BuildUkkonenTree(DnaText(256 << 10));
+  MemEnv env;
+  for (auto _ : state) {
+    Status s = WriteSubTree(&env, "/st", "", *tree, nullptr);
+    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(tree->size()));
+}
+BENCHMARK(BM_WriteSubTree);
 
 void BM_Crc32c(benchmark::State& state) {
   std::string data = DnaText(1 << 20);

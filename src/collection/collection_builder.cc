@@ -86,7 +86,7 @@ StatusOr<CollectionBuildResult> CollectionBuilder::Build() {
         "separator must sort above every alphabet symbol");
   }
   // Extending the alphabet with the separator keeps strictly ascending byte
-  // order, so the radix kernel and the counted layout's unsigned child
+  // order, so the radix kernel and the packed format's unsigned child
   // ordering need no special cases for collections.
   ERA_ASSIGN_OR_RETURN(Alphabet extended,
                        Alphabet::Create(symbols + options_.separator));

@@ -48,57 +48,13 @@ SaLcp TreeToSaLcp(const TreeBuffer& tree) {
   return out;
 }
 
-SaLcp TreeToSaLcp(const CountedTree& tree) {
-  SaLcp out;
-  if (tree.size() == 0) return out;
-
-  // Same traversal as the linked overload; `next_child` is an index into the
-  // contiguous child block instead of a sibling pointer.
-  struct Frame {
-    uint32_t node;
-    uint64_t depth;       // string depth at this node
-    uint32_t next_child;  // next unvisited child (0 .. num_children)
-  };
-  std::vector<Frame> stack;
-  uint64_t pending_lcp = 0;
-  bool first_leaf = true;
-
-  const CountedNode& root = tree.node(0);
-  if (root.IsLeaf()) {
-    out.sa.push_back(root.leaf_id());
-    return out;
-  }
-  stack.push_back({0, 0, 0});
-
-  while (!stack.empty()) {
-    Frame& top = stack.back();
-    const CountedNode& node = tree.node(top.node);
-    if (top.next_child == node.num_children) {
-      stack.pop_back();
-      if (!stack.empty()) pending_lcp = stack.back().depth;
-      continue;
-    }
-    uint32_t c = node.children_begin + top.next_child;
-    ++top.next_child;
-    const CountedNode& child = tree.node(c);
-    if (child.IsLeaf()) {
-      if (!first_leaf) out.lcp.push_back(pending_lcp);
-      out.sa.push_back(child.leaf_id());
-      first_leaf = false;
-      pending_lcp = top.depth;
-    } else {
-      stack.push_back({c, top.depth + child.edge_len, 0});
-    }
-  }
-  return out;
-}
-
 SaLcp TreeToSaLcp(const ServedSubTree& tree) {
   SaLcp out;
   if (tree.size() == 0) return out;
 
-  // Mirrors the CountedTree overload through the NodeView cursor, so the
-  // traversal never materializes CountedNode records.
+  // Same traversal as the linked overload, through the NodeView cursor:
+  // `next_child` is an index into the contiguous child block instead of a
+  // sibling pointer, and no TreeNode is materialized.
   struct Frame {
     uint32_t node;
     uint64_t depth;       // string depth at this node
@@ -139,14 +95,6 @@ SaLcp TreeToSaLcp(const ServedSubTree& tree) {
 }
 
 uint64_t CountLeaves(const TreeBuffer& tree) {
-  uint64_t n = 0;
-  for (uint32_t i = 0; i < tree.size(); ++i) {
-    if (tree.node(i).IsLeaf()) ++n;
-  }
-  return n;
-}
-
-uint64_t CountLeaves(const CountedTree& tree) {
   uint64_t n = 0;
   for (uint32_t i = 0; i < tree.size(); ++i) {
     if (tree.node(i).IsLeaf()) ++n;

@@ -29,16 +29,13 @@ struct SaLcp {
 /// lexicographically ordered (all builders guarantee this; the validator
 /// checks it).
 SaLcp TreeToSaLcp(const TreeBuffer& tree);
-SaLcp TreeToSaLcp(const CountedTree& tree);
 /// Serving-form overload: walks the NodeView cursor API directly, so
 /// compressed trees are checked without inflating.
 SaLcp TreeToSaLcp(const ServedSubTree& tree);
 
-/// Leaf count of the tree (number of suffixes indexed). Both overloads scan
-/// the node array (the CountedTree one deliberately ignores the stored
-/// subtree counts so it can cross-check them).
+/// Leaf count of the tree (number of suffixes indexed), by a scan of the
+/// node array.
 uint64_t CountLeaves(const TreeBuffer& tree);
-uint64_t CountLeaves(const CountedTree& tree);
 
 }  // namespace era
 

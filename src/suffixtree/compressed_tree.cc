@@ -64,26 +64,72 @@ uint64_t PackedSections::PayloadBytes() const {
          internal_records + leaf_records + restarts + leaf_stream;
 }
 
-StatusOr<std::string> ServedSubTree::EncodePayload(const CountedTree& tree) {
+StatusOr<std::string> ServedSubTree::EncodePayload(const TreeBuffer& tree) {
   const uint32_t n = tree.size();
-  if (n == 0 || tree.node(0).IsLeaf()) {
+  if (n == 0) return Status::Corruption("cannot encode an empty tree");
+  const TreeNode& root = tree.node(0);
+  if (root.first_child == kNilNode) {
+    // A sub-tree that indexes no suffix is never written, so fail loudly
+    // instead of encoding it.
+    if (!root.IsLeaf()) return Status::Corruption("childless internal node");
+    if (n != 1) return Status::Corruption("orphan nodes in linked tree");
     return Status::Internal("packed sub-tree needs an internal root");
   }
   PackedHeader h;
   h.leaf_restart_interval = kLeafRestartInterval;
+  h.max_edge_start = root.edge_start;
+  h.max_edge_len = root.edge_len;
 
-  // Pass 1: leaf bits, per-field maxima (internal and leaf records apart),
-  // the shared leaf edge end, the leaf-id stream source, and the set of
-  // first symbols.
+  // Slot placement, depth-first: popping a node gives its children one
+  // contiguous block at the tail, then descends into the first child, so
+  // the strict descendants of every node occupy one contiguous slot range
+  // starting at its children_begin (the layout the file comment describes).
+  // Sibling order — lexicographic, as every builder keeps it — is the block
+  // order. Per slot the encoder keeps the node id, children_begin (0 for a
+  // leaf: every block starts past slot 0), the child count and the subtree
+  // leaf count, 16 bytes in all; it reads each node's own fields only while
+  // placing it and while packing it. Placing a child also gathers its leaf
+  // bit, its first symbol and the per-field edge maxima (internal and leaf
+  // records apart).
+  std::vector<uint32_t> node_of(n);
+  std::vector<uint32_t> children_begin(n, 0);
+  std::vector<uint32_t> num_children(n, 0);
+  std::vector<uint32_t> count(n, 1);
   std::vector<uint64_t> leaf_bits(LeafBitsWords(n), 0);
-  std::vector<uint64_t> leaves_by_rank;
+  std::vector<char> placed(n, 0);  // by node id: rejects cycles and DAGs
+  std::vector<uint32_t> stack;     // internal slots whose children are unplaced
   bool used[256] = {};
-  for (uint32_t i = 0; i < n; ++i) {
-    const CountedNode& u = tree.node(i);
-    if (i != 0) used[u.first_symbol] = true;
-    if (u.IsLeaf()) {
-      const uint64_t end = u.edge_start + u.edge_len;
-      if (leaves_by_rank.empty()) {
+  auto is_leaf_slot = [&leaf_bits](uint32_t slot) {
+    return ((leaf_bits[slot / kSlotsPerWord] >> (slot % kSlotsPerWord)) & 1) !=
+           0;
+  };
+  node_of[0] = 0;
+  placed[0] = 1;
+  stack.push_back(0);
+  uint32_t next_slot = 1;
+  while (!stack.empty()) {
+    const uint32_t slot = stack.back();
+    stack.pop_back();
+    const uint32_t block_begin = next_slot;
+    for (uint32_t c = tree.node(node_of[slot]).first_child; c != kNilNode;
+         c = tree.node(c).next_sibling) {
+      if (c >= n) return Status::Corruption("child id out of range");
+      if (placed[c]) {
+        return Status::Corruption("linked structure is not a tree");
+      }
+      placed[c] = 1;
+      const uint32_t child_slot = next_slot++;
+      node_of[child_slot] = c;
+      const TreeNode& child = tree.node(c);
+      used[child.first_symbol] = true;
+      if (child.first_child != kNilNode) {
+        h.max_edge_start = std::max(h.max_edge_start, child.edge_start);
+        h.max_edge_len = std::max(h.max_edge_len, child.edge_len);
+        continue;
+      }
+      if (!child.IsLeaf()) return Status::Corruption("childless internal node");
+      const uint64_t end = child.edge_start + child.edge_len;
+      if (h.leaf_count++ == 0) {
         h.leaf_edge_end = end;
       } else if (end != h.leaf_edge_end) {
         return Status::Internal(
@@ -91,18 +137,31 @@ StatusOr<std::string> ServedSubTree::EncodePayload(const CountedTree& tree) {
             std::to_string(h.leaf_edge_end) + " and " + std::to_string(end) +
             "; the packed format stores one leaf edge end");
       }
-      leaf_bits[i / kSlotsPerWord] |= 1ull << (i % kSlotsPerWord);
-      leaves_by_rank.push_back(u.leaf_id());
-      h.max_leaf_edge_start = std::max(h.max_leaf_edge_start, u.edge_start);
-      continue;
+      leaf_bits[child_slot / kSlotsPerWord] |= 1ull
+                                              << (child_slot % kSlotsPerWord);
+      h.max_leaf_edge_start = std::max(h.max_leaf_edge_start, child.edge_start);
     }
-    h.max_edge_start = std::max(h.max_edge_start, u.edge_start);
-    h.max_edge_len = std::max(h.max_edge_len, u.edge_len);
-    h.max_count = std::max(h.max_count, u.LeafCount());
-    h.max_children_begin = std::max(h.max_children_begin, u.children_begin);
-    h.max_num_children = std::max(h.max_num_children, u.num_children);
+    children_begin[slot] = block_begin;
+    num_children[slot] = next_slot - block_begin;
+    h.max_children_begin = std::max(h.max_children_begin, block_begin);
+    h.max_num_children = std::max(h.max_num_children, num_children[slot]);
+    for (uint32_t child = next_slot; child-- > block_begin;) {
+      if (!is_leaf_slot(child)) stack.push_back(child);
+    }
   }
-  h.leaf_count = leaves_by_rank.size();
+  if (next_slot != n) return Status::Corruption("orphan nodes in linked tree");
+
+  // Reverse pass: children sit at higher slots than their parent, so one
+  // sweep resolves every subtree leaf count (at most n - 1 < 2^32).
+  for (uint32_t i = n; i-- > 0;) {
+    if (children_begin[i] == 0) continue;
+    uint32_t leaves = 0;
+    for (uint32_t c = 0; c < num_children[i]; ++c) {
+      leaves += count[children_begin[i] + c];
+    }
+    count[i] = leaves;
+    h.max_count = std::max<uint64_t>(h.max_count, leaves);
+  }
   std::string symbols;
   uint8_t rank_of[256] = {};
   for (uint32_t c = 1; c < 256; ++c) {
@@ -120,42 +179,40 @@ StatusOr<std::string> ServedSubTree::EncodePayload(const CountedTree& tree) {
   h.w_children_begin = static_cast<uint8_t>(BitWidth(h.max_children_begin));
   h.w_num_children = static_cast<uint8_t>(BitWidth(h.max_num_children));
 
-  // Pass 2: bit-pack the per-slot symbol ranks and the two record arrays.
+  // Forward pass: bit-pack the per-slot symbol ranks and the two record
+  // arrays, and stream the leaf ids in slot order — restart array plus
+  // delta/varint blocks.
   BitWriter ranks;
   BitWriter internals;
   BitWriter leaves;
+  std::string leaf_stream;
+  std::vector<uint64_t> restarts;
+  uint64_t leaf_rank = 0;
+  uint64_t prev = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    const CountedNode& u = tree.node(i);
+    const TreeNode& u = tree.node(node_of[i]);
     ranks.Put(i == 0 ? 0 : rank_of[u.first_symbol], h.w_symbol_rank);
-    if (u.IsLeaf()) {
+    if (children_begin[i] == 0) {
       leaves.Put(u.edge_start, h.w_leaf_edge_start);
+      if (leaf_rank++ % kLeafRestartInterval == 0) {
+        restarts.push_back(leaf_stream.size());
+        PutVarint64(&leaf_stream, u.leaf_id);
+      } else {
+        PutVarint64(&leaf_stream,
+                    ZigZagEncode(static_cast<int64_t>(u.leaf_id - prev)));
+      }
+      prev = u.leaf_id;
       continue;
     }
     internals.Put(u.edge_start, h.w_edge_start);
     internals.Put(u.edge_len, h.w_edge_len);
-    internals.Put(u.LeafCount(), h.w_count);
-    internals.Put(u.children_begin, h.w_children_begin);
-    internals.Put(u.num_children, h.w_num_children);
+    internals.Put(count[i], h.w_count);
+    internals.Put(children_begin[i], h.w_children_begin);
+    internals.Put(num_children[i], h.w_num_children);
   }
   ranks.Finish();
   internals.Finish();
   leaves.Finish();
-
-  // Pass 3: restart array + delta/varint leaf stream in slot order.
-  std::string leaf_stream;
-  std::vector<uint64_t> restarts;
-  uint64_t prev = 0;
-  for (uint64_t r = 0; r < leaves_by_rank.size(); ++r) {
-    const uint64_t v = leaves_by_rank[r];
-    if (r % kLeafRestartInterval == 0) {
-      restarts.push_back(leaf_stream.size());
-      PutVarint64(&leaf_stream, v);
-    } else {
-      PutVarint64(&leaf_stream,
-                  ZigZagEncode(static_cast<int64_t>(v - prev)));
-    }
-    prev = v;
-  }
   h.num_restarts = static_cast<uint32_t>(restarts.size());
   h.leaf_stream_bytes = leaf_stream.size();
 
@@ -328,13 +385,13 @@ StatusOr<ServedSubTree> ServedSubTree::FromPayload(
           static_cast<uint32_t>(internal_records.Get(bit, h.w_num_children));
       if (u.num_children == 0 || u.children_begin <= i ||
           u.children_begin > n || n - u.children_begin < u.num_children) {
-        return Status::Corruption("counted child block out of bounds");
+        return Status::Corruption("packed child block out of bounds");
       }
       if (u.count == 0) {
         return Status::Corruption("packed internal node with zero count");
       }
       if (i == 0 && edge_len != 0) {
-        return Status::Corruption("counted root has an incoming edge");
+        return Status::Corruption("packed root has an incoming edge");
       }
       block_starts[u.children_begin / kSlotsPerWord] |=
           1ull << (u.children_begin % kSlotsPerWord);
@@ -388,12 +445,15 @@ StatusOr<ServedSubTree> ServedSubTree::FromPayload(
     return Status::Corruption("packed symbol table lists an unused symbol");
   }
 
-  // Structural pass 2 (reverse): the canonical counted DFS layout — same
-  // sweep as ValidateCountedLayout, over the decoded internal records.
-  // Children live at higher slots than their parent, so walking internal
-  // ranks downward sees every child before its parent. A child block's
-  // leaf children are counted by rank, and its internal children are the
-  // consecutive internal ranks in between.
+  // Structural pass 2 (reverse): the canonical DFS layout and the stored
+  // subtree counts, over the decoded internal records. After a node's child
+  // block, the strict descendants of each internal child must follow
+  // consecutively in child order; otherwise two subtrees' slot ranges could
+  // interleave and a leaf-range decode would surface another subtree's
+  // leaves. Children live at higher slots than their parent, so walking
+  // internal ranks downward sees every child before its parent. A child
+  // block's leaf children are counted by rank, and its internal children are
+  // the consecutive internal ranks in between.
   for (uint64_t k = internals.size(); k-- > 0;) {
     Internal& u = internals[k];
     const uint32_t block_end = u.children_begin + u.num_children;
@@ -416,7 +476,7 @@ StatusOr<ServedSubTree> ServedSubTree::FromPayload(
     }
     // Each child's span is at most n, so the sum cannot overflow first.
     if (subtree_nodes > n) {
-      return Status::Corruption("unreachable nodes in counted tree");
+      return Status::Corruption("unreachable nodes in packed tree");
     }
     if (leaves != u.count) {
       return Status::Corruption("inconsistent subtree leaf count");
@@ -424,7 +484,7 @@ StatusOr<ServedSubTree> ServedSubTree::FromPayload(
     u.span = static_cast<uint32_t>(subtree_nodes);
   }
   if (internals[0].span != n) {
-    return Status::Corruption("unreachable nodes in counted tree");
+    return Status::Corruption("unreachable nodes in packed tree");
   }
 
   // Leaf-stream pass: decode exactly leaf_count values, checking every
@@ -565,22 +625,30 @@ Status ServedSubTree::DecodeLeafRange(uint64_t rank_begin, uint64_t count,
   return Status::OK();
 }
 
-StatusOr<CountedTree> ServedSubTree::Inflate() const {
+TreeBuffer ServedSubTree::Inflate() const {
   std::vector<uint64_t> leaves;
   leaves.reserve(header_.leaf_count);
-  ERA_RETURN_NOT_OK(DecodeLeafRange(0, header_.leaf_count, nullptr,
-                                    static_cast<std::size_t>(-1), &leaves));
-  CountedTree out;
-  out.mutable_nodes().resize(node_count_);
+  // Without a context the decode has nothing to fail on.
+  (void)DecodeLeafRange(0, header_.leaf_count, nullptr,
+                        static_cast<std::size_t>(-1), &leaves);
+  TreeBuffer out;
+  std::vector<TreeNode>& nodes = out.mutable_nodes();
+  nodes.resize(node_count_);
   for (uint32_t i = 0; i < node_count_; ++i) {
     const NodeView v = node(i);
-    CountedNode& dst = out.mutable_nodes()[i];
+    TreeNode& dst = nodes[i];
     dst.edge_start = v.edge_start;
     dst.edge_len = v.edge_len;
-    dst.children_begin = v.children_begin;
-    dst.num_children = v.num_children;
     dst.first_symbol = v.first_symbol;
-    dst.leaf_or_count = v.IsLeaf() ? leaves[v.leaf_ref] : v.count;
+    if (v.IsLeaf()) {
+      dst.leaf_id = leaves[v.leaf_ref];
+      continue;
+    }
+    // FromPayload proved the block in bounds and after slot i.
+    dst.first_child = v.children_begin;
+    for (uint32_t c = 0; c + 1 < v.num_children; ++c) {
+      nodes[v.children_begin + c].next_sibling = v.children_begin + c + 1;
+    }
   }
   return out;
 }

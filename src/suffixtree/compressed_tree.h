@@ -1,6 +1,6 @@
 // Format-v4 compressed sub-tree, the only sub-tree format: ServedSubTree
-// is the serving form, cached and walked without inflating back to
-// CountedNode.
+// is the serving form, cached and walked without inflating back to a
+// TreeBuffer.
 //
 // On-disk payload (after the shared 32-byte file header + prefix bytes):
 //
@@ -29,10 +29,13 @@
 // rank among leaf slots. Leaves are about 58% of the nodes of a DNA tree, so
 // this split halves the file compared with one fixed-width record per node.
 //
-// Field semantics lean on the canonical counted DFS layout (node.h): the
-// strict descendants of node u occupy one contiguous slot range starting at
-// children_begin(u), so the leaves under u are exactly the leaf slots with
-// slot-order ranks [leaf_ref(u), leaf_ref(u) + count(u)) where
+// Slots follow the canonical DFS layout EncodePayload places: node 0 is the
+// root; popping a node gives its children one contiguous block at the tail
+// (ascending by first symbol, the builders' sibling order) and descends into
+// the first child. So children_begin(u) > u, and the strict descendants of
+// node u occupy one contiguous slot range starting at children_begin(u):
+// the leaves under u are exactly the leaf slots with slot-order ranks
+// [leaf_ref(u), leaf_ref(u) + count(u)) where
 //   leaf_ref(leaf)     = number of leaf slots before it (its slot rank), and
 //   leaf_ref(internal) = number of leaf slots before children_begin(u).
 // Both are a rank over the leaf bits, answered by one uint32 sample per
@@ -47,10 +50,10 @@
 // lookup binary-searches ranks without touching the text.
 //
 // Everything here is validated once in FromPayload (widths match recorded
-// maxima, leaf-bit popcount, structural pass mirroring ValidateCountedLayout,
-// leaf-stream restarts and monotone block structure); after that
-// node()/LeafId() are infallible and DecodeLeafRange only fails on
-// cancellation.
+// maxima, leaf-bit popcount, a structural pass that proves the canonical
+// DFS layout and the stored subtree counts, leaf-stream restarts and
+// monotone block structure); after that node()/LeafId() are infallible and
+// DecodeLeafRange only fails on cancellation.
 
 #ifndef ERA_SUFFIXTREE_COMPRESSED_TREE_H_
 #define ERA_SUFFIXTREE_COMPRESSED_TREE_H_
@@ -110,8 +113,8 @@ struct PackedSections {
   uint64_t PayloadBytes() const;
 };
 
-/// Decoded view of one packed node. Mirrors CountedNode plus the leaf
-/// reference; cheap to return by value.
+/// Decoded view of one packed node: its record plus the leaf reference;
+/// cheap to return by value.
 struct NodeView {
   uint64_t edge_start = 0;
   uint64_t count = 0;     // leaves in this node's subtree (1 for a leaf)
@@ -141,10 +144,13 @@ class ServedSubTree {
   ServedSubTree(ServedSubTree&&) = default;
   ServedSubTree& operator=(ServedSubTree&&) = default;
 
-  /// Encodes `tree` (canonical counted layout; caller has validated it) into
-  /// a v4 payload. Deterministic: same tree, same bytes. Internal when two
-  /// leaf edges end at different offsets, which v4 cannot represent.
-  static StatusOr<std::string> EncodePayload(const CountedTree& tree);
+  /// Places `tree`'s nodes in the canonical DFS slot layout and encodes
+  /// them into a v4 payload; slot 0 is node 0. Deterministic: same tree,
+  /// same bytes. Corruption when the linked structure is not a tree rooted
+  /// at node 0 (a cycle, a node reached twice, an orphan, a childless
+  /// internal node); Internal for a leaf root, or when two leaf edges end at
+  /// different offsets, which v4 cannot represent.
+  static StatusOr<std::string> EncodePayload(const TreeBuffer& tree);
 
   /// Parses + fully validates a payload of `node_count` nodes. Returns
   /// Corruption on any structural or size inconsistency. Takes the payload
@@ -206,10 +212,11 @@ class ServedSubTree {
                            std::vector<uint64_t>* buffer,
                            std::vector<LeafSlice>* slices) const;
 
-  /// Exact reconstruction of the counted form this payload was encoded from
-  /// (byte-identical nodes). Used by consumers that need CountedNode — the
-  /// validator and the TRELLIS merge (via ReadSubTree).
-  StatusOr<CountedTree> Inflate() const;
+  /// Rebuilds the linked form: slot i becomes node i and each child block a
+  /// sibling chain, so re-encoding it gives the same payload. Used by
+  /// consumers that walk TreeNodes — the validator and the TRELLIS merge
+  /// (via ReadSubTree).
+  TreeBuffer Inflate() const;
 
  private:
   uint64_t LeafBitsWord(uint64_t w) const;

@@ -48,15 +48,14 @@ Status CheckHeader(const Header& header, uint64_t file_size,
 Status WriteSubTree(Env* env, const std::string& path,
                     const std::string& prefix, const TreeBuffer& tree,
                     IoStats* stats, uint32_t* file_crc) {
-  ERA_ASSIGN_OR_RETURN(CountedTree counted, BuildCountedTree(tree));
   ERA_ASSIGN_OR_RETURN(const std::string payload,
-                       ServedSubTree::EncodePayload(counted));
+                       ServedSubTree::EncodePayload(tree));
 
   Header header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kVersionPacked;
   header.prefix_len = static_cast<uint32_t>(prefix.size());
-  header.node_count = counted.size();
+  header.node_count = tree.size();
   header.reserved = 0;
   header.crc = Crc32c(payload.data(), payload.size(),
                       Crc32c(prefix.data(), prefix.size()));
@@ -128,8 +127,7 @@ Status ReadSubTree(Env* env, const std::string& path, TreeBuffer* tree,
                    std::string* prefix_out, IoStats* stats) {
   ServedSubTree served;
   ERA_RETURN_NOT_OK(ReadServedSubTree(env, path, &served, prefix_out, stats));
-  ERA_ASSIGN_OR_RETURN(CountedTree counted, served.Inflate());
-  ERA_ASSIGN_OR_RETURN(*tree, LinkedFromCounted(counted));
+  *tree = served.Inflate();
   return Status::OK();
 }
 
@@ -165,7 +163,7 @@ StatusOr<SubTreeFileInfo> InspectSubTreeFile(Env* env,
   info.payload_bytes = info.file_bytes - sizeof(header) - header.prefix_len;
   info.serving_bytes =
       ServedSubTree::ServingBytes(info.payload_bytes, header.node_count);
-  info.inflated_bytes = header.node_count * sizeof(CountedNode);
+  info.inflated_bytes = header.node_count * sizeof(TreeNode);
   info.internal_record_bytes = sections.internal_records;
   info.leaf_record_bytes = sections.leaf_records;
   return info;

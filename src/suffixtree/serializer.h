@@ -5,9 +5,9 @@
 // it.
 //
 // Version 4 is the only version read. Files whose header says version 1
-// (the linked TreeNode array), 2 (the 32-byte CountedNode array) or 3 (one
-// fixed-width record per node) fail to read with NotSupported: rebuild the
-// index.
+// (the linked TreeNode array), 2 (a 32-byte array of contiguous-child-block
+// records) or 3 (one fixed-width record per node) fail to read with
+// NotSupported: rebuild the index.
 //
 // ReadServedSubTree is the serving path (the payload stays compressed);
 // ReadSubTree inflates to the linked form for consumers that operate on it
@@ -26,20 +26,21 @@
 
 namespace era {
 
-/// Writes `tree` for S-prefix `prefix` to `path` (converting to the counted
-/// layout, then bit-packing it). The file is published atomically and
-/// durably (temp + Sync + rename): a crash mid-write never leaves a readable
-/// torn file at `path`. Billed to `stats` if given. `file_crc` (optional)
-/// receives the CRC-32C of the complete file as written — the checksum the
-/// build checkpoint records.
+/// Writes `tree` for S-prefix `prefix` to `path`, bit-packed straight from
+/// the linked form by ServedSubTree::EncodePayload, which also rejects a
+/// `tree` that is not a tree rooted at node 0 (no file is left then). The
+/// file is published atomically and durably (temp + Sync + rename): a crash
+/// mid-write never leaves a readable torn file at `path`. Billed to `stats`
+/// if given. `file_crc` (optional) receives the CRC-32C of the complete file
+/// as written — the checksum the build checkpoint records.
 Status WriteSubTree(Env* env, const std::string& path,
                     const std::string& prefix, const TreeBuffer& tree,
                     IoStats* stats, uint32_t* file_crc = nullptr);
 
 /// Reads a sub-tree into the serving form TreeIndex caches: the payload
-/// stays compressed (no CountedNode inflation — the cache charges the
-/// packed size) and is fully structure-validated before any query walks
-/// it. Verifies magic, version and CRC. Reads the file with one device
+/// stays compressed (no TreeNode inflation — the cache charges the packed
+/// size) and is fully structure-validated before any query walks it.
+/// Verifies magic, version and CRC. Reads the file with one device
 /// request. `prefix_out` may be nullptr.
 Status ReadServedSubTree(Env* env, const std::string& path,
                          ServedSubTree* tree, std::string* prefix_out,
@@ -58,7 +59,7 @@ struct SubTreeFileInfo {
   uint64_t file_bytes = 0;      // total on-disk size
   uint64_t payload_bytes = 0;   // file minus header and prefix
   uint64_t serving_bytes = 0;   // resident size when cached (blob + ranks)
-  uint64_t inflated_bytes = 0;  // node_count * sizeof(CountedNode)
+  uint64_t inflated_bytes = 0;  // node_count * sizeof(TreeNode)
   uint64_t internal_record_bytes = 0;  // packed internal-node records
   uint64_t leaf_record_bytes = 0;      // packed leaf records
 };

@@ -7,7 +7,7 @@
 // The reading side serves sub-trees through one byte-budgeted LRU cache of
 // ServedSubTree values: files stay in their compressed form (the cache
 // charges the packed size, which is what fits about 4.5x more sub-trees in
-// the same budget than 32-byte counted records would). Lookups and inserts
+// the same budget than 32-byte TreeNodes would). Lookups and inserts
 // hold one mutex briefly, loads run outside it, and entries are handed out
 // as shared_ptr so an eviction never invalidates a tree an in-flight query
 // is still walking. Pattern-to-sub-tree routing goes through a flat k-mer

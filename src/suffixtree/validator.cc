@@ -151,24 +151,13 @@ Status ValidateSubTree(const TreeBuffer& tree, const std::string& text,
   return Status::OK();
 }
 
-Status ValidateSubTree(const CountedTree& tree, const std::string& text,
-                       const std::string& prefix) {
-  // Counted-only invariants first (stored counts, acyclic child blocks,
-  // canonical DFS descendant contiguity — the leaf-range contract, which
-  // the packed decoder also checks at load); then the full structural/
-  // semantic suite over the identical node mapping in linked form.
-  ERA_RETURN_NOT_OK(ValidateCountedLayout(tree));
-  ERA_ASSIGN_OR_RETURN(TreeBuffer linked, LinkedFromCounted(tree));
-  return ValidateSubTree(linked, text, prefix);
-}
-
 Status ValidateSubTree(const ServedSubTree& tree, const std::string& text,
                        const std::string& prefix) {
-  ERA_ASSIGN_OR_RETURN(CountedTree counted, tree.Inflate());
-  ERA_RETURN_NOT_OK(ValidateSubTree(counted, text, prefix));
+  const TreeBuffer linked = tree.Inflate();
+  ERA_RETURN_NOT_OK(ValidateSubTree(linked, text, prefix));
   // The cursor walk over the serving form (bit-packed field decode + lazy
-  // leaf-slot ranges) must agree with the inflated counted layout.
-  if (TreeToSaLcp(tree) != TreeToSaLcp(counted)) {
+  // leaf-slot ranges) must agree with the inflated linked tree.
+  if (TreeToSaLcp(tree) != TreeToSaLcp(linked)) {
     return Status::Corruption(
         "compressed cursor walk disagrees with inflated tree");
   }

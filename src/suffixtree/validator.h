@@ -28,19 +28,14 @@ namespace era {
 Status ValidateSubTree(const TreeBuffer& tree, const std::string& text,
                        const std::string& prefix);
 
-/// Counted-layout overload: converts to the linked form and applies every
-/// check above, then verifies the counted-only invariants — stored subtree
-/// leaf counts, child blocks strictly after their parent, and the DFS block
-/// layout (the linear descendant scan yields exactly the DFS leaf set).
-Status ValidateSubTree(const CountedTree& tree, const std::string& text,
-                       const std::string& prefix);
-
-/// Serving-form overload. The bit-packed invariants — header widths minimal
-/// for the recorded maxima, leaf-stream restart offsets and delta decode,
-/// stored subtree counts — were already enforced when the payload was
-/// decoded; this additionally inflates to the counted form, runs every
-/// check above on it, and cross-checks that the compressed cursor walk
-/// yields the identical canonical (SA, LCP).
+/// Serving-form overload. The packed invariants — header widths minimal for
+/// the recorded maxima, leaf-stream restart offsets and delta decode, stored
+/// subtree counts, child blocks strictly after their parent and the DFS
+/// block layout (a node's leaf range is exactly its DFS leaf set) — were
+/// already enforced when the payload was decoded; this additionally
+/// inflates to the linked form, runs every check above on it, and
+/// cross-checks that the compressed cursor walk yields the identical
+/// canonical (SA, LCP).
 Status ValidateSubTree(const ServedSubTree& tree, const std::string& text,
                        const std::string& prefix);
 

@@ -240,7 +240,12 @@ int CmdBuild(const std::vector<std::string>& args) {
       << 20;
   unsigned threads = static_cast<unsigned>(
       std::strtoul(FlagValue(args, "--threads", "1").c_str(), nullptr, 10));
-  std::string algorithm = FlagValue(args, "--algorithm", "era");
+  const std::string algorithm = FlagValue(args, "--algorithm", "era");
+  if (algorithm != "era" && algorithm != "wavefront") {
+    Fail(Status::InvalidArgument("unknown --algorithm " + algorithm +
+                                 " (expected era or wavefront)"));
+    return Usage();
+  }
   uint64_t cache_budget_mb = std::strtoull(
       FlagValue(args, "--cache-budget", "0").c_str(), nullptr, 10);
   const bool tile_cache = !HasFlag(args, "--no-tile-cache");

@@ -1,8 +1,10 @@
 // Codec-layer tests for the v4 compressed sub-tree format: varint/zigzag
 // round-trips, bit-packing at every width (including the 0 and 64 edges),
-// randomized fuzz against a reference model, and payload-level corruption —
-// every truncation of a valid payload and every broken format invariant
-// must decode to Corruption, never to a wrong tree.
+// randomized fuzz against a reference model, the encoder's slot placement
+// from a linked TreeBuffer (structure, counts, rejected non-trees, pinned
+// payload checksums), and payload-level corruption — every truncation of a
+// valid payload and every broken format invariant must decode to
+// Corruption, never to a wrong tree.
 
 #include <gtest/gtest.h>
 
@@ -16,11 +18,16 @@
 #include <vector>
 
 #include "common/codec.h"
+#include "common/crc32.h"
+#include "era/era_builder.h"
 #include "io/mem_env.h"
+#include "suffixtree/canonical.h"
 #include "suffixtree/compressed_tree.h"
 #include "suffixtree/serializer.h"
 #include "suffixtree/tree_buffer.h"
+#include "suffixtree/validator.h"
 #include "tests/test_util.h"
+#include "text/corpus.h"
 #include "ukkonen/ukkonen.h"
 
 namespace era {
@@ -162,16 +169,14 @@ TEST(BitPackTest, FuzzMixedWidthRecordsAgainstModel) {
   }
 }
 
-CountedTree EncodableTree(uint64_t text_bytes, uint64_t seed) {
+TreeBuffer EncodableTree(uint64_t text_bytes, uint64_t seed) {
   std::string text = testing::RandomText(Alphabet::Dna(), text_bytes, seed);
-  auto linked = BuildUkkonenTree(text);
-  EXPECT_TRUE(linked.ok());
-  auto counted = BuildCountedTree(*linked);
-  EXPECT_TRUE(counted.ok());
-  return std::move(*counted);
+  auto tree = BuildUkkonenTree(text);
+  EXPECT_TRUE(tree.ok());
+  return tree.ok() ? std::move(*tree) : TreeBuffer();
 }
 
-std::string Encode(const CountedTree& tree) {
+std::string Encode(const TreeBuffer& tree) {
   auto payload = ServedSubTree::EncodePayload(tree);
   EXPECT_TRUE(payload.ok()) << payload.status().ToString();
   return payload.ok() ? *payload : std::string();
@@ -179,36 +184,153 @@ std::string Encode(const CountedTree& tree) {
 
 TEST(CompressedPayloadTest, RoundTripsExactly) {
   for (uint64_t seed : {1u, 7u, 23u}) {
-    CountedTree tree = EncodableTree(1500, seed);
+    TreeBuffer tree = EncodableTree(1500, seed);
     std::string payload = Encode(tree);
     auto packed = ServedSubTree::FromPayload(payload, tree.size());
     ASSERT_TRUE(packed.ok()) << packed.status().ToString();
     EXPECT_EQ(packed->size(), tree.size());
-    EXPECT_EQ(packed->LeafCount(), tree.LeafCount());
+    EXPECT_EQ(packed->LeafCount(), CountLeaves(tree));
     EXPECT_EQ(packed->MemoryBytes(),
               ServedSubTree::ServingBytes(payload.size(), tree.size()) +
                   sizeof(ServedSubTree));
     // Deterministic encoding: same tree, same bytes.
     EXPECT_EQ(Encode(tree), payload);
 
-    auto inflated = packed->Inflate();
-    ASSERT_TRUE(inflated.ok());
-    ASSERT_EQ(inflated->size(), tree.size());
-    for (uint32_t i = 0; i < tree.size(); ++i) {
-      const CountedNode& a = tree.node(i);
-      const CountedNode& b = inflated->node(i);
-      EXPECT_EQ(a.edge_start, b.edge_start);
-      EXPECT_EQ(a.leaf_or_count, b.leaf_or_count);
-      EXPECT_EQ(a.edge_len, b.edge_len);
-      EXPECT_EQ(a.children_begin, b.children_begin);
-      EXPECT_EQ(a.num_children, b.num_children);
-      EXPECT_EQ(a.first_symbol, b.first_symbol);
+    // Slot i inflates to node i with its child block as a sibling chain, so
+    // the inflated tree re-encodes to the same bytes.
+    const TreeBuffer inflated = packed->Inflate();
+    ASSERT_EQ(inflated.size(), tree.size());
+    EXPECT_EQ(Encode(inflated), payload);
+    EXPECT_EQ(TreeToSaLcp(inflated), TreeToSaLcp(tree));
+    for (uint32_t i = 0; i < inflated.size(); ++i) {
+      const NodeView v = packed->node(i);
+      const TreeNode& u = inflated.node(i);
+      EXPECT_EQ(u.edge_start, v.edge_start);
+      EXPECT_EQ(u.edge_len, v.edge_len);
+      EXPECT_EQ(u.first_symbol, v.first_symbol);
+      EXPECT_EQ(u.IsLeaf(), v.IsLeaf());
+      if (v.IsLeaf()) {
+        EXPECT_EQ(u.leaf_id, packed->LeafId(v.leaf_ref));
+      } else {
+        EXPECT_EQ(u.first_child, v.children_begin);
+        EXPECT_EQ(inflated.CountChildren(i), v.num_children);
+      }
     }
   }
 }
 
+TEST(CompressedPayloadTest, EncodingKeepsStructureAndCounts) {
+  std::string text = testing::RepetitiveText(Alphabet::Dna(), 600, 9);
+  auto tree = BuildUkkonenTree(text);
+  ASSERT_TRUE(tree.ok());
+  const std::string payload = Encode(*tree);
+  auto served = ServedSubTree::FromPayload(payload, tree->size());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->size(), tree->size());
+  EXPECT_EQ(served->LeafCount(), CountLeaves(*tree));
+  // Root slot 0, no incoming edge; every internal node's child block sits
+  // strictly after it and the stored counts aggregate correctly.
+  EXPECT_EQ(served->node(0).edge_len, 0u);
+  for (uint32_t i = 0; i < served->size(); ++i) {
+    const NodeView v = served->node(i);
+    if (v.IsLeaf()) continue;
+    EXPECT_GT(v.children_begin, i);
+    uint64_t total = 0;
+    for (uint32_t c = 0; c < v.num_children; ++c) {
+      total += served->node(v.children_begin + c).count;
+    }
+    EXPECT_EQ(total, v.count);
+  }
+  EXPECT_EQ(TreeToSaLcp(*served), TreeToSaLcp(*tree));
+  const TreeBuffer inflated = served->Inflate();
+  EXPECT_EQ(TreeToSaLcp(inflated), TreeToSaLcp(*tree));
+  EXPECT_TRUE(ValidateSubTree(inflated, text, "").ok());
+  EXPECT_TRUE(ValidateSubTree(*served, text, "").ok());
+}
+
+/// Deterministic text over `alphabet` that leans on no standard-library
+/// distribution: splitmix64 symbols, with one in 16 draws copying an earlier
+/// stretch instead (repeats give deep trees). Terminal appended.
+std::string PinnedText(const Alphabet& alphabet, std::size_t body_len,
+                       uint64_t seed) {
+  uint64_t state = seed;
+  auto next = [&state] {
+    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  std::string text;
+  while (text.size() < body_len) {
+    const uint64_t r = next();
+    if (text.size() > 64 && r % 16 == 0) {
+      const std::size_t len = 8 + (r >> 8) % 48;
+      const std::size_t src = (r >> 16) % (text.size() - len);
+      text += text.substr(src, len);
+    } else {
+      text.push_back(alphabet.Symbol(static_cast<int>(r % alphabet.size())));
+    }
+  }
+  text.resize(body_len);
+  text.push_back(alphabet.terminal());
+  return text;
+}
+
+/// CRC-32C of the payload of the sub-tree file at `path` (everything after
+/// the 32-byte header and the prefix).
+uint32_t PayloadCrc(MemEnv* env, const std::string& path) {
+  std::string file;
+  EXPECT_TRUE(env->ReadFileToString(path, &file).ok());
+  uint32_t prefix_len = 0;
+  EXPECT_GE(file.size(), 32u);
+  std::memcpy(&prefix_len, file.data() + 12, sizeof(prefix_len));
+  const std::size_t payload = 32 + prefix_len;
+  EXPECT_LE(payload, file.size());
+  return Crc32c(file.data() + payload, file.size() - payload);
+}
+
+TEST(CompressedPayloadTest, PinnedPayloadChecksums) {
+  // The encoder's output is part of the format: a change to slot placement,
+  // widths or the leaf stream shows up here before it reaches an index.
+  // Each payload is written through WriteSubTree, so the check reads the
+  // same bytes whatever the in-memory path to them.
+  MemEnv env;
+  const struct {
+    const char* name;
+    Alphabet alphabet;
+    uint32_t crc;
+  } texts[] = {{"dna", Alphabet::Dna(), 1261016518u},
+               {"protein", Alphabet::Protein(), 3894615662u},
+               {"english", Alphabet::English(), 2229760900u}};
+  for (const auto& t : texts) {
+    auto tree = BuildUkkonenTree(PinnedText(t.alphabet, 2048, 11));
+    ASSERT_TRUE(tree.ok()) << t.name;
+    const std::string path = std::string("/") + t.name;
+    ASSERT_TRUE(WriteSubTree(&env, path, "", *tree, nullptr).ok()) << t.name;
+    EXPECT_EQ(PayloadCrc(&env, path), t.crc) << t.name;
+  }
+
+  // One sub-tree of an ERA build: the builder's node order and a non-empty
+  // prefix.
+  const std::string text = PinnedText(Alphabet::Dna(), 4096, 12);
+  auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
+  ASSERT_TRUE(info.ok());
+  BuildOptions options;
+  options.env = &env;
+  options.work_dir = "/idx";
+  options.memory_budget = 256 << 10;
+  options.input_buffer_bytes = 4096;
+  auto result = EraBuilder(options).Build(*info);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<SubTreeEntry>& subtrees = result->index.subtrees();
+  ASSERT_GT(subtrees.size(), 1u);
+  const SubTreeEntry& entry = subtrees[subtrees.size() / 2];
+  EXPECT_EQ(entry.prefix, "G");
+  EXPECT_EQ(PayloadCrc(&env, "/idx/" + entry.filename), 2608087827u);
+}
+
 TEST(CompressedPayloadTest, EveryTruncationIsCorruption) {
-  CountedTree tree = EncodableTree(600, 5);
+  TreeBuffer tree = EncodableTree(600, 5);
   std::string payload = Encode(tree);
   ASSERT_GT(payload.size(), 80u);
   // Check every length near the structural boundaries plus a sample of the
@@ -231,7 +353,7 @@ TEST(CompressedPayloadTest, EveryTruncationIsCorruption) {
 }
 
 TEST(CompressedPayloadTest, HeaderTamperingIsCorruption) {
-  CountedTree tree = EncodableTree(600, 11);
+  TreeBuffer tree = EncodableTree(600, 11);
   std::string payload = Encode(tree);
   // Flipping any declared width breaks the w == BitWidth(max) rule or the
   // total-size equation; both must be caught.
@@ -280,13 +402,38 @@ void ExpectCorruption(const std::string& payload, uint64_t node_count,
       << packed.status().ToString();
 }
 
+/// The fields of an internal record, in record order.
+enum InternalField {
+  kEdgeStart,
+  kEdgeLen,
+  kCount,
+  kChildrenBegin,
+  kNumChildren,
+};
+
+/// Overwrites field `field` of the internal record with internal rank
+/// `rank` (the rank among internal slots).
+void PokeInternal(std::string* payload, uint64_t node_count, uint64_t rank,
+                  InternalField field, uint64_t value) {
+  const PayloadLayout layout = LayoutOf(*payload, node_count);
+  const PackedHeader& h = layout.header;
+  const uint32_t widths[] = {h.w_edge_start, h.w_edge_len, h.w_count,
+                             h.w_children_begin, h.w_num_children};
+  uint64_t bit = 0;
+  for (uint32_t w : widths) bit += w;
+  bit *= rank;
+  for (int f = 0; f < field; ++f) bit += widths[f];
+  PokeBits(payload, layout.internal_records, bit, widths[field], value);
+}
+
 TEST(CompressedPayloadTest, BrokenLeafSplitInvariantsAreCorruption) {
-  CountedTree tree = EncodableTree(600, 17);
+  TreeBuffer tree = EncodableTree(600, 17);
   const std::string payload = Encode(tree);
-  ASSERT_TRUE(ServedSubTree::FromPayload(payload, tree.size()).ok());
+  auto served = ServedSubTree::FromPayload(payload, tree.size());
+  ASSERT_TRUE(served.ok());
   const PayloadLayout layout = LayoutOf(payload, tree.size());
   uint32_t first_leaf = 0;
-  while (!tree.node(first_leaf).IsLeaf()) ++first_leaf;
+  while (!served->node(first_leaf).IsLeaf()) ++first_leaf;
 
   // One leaf bit cleared: the popcount no longer matches leaf_count.
   std::string bad = payload;
@@ -307,9 +454,7 @@ TEST(CompressedPayloadTest, BrokenLeafSplitInvariantsAreCorruption) {
 
   // The root's child block starting at slot 0 (before the root's own slot).
   bad = payload;
-  const PackedHeader& h = layout.header;
-  PokeBits(&bad, layout.internal_records,
-           h.w_edge_start + h.w_edge_len + h.w_count, h.w_children_begin, 0);
+  PokeInternal(&bad, tree.size(), 0, kChildrenBegin, 0);
   ExpectCorruption(bad, tree.size(), "child block out of bounds");
 
   // A leaf-record width one bit wider than its maximum needs.
@@ -343,8 +488,132 @@ TEST(CompressedPayloadTest, LeavesEndingApartFailWriteSubTree) {
   EXPECT_EQ(served.node(2).edge_len, 4u);
 }
 
+TEST(CompressedPayloadTest, MalformedLinkedTreesFailWriteSubTree) {
+  MemEnv env;
+  auto expect_refused = [&env](const TreeBuffer& tree, const char* what,
+                               bool internal) {
+    const Status s = WriteSubTree(&env, "/st", "", tree, nullptr);
+    EXPECT_TRUE(internal ? s.IsInternal() : s.IsCorruption())
+        << what << ": " << s.ToString();
+    EXPECT_FALSE(env.FileExists("/st")) << what;
+    EXPECT_FALSE(env.FileExists("/st.tmp")) << what;
+  };
+
+  // Cycle through first_child.
+  TreeBuffer cyclic;
+  const uint32_t a = cyclic.AddNode();
+  cyclic.node(0).first_child = a;
+  cyclic.node(a).first_child = 0;
+  expect_refused(cyclic, "cycle", false);
+
+  // One leaf linked under two parents.
+  TreeBuffer shared;
+  const uint32_t p = shared.AddNode();
+  const uint32_t q = shared.AddNode();
+  const uint32_t leaf = shared.AddNode();
+  shared.node(leaf) = TreeNode{.edge_start = 1, .leaf_id = 1, .edge_len = 1,
+                               .first_symbol = 'A'};
+  shared.AppendChildLast(0, p);
+  shared.AppendChildLast(0, q);
+  shared.node(p).first_child = leaf;
+  shared.node(q).first_child = leaf;
+  expect_refused(shared, "shared child", false);
+
+  // Childless internal node (includes the degenerate root-only arena).
+  expect_refused(TreeBuffer(), "root only", false);
+
+  // Orphan: node never linked under the root.
+  TreeBuffer orphan;
+  const uint32_t linked = orphan.AddNode();
+  orphan.node(linked).leaf_id = 0;
+  orphan.node(linked).edge_len = 1;
+  orphan.node(0).first_child = linked;
+  orphan.AddNode();  // never linked
+  expect_refused(orphan, "orphan", false);
+
+  // A leaf root indexes one suffix with no edge: v4 cannot hold it.
+  TreeBuffer leaf_root;
+  leaf_root.node(0).leaf_id = 0;
+  expect_refused(leaf_root, "leaf root", true);
+}
+
+/// A hand-made tree for layout tampering: `children[u]` lists node u's
+/// children (node 0 is the root); a node without children is a leaf. Edges
+/// carry only what the encoder needs: ascending first symbols in each child
+/// block and one leaf edge end (100). Listing nodes in the canonical DFS
+/// slot order makes node ids equal slots.
+TreeBuffer ShapedTree(const std::vector<std::vector<uint32_t>>& children) {
+  TreeBuffer tree;
+  for (std::size_t i = 1; i < children.size(); ++i) tree.AddNode();
+  uint64_t leaf_id = 0;
+  for (uint32_t u = 0; u < children.size(); ++u) {
+    char symbol = 'A';
+    for (uint32_t c : children[u]) {
+      TreeNode& child = tree.node(c);
+      child.first_symbol = static_cast<uint8_t>(symbol++);
+      child.edge_start = c;
+      child.edge_len = children[c].empty() ? 100 - c : 1;
+      if (children[c].empty()) child.leaf_id = leaf_id++;
+      tree.AppendChildLast(u, c);
+    }
+  }
+  return tree;
+}
+
+TEST(CompressedPayloadTest, NonCanonicalBlockLayoutsAreCorruption) {
+  // Every count and bound below stays plausible record by record; only the
+  // canonical DFS layout check can tell. Without it a node's contiguous
+  // leaf range could surface another subtree's leaves.
+  //
+  //   slot 0 root  -> 1 P, 2 Q      internal ranks: root 0, P 1, Q 2, R 3
+  //   slot 1 P     -> 3 x, 4 R      children_begin: root 1, P 3, Q 7, R 5
+  //   slot 4 R     -> 5, 6
+  //   slot 2 Q     -> 7, 8
+  const TreeBuffer tree =
+      ShapedTree({{1, 2}, {3, 4}, {7, 8}, {}, {5, 6}, {}, {}, {}, {}});
+  const std::string payload = Encode(tree);
+  auto served = ServedSubTree::FromPayload(payload, tree.size());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->node(1).children_begin, 3u);
+  ASSERT_EQ(served->node(2).children_begin, 7u);
+  ASSERT_EQ(served->node(4).children_begin, 5u);
+
+  // Q's and R's blocks swapped: Q's leaves sit inside P's range, so P's and
+  // Q's descendants interleave.
+  std::string bad = payload;
+  PokeInternal(&bad, tree.size(), 2, kChildrenBegin, 5);
+  PokeInternal(&bad, tree.size(), 3, kChildrenBegin, 7);
+  ExpectCorruption(bad, tree.size(), "descendant blocks are not contiguous");
+
+  // P's and Q's blocks swapped: Q now claims x and R, three leaves against
+  // its stored count of two.
+  bad = payload;
+  PokeInternal(&bad, tree.size(), 1, kChildrenBegin, 7);
+  PokeInternal(&bad, tree.size(), 2, kChildrenBegin, 3);
+  ExpectCorruption(bad, tree.size(), "inconsistent subtree leaf count");
+
+  // A stored count alone off by one.
+  bad = payload;
+  PokeInternal(&bad, tree.size(), 3, kCount, 3);
+  ExpectCorruption(bad, tree.size(), "inconsistent subtree leaf count");
+
+  // slot 0 root -> 1 L, 2 A;  slot 2 A -> 3, 4. The root drops A from its
+  // block and counts only L, and the header's count maximum follows (2 and
+  // 3 need the same width): every record is consistent, but A's subtree is
+  // reached from nowhere.
+  const TreeBuffer small = ShapedTree({{1, 2}, {}, {3, 4}, {}, {}});
+  bad = Encode(small);
+  ASSERT_TRUE(ServedSubTree::FromPayload(bad, small.size()).ok());
+  PokeInternal(&bad, small.size(), 0, kNumChildren, 1);
+  PokeInternal(&bad, small.size(), 0, kCount, 1);
+  const uint64_t max_count = 2;
+  std::memcpy(bad.data() + offsetof(PackedHeader, max_count), &max_count,
+              sizeof(max_count));
+  ExpectCorruption(bad, small.size(), "unreachable nodes");
+}
+
 TEST(CompressedPayloadTest, LazyLeafRangesMatchFullDecode) {
-  CountedTree tree = EncodableTree(2000, 13);
+  TreeBuffer tree = EncodableTree(2000, 13);
   std::string payload = Encode(tree);
   auto packed = ServedSubTree::FromPayload(std::move(payload), tree.size());
   ASSERT_TRUE(packed.ok());

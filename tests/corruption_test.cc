@@ -115,24 +115,21 @@ TEST(CorruptionTest, DamagedStoredFirstSymbolIsCorruption) {
   ServedSubTree served;
   std::string prefix;
   ASSERT_TRUE(ReadServedSubTree(&env, path, &served, &prefix, nullptr).ok());
-  auto clean = served.Inflate();
-  ASSERT_TRUE(clean.ok());
-  uint32_t victim = 0;  // second child of the first branching node
-  for (uint32_t i = 0; i < clean->size() && victim == 0; ++i) {
-    if (clean->node(i).num_children >= 2) {
-      victim = clean->node(i).children_begin + 1;
-    }
+  const TreeBuffer clean = served.Inflate();
+  uint32_t left = kNilNode;  // first child of the first branching node
+  for (uint32_t i = 0; i < clean.size() && left == kNilNode; ++i) {
+    if (clean.CountChildren(i) >= 2) left = clean.node(i).first_child;
   }
-  ASSERT_NE(victim, 0u);
+  ASSERT_NE(left, kNilNode);
+  const uint32_t victim = clean.node(left).next_sibling;
   std::string file;
   ASSERT_TRUE(env.ReadFileToString(path, &file).ok());
   const std::size_t payload_offset = 32 + prefix.size();  // header + prefix
 
   // Duplicate the left sibling's symbol (order broken), or clear it.
-  for (uint8_t symbol : {clean->node(victim - 1).first_symbol, uint8_t{0}}) {
-    CountedTree damaged;
-    damaged.mutable_nodes() = clean->nodes();
-    damaged.mutable_nodes()[victim].first_symbol = symbol;
+  for (uint8_t symbol : {clean.node(left).first_symbol, uint8_t{0}}) {
+    TreeBuffer damaged = clean;
+    damaged.node(victim).first_symbol = symbol;
     // The clean file's header and prefix, the damaged payload, and the CRC
     // re-sealed so only the structural checks can catch it.
     auto encoded = ServedSubTree::EncodePayload(damaged);

@@ -1,8 +1,8 @@
 // Sub-tree file format: every builder emits bit-packed version-4 files that
-// validate, serve smaller than their inflated counted records, and answer
-// queries like a scan of the text. Files of retired versions (1: linked, 2:
-// counted, 3: one fixed-width record per node) are refused with
-// NotSupported: rebuild the index.
+// validate, serve smaller than the 32-byte TreeNodes they inflate to, and
+// answer queries like a scan of the text. Files of retired versions (1:
+// linked, 2: 32-byte child-block records, 3: one fixed-width record per
+// node) are refused with NotSupported: rebuild the index.
 
 #include <gtest/gtest.h>
 
@@ -102,7 +102,7 @@ TEST_P(BuilderFormatTest, EmitsPackedFilesThatValidateAndAnswerLikeTheText) {
   ASSERT_GT(index.subtrees().size(), 1u);
 
   // Every emitted file is version 4, validates, and serves smaller than the
-  // counted records it inflates to (the cache-density win of the format).
+  // TreeNodes it inflates to (the cache-density win of the format).
   for (const SubTreeEntry& entry : index.subtrees()) {
     const std::string path = index.dir() + "/" + entry.filename;
     EXPECT_EQ(FileVersion(&env, path), 4u);
@@ -112,9 +112,7 @@ TEST_P(BuilderFormatTest, EmitsPackedFilesThatValidateAndAnswerLikeTheText) {
     EXPECT_EQ(prefix, entry.prefix);
     EXPECT_EQ(served.LeafCount(), entry.frequency);
     EXPECT_TRUE(ValidateSubTree(served, text, entry.prefix).ok());
-    auto inflated = served.Inflate();
-    ASSERT_TRUE(inflated.ok());
-    EXPECT_LT(served.MemoryBytes(), inflated->MemoryBytes());
+    EXPECT_LT(served.MemoryBytes(), served.Inflate().MemoryBytes());
   }
 
   auto engine = QueryEngine::Open(&env, "/idx");
@@ -146,9 +144,7 @@ TEST(B2stFormatTest, ForestFilesRoundTripBothForms) {
     ASSERT_TRUE(ReadSubTree(&env, path, &linked, nullptr, nullptr).ok());
     ASSERT_TRUE(ReadServedSubTree(&env, path, &served, nullptr, nullptr).ok());
     EXPECT_EQ(TreeToSaLcp(linked), TreeToSaLcp(served));
-    auto counted = served.Inflate();
-    ASSERT_TRUE(counted.ok());
-    EXPECT_EQ(CountLeaves(*counted), served.LeafCount());
+    EXPECT_EQ(CountLeaves(served.Inflate()), served.LeafCount());
   }
 }
 
@@ -168,7 +164,7 @@ void ExpectNotSupported(MemEnv* env, const std::string& path) {
 }
 
 TEST(FormatCompatTest, RetiredVersionsAreNotSupported) {
-  // Version 1 (linked TreeNode array), 2 (counted CountedNode array) and 3
+  // Version 1 (linked TreeNode array), 2 (32-byte child-block records) and 3
   // (one fixed-width packed record per node) files are no longer read. A v4
   // file with only its header version patched stands in for them: the CRC
   // covers prefix and payload, not the header, so the version check is what

@@ -155,7 +155,7 @@ TEST_F(QueryEngineTest, CountNeverEnumeratesLeaves) {
     EXPECT_GT(*count, 1u) << "pattern: " << pattern;  // non-trivial subtree
   }
   QueryStats stats = engine_->stats();
-  // Count answers come from the counted layout's subtree leaf counts: zero
+  // Count answers come from the packed records' subtree leaf counts: zero
   // leaf records were materialized, and the walk visited a bounded number of
   // nodes per query (binary-search probes over |P| levels, not occ leaves).
   EXPECT_EQ(stats.leaves_enumerated, 0u);

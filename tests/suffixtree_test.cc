@@ -109,118 +109,6 @@ TEST(SerializerTest, DetectsCorruption) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
-TEST(CountedTreeTest, ConversionPreservesStructureAndCounts) {
-  std::string text = testing::RepetitiveText(Alphabet::Dna(), 600, 9);
-  auto tree = BuildUkkonenTree(text);
-  ASSERT_TRUE(tree.ok());
-
-  auto counted = BuildCountedTree(*tree);
-  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
-  EXPECT_EQ(counted->size(), tree->size());
-  EXPECT_EQ(counted->LeafCount(), CountLeaves(*tree));
-  EXPECT_EQ(TreeToSaLcp(*counted), TreeToSaLcp(*tree));
-  // Root slot 0, no incoming edge; every internal node's child block sits
-  // strictly after it and the stored counts aggregate correctly.
-  EXPECT_EQ(counted->node(0).edge_len, 0u);
-  for (uint32_t i = 0; i < counted->size(); ++i) {
-    const CountedNode& n = counted->node(i);
-    if (n.IsLeaf()) continue;
-    EXPECT_GT(n.children_begin, i);
-    uint64_t total = 0;
-    for (uint32_t c = 0; c < n.num_children; ++c) {
-      total += counted->node(n.children_begin + c).LeafCount();
-    }
-    EXPECT_EQ(total, n.leaf_or_count);
-  }
-  EXPECT_TRUE(ValidateSubTree(*counted, text, "").ok());
-
-  // Round-trip back to the linked form.
-  auto back = LinkedFromCounted(*counted);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(TreeToSaLcp(*back), TreeToSaLcp(*tree));
-  EXPECT_TRUE(ValidateSubTree(*back, text, "").ok());
-}
-
-TEST(CountedTreeTest, ConversionRejectsMalformedTrees) {
-  // Cycle through first_child.
-  TreeBuffer cyclic;
-  uint32_t a = cyclic.AddNode();
-  cyclic.node(0).first_child = a;
-  cyclic.node(a).leaf_id = kNoLeaf;
-  cyclic.node(a).first_child = 0;
-  EXPECT_FALSE(BuildCountedTree(cyclic).ok());
-
-  // Childless internal node (includes the degenerate root-only arena).
-  TreeBuffer rootonly;
-  EXPECT_FALSE(BuildCountedTree(rootonly).ok());
-
-  // Orphan: node never linked under the root.
-  TreeBuffer orphan;
-  uint32_t leaf = orphan.AddNode();
-  orphan.node(leaf).leaf_id = 0;
-  orphan.node(leaf).edge_len = 1;
-  orphan.node(0).first_child = leaf;
-  orphan.AddNode();  // never linked
-  EXPECT_FALSE(BuildCountedTree(orphan).ok());
-}
-
-TEST(CountedTreeTest, LayoutCheckRejectsInterleavedDescendantBlocks) {
-  // A counted array can pass per-node bounds and count-consistency checks
-  // while two subtrees' descendant ranges interleave — which would make a
-  // node's contiguous leaf range surface another subtree's leaves. The
-  // canonical-layout check must reject it.
-  //
-  //   slot0 root   cb=1 #2 Σ=3
-  //   slot1 inner  cb=3 #1 Σ=2      (its descendants should be 3..4)
-  //   slot2 inner  cb=4 #1 Σ=1
-  //   slot3 inner  cb=5 #2 Σ=2      (node1's grandchildren pushed to 5,6)
-  //   slot4 leaf                    (node2's leaf inside node1's range)
-  //   slot5 leaf, slot6 leaf
-  CountedTree bad;
-  auto& nodes = bad.mutable_nodes();
-  nodes.resize(7);
-  auto internal = [&](uint32_t i, uint32_t cb, uint32_t k, uint64_t count) {
-    nodes[i].children_begin = cb;
-    nodes[i].num_children = k;
-    nodes[i].leaf_or_count = count;
-    nodes[i].edge_len = i == 0 ? 0 : 1;
-  };
-  auto leaf = [&](uint32_t i, uint64_t id) {
-    nodes[i].leaf_or_count = id;
-    nodes[i].edge_len = 1;
-  };
-  internal(0, 1, 2, 3);
-  internal(1, 3, 1, 2);
-  internal(2, 4, 1, 1);
-  internal(3, 5, 2, 2);
-  leaf(4, 40);
-  leaf(5, 50);
-  leaf(6, 60);
-  Status s = ValidateCountedLayout(bad);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-
-  // Swapped (non-canonical but non-interleaved) block order is rejected
-  // too: the format pins the exact writer layout.
-  CountedTree swapped;
-  auto& sn = swapped.mutable_nodes();
-  sn.resize(7);
-  sn[0].children_begin = 1;
-  sn[0].num_children = 2;
-  sn[0].leaf_or_count = 4;
-  for (uint32_t i : {1u, 2u}) {
-    sn[i].edge_len = 1;
-    sn[i].num_children = 2;
-    sn[i].leaf_or_count = 2;
-  }
-  sn[1].children_begin = 5;  // canonical: 3
-  sn[2].children_begin = 3;  // canonical: 5
-  for (uint32_t i = 3; i < 7; ++i) {
-    sn[i].edge_len = 1;
-    sn[i].leaf_or_count = i;
-  }
-  EXPECT_TRUE(ValidateCountedLayout(swapped).IsCorruption());
-}
-
 TEST(TreeIndexCacheTest, LruEvictsWithinBudgetAndPinsInFlight) {
   MemEnv env;
   std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 31);
@@ -239,7 +127,7 @@ TEST(TreeIndexCacheTest, LruEvictsWithinBudgetAndPinsInFlight) {
     index.AddSubTree("A", CountLeaves(*tree), name);
   }
   // The budget math must use the actual serving charge (the packed blob),
-  // not the inflated counted size.
+  // not the inflated TreeNode size.
   ServedSubTree served;
   ASSERT_TRUE(ReadServedSubTree(&env, "/st_0", &served, nullptr, nullptr).ok());
   const uint64_t tree_bytes = served.MemoryBytes();
