@@ -25,7 +25,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -211,74 +210,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // ---- Registry overhead guard: serving with the metrics registry on the
-  // Count hot path must stay within 2% of the registry-free path (8
-  // threads). Three off/on pairs, each pair's two replays back to back and
-  // the arm that goes first alternating, gated on the median per-pair
-  // ratio: host drift over the run moves both arms of a pair alike instead
-  // of deciding the guard as it did between two blocks of runs. Single
-  // short replays stay noisy, so one bad pair cannot fail it either. Runs
-  // before the compression guard so the overhead figure is reported even
-  // when that trips. ----
-  auto replay_qps = [&](bool metrics_on, double* qps) -> bool {
-    QueryEngineOptions arm_options = engine_options;
-    arm_options.metrics_enabled = metrics_on;
-    auto engine = QueryEngine::Open(&env, index.dir, arm_options);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "open failed: %s\n",
-                   engine.status().ToString().c_str());
-      return false;
-    }
-    auto replay = ReplayWorkload(engine->get(), patterns, 8, workload_options);
-    if (!replay.ok()) {
-      std::fprintf(stderr, "replay failed: %s\n",
-                   replay.status().ToString().c_str());
-      return false;
-    }
-    *qps = replay->qps;
-    return true;
-  };
-  struct OverheadPair {
-    bool metrics_on_first = false;
-    double qps_metrics_off = 0;
-    double qps_metrics_on = 0;
-    double ratio = 0;  // on / off
-  };
-  std::vector<OverheadPair> pairs(3);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    OverheadPair& pair = pairs[i];
-    pair.metrics_on_first = i % 2 == 1;
-    for (bool metrics_on : {pair.metrics_on_first, !pair.metrics_on_first}) {
-      if (!replay_qps(metrics_on, metrics_on ? &pair.qps_metrics_on
-                                             : &pair.qps_metrics_off)) {
-        return 1;
-      }
-    }
-    pair.ratio = pair.qps_metrics_off > 0
-                     ? pair.qps_metrics_on / pair.qps_metrics_off
-                     : 0;
-    std::fprintf(stderr,
-                 "registry overhead pair %zu (%s first): metrics_on=%.0f qps "
-                 "vs metrics_off=%.0f qps (ratio %.3f)\n",
-                 i, pair.metrics_on_first ? "on" : "off", pair.qps_metrics_on,
-                 pair.qps_metrics_off, pair.ratio);
-  }
-  std::vector<double> ratios;
-  for (const OverheadPair& pair : pairs) ratios.push_back(pair.ratio);
-  std::sort(ratios.begin(), ratios.end());
-  const double overhead_ratio = ratios[ratios.size() / 2];
-  std::fprintf(stderr,
-               "registry overhead (8 threads, median of %zu pairs): ratio "
-               "%.3f\n",
-               pairs.size(), overhead_ratio);
-  if (overhead_ratio < 0.98) {
-    std::fprintf(stderr,
-                 "FATAL: metrics registry costs more than 2%% QPS "
-                 "(median pair ratio %.3f < 0.98)\n",
-                 overhead_ratio);
-    return 1;
-  }
-
   if (index.compression_ratio < 3.5) {
     std::fprintf(stderr,
                  "FATAL: packed sub-trees only %.2fx smaller than inflated "
@@ -322,20 +253,6 @@ int Main(int argc, char** argv) {
                static_cast<unsigned long long>(index.serving_bytes),
                static_cast<unsigned long long>(index.inflated_bytes),
                index.bytes_per_node, index.compression_ratio);
-  std::fprintf(out,
-               "  \"registry_overhead\": {\"config\": \"8 threads, %zu "
-               "interleaved off/on pairs, gated on the median pair ratio\", "
-               "\"ratio\": %.4f, \"pairs\": [",
-               pairs.size(), overhead_ratio);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const OverheadPair& pair = pairs[i];
-    std::fprintf(out,
-                 "%s{\"first\": \"%s\", \"qps_metrics_off\": %.1f, "
-                 "\"qps_metrics_on\": %.1f, \"ratio\": %.4f}",
-                 i == 0 ? "" : ", ", pair.metrics_on_first ? "on" : "off",
-                 pair.qps_metrics_off, pair.qps_metrics_on, pair.ratio);
-  }
-  std::fprintf(out, "]},\n");
   std::fprintf(out, "  \"runs\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

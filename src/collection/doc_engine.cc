@@ -15,59 +15,54 @@ StatusOr<std::unique_ptr<DocEngine>> DocEngine::Open(
       DocumentMap::Load(env, index_dir + "/" + kDocMapFilename));
   std::unique_ptr<DocEngine> doc(
       new DocEngine(std::move(engine), std::move(documents)));
-  if (options.metrics_enabled) {
-    // The doc-level counters stay in the mutex-folded struct (it is tiny
-    // and cold); a collector translates it into era_doc_* samples at
-    // snapshot time so the exporters and the CLI degradation printer see
-    // collection serving alongside everything else.
-    static std::atomic<uint64_t> next_instance{0};
-    const MetricLabels labels = {
-        {"collection",
-         std::to_string(next_instance.fetch_add(1,
-                                                std::memory_order_relaxed))}};
-    doc->registry_ = options.registry != nullptr ? options.registry
-                                                 : MetricsRegistry::Global();
-    DocEngine* raw = doc.get();
-    doc->collector_id_ = doc->registry_->AddCollector(
-        [raw, labels](std::vector<MetricSample>* samples) {
-          const DocQueryStats stats = raw->doc_stats();
-          auto add = [&](const char* name, const char* help, uint64_t value) {
-            MetricSample sample;
-            sample.name = name;
-            sample.help = help;
-            sample.kind = MetricKind::kCounter;
-            sample.labels = labels;
-            sample.value = static_cast<double>(value);
-            samples->push_back(std::move(sample));
-          };
-          add("era_doc_queries_total", "Completed doc-level calls",
-              stats.queries);
-          add("era_doc_offsets_resolved_total",
-              "Occurrence offsets folded through the DocumentMap",
-              stats.offsets_resolved);
-          add("era_doc_offsets_outside_documents_total",
-              "Offsets resolving to no document (layout bug flag)",
-              stats.offsets_outside_documents);
-          add("era_doc_docs_matched_total",
-              "Sum over queries of distinct matching documents",
-              stats.docs_matched);
-          add("era_doc_unavailable_queries_total",
-              "Doc queries failed Unavailable (quarantined sub-tree)",
-              stats.unavailable_queries);
-          add("era_doc_deadline_exceeded_total",
-              "Doc queries abandoned by deadline expiry or cancellation",
-              stats.deadline_exceeded);
-          add("era_doc_shed_total",
-              "Doc queries refused by admission control", stats.shed);
-        });
-  }
+  // The doc-level counters stay in the mutex-folded struct (it is tiny
+  // and cold); a collector translates it into era_doc_* samples at
+  // snapshot time so the exporters and the CLI degradation printer see
+  // collection serving alongside everything else.
+  static std::atomic<uint64_t> next_instance{0};
+  const MetricLabels labels = {
+      {"collection", std::to_string(next_instance.fetch_add(
+                         1, std::memory_order_relaxed))}};
+  doc->registry_ = options.registry != nullptr ? options.registry
+                                               : MetricsRegistry::Global();
+  DocEngine* raw = doc.get();
+  doc->collector_id_ = doc->registry_->AddCollector(
+      [raw, labels](std::vector<MetricSample>* samples) {
+        const DocQueryStats stats = raw->doc_stats();
+        auto add = [&](const char* name, const char* help, uint64_t value) {
+          MetricSample sample;
+          sample.name = name;
+          sample.help = help;
+          sample.kind = MetricKind::kCounter;
+          sample.labels = labels;
+          sample.value = static_cast<double>(value);
+          samples->push_back(std::move(sample));
+        };
+        add("era_doc_queries_total", "Completed doc-level calls",
+            stats.queries);
+        add("era_doc_offsets_resolved_total",
+            "Occurrence offsets folded through the DocumentMap",
+            stats.offsets_resolved);
+        add("era_doc_offsets_outside_documents_total",
+            "Offsets resolving to no document (layout bug flag)",
+            stats.offsets_outside_documents);
+        add("era_doc_docs_matched_total",
+            "Sum over queries of distinct matching documents",
+            stats.docs_matched);
+        add("era_doc_unavailable_queries_total",
+            "Doc queries failed Unavailable (quarantined sub-tree)",
+            stats.unavailable_queries);
+        add("era_doc_deadline_exceeded_total",
+            "Doc queries abandoned by deadline expiry or cancellation",
+            stats.deadline_exceeded);
+        add("era_doc_shed_total",
+            "Doc queries refused by admission control", stats.shed);
+      });
   return doc;
 }
 
 DocEngine::~DocEngine() {
-  if (registry_ != nullptr && collector_id_ != 0) {
-    registry_->RemoveCollector(collector_id_);
-  }
+  if (collector_id_ != 0) registry_->RemoveCollector(collector_id_);
 }
 
 Status DocEngine::ValidatePattern(const std::string& pattern) const {

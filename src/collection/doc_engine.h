@@ -185,8 +185,8 @@ class DocEngine {
   DocQueryStats stats_;
 
   /// Exporter wiring: a registry collector translating stats_ into
-  /// era_doc_* samples (registered by Open when the underlying engine has
-  /// metrics enabled; see doc_engine.cc).
+  /// era_doc_* samples (registered by Open in the engine's registry; see
+  /// doc_engine.cc).
   MetricsRegistry* registry_ = nullptr;
   uint64_t collector_id_ = 0;
 

@@ -17,18 +17,12 @@ Status ValidateBuildOptions(const BuildOptions& options) {
   if (options.memory_budget < (1 << 16)) {
     return Status::InvalidArgument("memory_budget must be at least 64 KB");
   }
-  if (options.min_range == 0 || options.max_range < options.min_range) {
-    return Status::InvalidArgument("invalid range clamps");
-  }
   if (options.range_policy == RangePolicyKind::kFixed &&
       options.fixed_range == 0) {
     return Status::InvalidArgument("fixed_range must be positive");
   }
   if (options.input_buffer_bytes < 4096) {
     return Status::InvalidArgument("input_buffer_bytes must be >= 4 KB");
-  }
-  if (options.prefetch_reads && options.prefetch_depth == 0) {
-    return Status::InvalidArgument("prefetch_depth must be >= 1");
   }
   return Status::OK();
 }

@@ -32,6 +32,14 @@ enum class HorizontalMethod {
   kBranchEdge,
 };
 
+/// Speculative windows the prefetch ring keeps ahead of each build scan (1
+/// would be classic double buffering). PlanMemory charges the ring's windows
+/// against the retrieved-data slack, after the tile cache: a build whose
+/// cache consumed the slack runs with a shallower ring (possibly none), so
+/// read-ahead never silently exceeds the budget
+/// (MemoryLayout::read_ahead_bytes).
+inline constexpr uint32_t kBuildPrefetchDepth = 4;
+
 /// Memory and behavior knobs for a build. The defaults are laptop-scaled
 /// versions of the paper's settings; all experiments override them per sweep.
 struct BuildOptions {
@@ -59,10 +67,6 @@ struct BuildOptions {
   /// Range used when range_policy == kFixed.
   uint32_t fixed_range = 32;
 
-  /// Lower/upper clamps for the elastic range.
-  uint32_t min_range = 4;
-  uint32_t max_range = 64 << 10;
-
   /// Skip unneeded blocks with a seek during scans (Section 4.4).
   bool seek_optimization = true;
 
@@ -70,16 +74,8 @@ struct BuildOptions {
   /// occurrence scans, SubTreePrepare rounds): a background thread keeps
   /// the next input-buffer windows read while the builder consumes the
   /// resident one, hiding device latency behind compute. See
-  /// PrefetchingStringReader.
+  /// PrefetchingStringReader. The ring is kBuildPrefetchDepth windows deep.
   bool prefetch_reads = true;
-
-  /// Speculative windows the prefetch ring keeps ahead of each scan (1 =
-  /// classic double buffering). PlanMemory charges the ring's windows
-  /// against the retrieved-data slack, after the tile cache: a build whose
-  /// cache consumed the slack runs with a shallower ring (possibly none),
-  /// so read-ahead never silently exceeds the budget
-  /// (MemoryLayout::read_ahead_bytes).
-  uint32_t prefetch_depth = 4;
 
   /// Shared read-through tile cache over the input text (io/tile_cache.h):
   /// every horizontal-phase reader of every worker is served from one
@@ -123,7 +119,7 @@ struct BuildOptions {
 };
 
 /// Checks internal consistency (budget large enough for the fixed areas,
-/// non-empty work_dir, sane range clamps).
+/// non-empty work_dir, a positive fixed range, a 4 KB input buffer).
 Status ValidateBuildOptions(const BuildOptions& options);
 
 /// Resolves r_buffer_bytes: explicit value, or the alphabet-dependent auto

@@ -57,9 +57,7 @@ StatusOr<MemoryLayout> PlanMemory(const BuildOptions& options,
     slack -= layout.tile_cache_bytes;
   }
   if (options.prefetch_reads) {
-    const uint64_t want =
-        layout.input_buffer_bytes *
-        std::max<uint32_t>(1, options.prefetch_depth);
+    const uint64_t want = layout.input_buffer_bytes * kBuildPrefetchDepth;
     layout.read_ahead_bytes =
         std::min(want, (slack / layout.input_buffer_bytes) *
                            layout.input_buffer_bytes);

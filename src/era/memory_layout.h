@@ -28,7 +28,7 @@ struct MemoryLayout {
   uint64_t input_buffer_bytes = 0;  // B_S (the resident scan window)
   /// Speculative windows of the prefetch ring, carved from the
   /// retrieved-data slack after the tile cache (whole windows, up to
-  /// input_buffer_bytes * prefetch_depth). Zero disables read-ahead:
+  /// input_buffer_bytes * kBuildPrefetchDepth). Zero disables read-ahead:
   /// either it was requested off, or the cache consumed the slack —
   /// charged here so the read path never silently exceeds the budget.
   uint64_t read_ahead_bytes = 0;

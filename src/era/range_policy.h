@@ -10,6 +10,11 @@
 
 namespace era {
 
+/// Clamps of the elastic range: at least 4 symbols per active leaf and
+/// round, at most 64 Ki.
+inline constexpr uint32_t kMinElasticRange = 4;
+inline constexpr uint32_t kMaxElasticRange = 64 << 10;
+
 /// Decides how many symbols to prefetch per unresolved leaf in one
 /// SubTreePrepare iteration.
 class RangePolicy {
@@ -41,7 +46,7 @@ class RangePolicy {
     if (options.range_policy == RangePolicyKind::kFixed) {
       return Fixed(options.fixed_range);
     }
-    return Elastic(r_buffer_bytes, options.min_range, options.max_range);
+    return Elastic(r_buffer_bytes, kMinElasticRange, kMaxElasticRange);
   }
 
   /// Range for the next iteration given the surviving active leaf count.
@@ -58,8 +63,8 @@ class RangePolicy {
  private:
   bool elastic_ = true;
   uint64_t r_buffer_bytes_ = 0;
-  uint32_t min_range_ = 4;
-  uint32_t max_range_ = 64 << 10;
+  uint32_t min_range_ = kMinElasticRange;
+  uint32_t max_range_ = kMaxElasticRange;
 };
 
 }  // namespace era

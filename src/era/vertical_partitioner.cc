@@ -70,7 +70,7 @@ StatusOr<PartitionPlan> VerticalPartition(
   // before the horizontal phase commits the tree/processing areas, so the
   // ring lives in memory the plan has not yet spent.
   reader_options.prefetch = options.prefetch_reads;
-  reader_options.prefetch_depth = options.prefetch_depth;
+  reader_options.prefetch_depth = kBuildPrefetchDepth;
   reader_options.tile_cache = tile_cache;
   ERA_ASSIGN_OR_RETURN(auto reader,
                        OpenStringReader(options.GetEnv(), text.path,

@@ -39,7 +39,7 @@ const std::vector<IoStatsField>& IoStatsFields() {
        "Bytes skipped via the disk-seek optimization", &IoStats::bytes_skipped},
       {"era_io_scans_started_total", "Full input passes started",
        &IoStats::scans_started},
-      {"era_io_fetch_batches_total", "FetchBatch/RandomFetchBatch calls",
+      {"era_io_fetch_batches_total", "FetchBatch calls",
        &IoStats::fetch_batches},
       {"era_io_batched_requests_total",
        "Individual requests served through batched fetches",

@@ -31,7 +31,7 @@ struct IoStats {
   uint64_t bytes_skipped = 0;
   /// Number of full passes over the input string that were started.
   uint64_t scans_started = 0;
-  /// Number of FetchBatch/RandomFetchBatch calls issued.
+  /// Number of FetchBatch calls issued.
   uint64_t fetch_batches = 0;
   /// Total individual requests served through batched fetches.
   uint64_t batched_requests = 0;

@@ -158,20 +158,17 @@ Status StringReader::FetchInto(uint64_t pos, uint32_t len, char* out,
   return Status::OK();
 }
 
-Status StringReader::ServeBatch(std::span<FetchRequest> requests,
-                                bool sequential) {
+Status StringReader::FetchBatch(std::span<FetchRequest> requests) {
   if (stats_ != nullptr) {
     ++stats_->fetch_batches;
     stats_->batched_requests += requests.size();
   }
   for (FetchRequest& request : requests) {
-    if (sequential) {
-      if (request.pos < scan_pos_) {
-        return Status::InvalidArgument(
-            "FetchBatch request stream is not sorted by position");
-      }
-      scan_pos_ = request.pos;
+    if (request.pos < scan_pos_) {
+      return Status::InvalidArgument(
+          "FetchBatch request stream is not sorted by position");
     }
+    scan_pos_ = request.pos;
     // Coalesced fast path: runs of adjacent and overlapping windows land in
     // the resident buffer, where each request is one bounds check and one
     // small copy.
@@ -182,23 +179,10 @@ Status StringReader::ServeBatch(std::span<FetchRequest> requests,
       request.got = request.len;
       continue;
     }
-    if (sequential) {
-      ERA_RETURN_NOT_OK(
-          FetchInto(request.pos, request.len, request.out, &request.got));
-    } else {
-      ERA_RETURN_NOT_OK(
-          RandomFetch(request.pos, request.len, request.out, &request.got));
-    }
+    ERA_RETURN_NOT_OK(
+        FetchInto(request.pos, request.len, request.out, &request.got));
   }
   return Status::OK();
-}
-
-Status StringReader::FetchBatch(std::span<FetchRequest> requests) {
-  return ServeBatch(requests, /*sequential=*/true);
-}
-
-Status StringReader::RandomFetchBatch(std::span<FetchRequest> requests) {
-  return ServeBatch(requests, /*sequential=*/false);
 }
 
 Status StringReader::RandomFetch(uint64_t pos, uint32_t len, char* out,

@@ -113,10 +113,6 @@ class StringReader {
   /// window (counted as a seek).
   Status RandomFetch(uint64_t pos, uint32_t len, char* out, uint32_t* out_len);
 
-  /// Batched RandomFetch: positions may be arbitrary; requests that hit the
-  /// resident window are served with one memcpy and no repositioning.
-  Status RandomFetchBatch(std::span<FetchRequest> requests);
-
   /// File size in bytes.
   uint64_t size() const { return file_->Size(); }
 
@@ -156,10 +152,6 @@ class StringReader {
   /// Core of Fetch: reads [pos, pos+len) into `out`, moving the window as
   /// needed. Does not validate scan monotonicity (callers do).
   Status FetchInto(uint64_t pos, uint32_t len, char* out, uint32_t* out_len);
-
-  /// Shared body of FetchBatch/RandomFetchBatch; `sequential` selects the
-  /// monotonicity check and the buffer-miss path.
-  Status ServeBatch(std::span<FetchRequest> requests, bool sequential);
 
   uint64_t scan_pos_ = 0;      // last requested position in this scan
 };

@@ -288,8 +288,9 @@ void DictMatcher::Run(const std::vector<std::string>& patterns,
     UniquePattern up;
     up.pattern = &patterns[items.front()];
     up.items = std::move(items);
-    // One k-mer dispatch probe per unique pattern.
-    PrefixTrie::DescendResult walk = engine_->index_.Route(*up.pattern);
+    // One trie walk per unique pattern.
+    PrefixTrie::DescendResult walk =
+        engine_->index_.trie().Descend(*up.pattern);
     if (walk.pattern_exhausted) {
       up.kind = RouteKind::kTrie;
       up.trie_node = walk.node;

@@ -9,9 +9,9 @@
 //      string_view (memcmp order — exactly the unsigned byte order the
 //      builders sort sibling blocks by), so duplicates fold to one unique
 //      pattern and the unique set comes out in tree child order.
-//   2. Group by sub-tree. Each unique pattern routes once through the k-mer
-//      dispatch table; consecutive unique patterns landing in the same
-//      sub-tree form a group. The trie's sub-tree paths are prefix-free, so
+//   2. Group by sub-tree. Each unique pattern walks the top-level trie once
+//      (PrefixTrie::Descend); consecutive unique patterns landing in the
+//      same sub-tree form a group. The trie's sub-tree paths are prefix-free, so
 //      a sub-tree's patterns are one contiguous run of the sorted order —
 //      every touched sub-tree is opened exactly once.
 //   3. Range descent. A group descends its sub-tree with a pattern-range

@@ -42,6 +42,11 @@ const std::vector<QueryStatsField>& QueryStatsFields() {
 
 namespace {
 
+/// Buffer of each pooled session's text reader.
+constexpr uint64_t kReaderBufferBytes = 64 << 10;
+/// Sessions kept for reuse; excess sessions are dropped on release.
+constexpr std::size_t kMaxPooledSessions = 64;
+
 /// Process-wide engine numbering for the {engine="N"} instance label: a
 /// fresh engine always gets fresh series, so its counters start at zero no
 /// matter how many engines this process opened before.
@@ -57,16 +62,14 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
   ERA_ASSIGN_OR_RETURN(TreeIndex index, TreeIndex::Load(env, index_dir));
   index.ConfigureCache(options.cache);
   QueryEngineOptions engine_options = options;
-  if (engine_options.metrics_enabled) {
-    // The admission controller registers its era_serving_* series under the
-    // same instance label as the engine's own counters.
-    if (engine_options.registry == nullptr) {
-      engine_options.registry = MetricsRegistry::Global();
-    }
-    engine_options.admission.registry = engine_options.registry;
-    engine_options.admission.metric_labels = {
-        {"engine", std::to_string(NextEngineInstance())}};
+  if (engine_options.registry == nullptr) {
+    engine_options.registry = MetricsRegistry::Global();
   }
+  // The admission controller registers its era_serving_* series under the
+  // same instance label as the engine's own counters.
+  engine_options.admission.registry = engine_options.registry;
+  engine_options.admission.metric_labels = {
+      {"engine", std::to_string(NextEngineInstance())}};
   std::unique_ptr<QueryEngine> engine(
       new QueryEngine(env, std::move(index), engine_options));
   engine->InitObservability();
@@ -78,31 +81,27 @@ StatusOr<std::unique_ptr<QueryEngine>> QueryEngine::Open(
 }
 
 QueryEngine::~QueryEngine() {
-  if (metrics_ != nullptr && metrics_->collector_id != 0) {
-    metrics_->registry->RemoveCollector(metrics_->collector_id);
-  }
+  if (collector_id_ != 0) options_.registry->RemoveCollector(collector_id_);
 }
 
 void QueryEngine::InitObservability() {
   if (options_.trace.enabled) {
     tracer_ = std::make_unique<TraceRecorder>(options_.trace.recorder);
   }
-  if (!options_.metrics_enabled) return;
-  metrics_ = std::make_unique<RegistryHooks>();
-  metrics_->registry = options_.registry;
+  MetricsRegistry* registry = options_.registry;
   const MetricLabels& labels = options_.admission.metric_labels;
   for (const IoStatsField& field : IoStatsFields()) {
-    metrics_->io.push_back(
-        metrics_->registry->GetCounter(field.name, field.help, labels));
+    io_counters_.push_back(
+        registry->GetCounter(field.name, field.help, labels));
   }
   for (const QueryStatsField& field : QueryStatsFields()) {
-    metrics_->query.push_back(
-        metrics_->registry->GetCounter(field.name, field.help, labels));
+    query_counters_.push_back(
+        registry->GetCounter(field.name, field.help, labels));
   }
   // Snapshot-style sources (cache counters, the quarantine map,
   // in-flight, trace rings) contribute through a collector instead of
   // double-booking into counters.
-  metrics_->collector_id = metrics_->registry->AddCollector(
+  collector_id_ = registry->AddCollector(
       [this, labels](std::vector<MetricSample>* samples) {
         auto add = [&](const char* name, const char* help, MetricKind kind,
                        double value) {
@@ -179,7 +178,7 @@ StatusOr<std::unique_ptr<QueryEngine::Session>> QueryEngine::AcquireSession() {
   }
   auto session = std::make_unique<Session>();
   StringReaderOptions reader_options;
-  reader_options.buffer_bytes = options_.reader_buffer_bytes;
+  reader_options.buffer_bytes = kReaderBufferBytes;
   ERA_ASSIGN_OR_RETURN(session->reader,
                        OpenStringReader(env_, index_.text().path,
                                         reader_options, &session->io));
@@ -187,58 +186,42 @@ StatusOr<std::unique_ptr<QueryEngine::Session>> QueryEngine::AcquireSession() {
 }
 
 void QueryEngine::ReleaseSession(std::unique_ptr<Session> session) {
-  if (metrics_ != nullptr) {
-    // Retirement is the fold point: hot loops tally into the session's
-    // plain structs contention-free, and one sharded-counter add per field
-    // per lease lands them in the registry.
-    const auto& io_fields = IoStatsFields();
-    for (std::size_t i = 0; i < io_fields.size(); ++i) {
-      const uint64_t value = session->io.*(io_fields[i].member);
-      if (value != 0) metrics_->io[i]->Increment(value);
-    }
-    const auto& query_fields = QueryStatsFields();
-    for (std::size_t i = 0; i < query_fields.size(); ++i) {
-      const uint64_t value = session->stats.*(query_fields[i].member);
-      if (value != 0) metrics_->query[i]->Increment(value);
-    }
+  // Retirement is the fold point: hot loops tally into the session's plain
+  // structs contention-free, and one sharded-counter add per field per
+  // lease lands them in the registry.
+  const auto& io_fields = IoStatsFields();
+  for (std::size_t i = 0; i < io_fields.size(); ++i) {
+    const uint64_t value = session->io.*(io_fields[i].member);
+    if (value != 0) io_counters_[i]->Increment(value);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (metrics_ == nullptr) {
-    io_.Add(session->io);
-    stats_.Add(session->stats);
+  const auto& query_fields = QueryStatsFields();
+  for (std::size_t i = 0; i < query_fields.size(); ++i) {
+    const uint64_t value = session->stats.*(query_fields[i].member);
+    if (value != 0) query_counters_[i]->Increment(value);
   }
   session->io = IoStats{};
   session->stats = QueryStats{};
-  if (pool_.size() < options_.max_pooled_sessions) {
-    pool_.push_back(std::move(session));
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (pool_.size() < kMaxPooledSessions) pool_.push_back(std::move(session));
 }
 
 IoStats QueryEngine::io() const {
-  if (metrics_ != nullptr) {
-    // Thin view: the registry counters are the source of truth.
-    IoStats io;
-    const auto& fields = IoStatsFields();
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      io.*(fields[i].member) = metrics_->io[i]->Value();
-    }
-    return io;
+  // Thin view: the registry counters are the source of truth.
+  IoStats io;
+  const auto& fields = IoStatsFields();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    io.*(fields[i].member) = io_counters_[i]->Value();
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  return io_;
+  return io;
 }
 
 QueryStats QueryEngine::stats() const {
-  if (metrics_ != nullptr) {
-    QueryStats stats;
-    const auto& fields = QueryStatsFields();
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      stats.*(fields[i].member) = metrics_->query[i]->Value();
-    }
-    return stats;
+  QueryStats stats;
+  const auto& fields = QueryStatsFields();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    stats.*(fields[i].member) = query_counters_[i]->Value();
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  return stats;
 }
 
 std::map<uint32_t, uint64_t> QueryEngine::quarantine() const {
@@ -373,7 +356,7 @@ StatusOr<uint64_t> QueryEngine::CountWithSession(Session* session,
   ERA_RETURN_NOT_OK(ctx.Check());
   ++session->stats.queries;
 
-  PrefixTrie::DescendResult walk = index_.Route(pattern);
+  PrefixTrie::DescendResult walk = index_.trie().Descend(pattern);
   if (walk.pattern_exhausted) {
     // Frequencies are precomputed in the trie: no sub-tree I/O needed.
     ++session->stats.trie_resolved_counts;
@@ -406,7 +389,7 @@ StatusOr<std::vector<uint64_t>> QueryEngine::LocateWithSession(
       order == LocateOrder::kArbitrary ? limit : SIZE_MAX;
 
   std::vector<uint64_t> hits;
-  PrefixTrie::DescendResult walk = index_.Route(pattern);
+  PrefixTrie::DescendResult walk = index_.trie().Descend(pattern);
   if (walk.pattern_exhausted) {
     // Every suffix below this trie node starts with the pattern.
     std::vector<PrefixTrie::Entry> entries;

@@ -1,10 +1,9 @@
 // Query engine over a built TreeIndex: exact pattern search in O(|P|)
 // symbol comparisons (the suffix tree's raison d'être, Section 1).
 //
-// A query routes through the index's k-mer dispatch table (one array probe
-// replacing the pointer-trie walk) to the responsible sub-tree, loads it
-// through the index's byte-budgeted LRU cache, and continues matching inside
-// it.
+// A query walks the index's resident top-level trie (PrefixTrie::Descend)
+// to the responsible sub-tree, loads it through the index's byte-budgeted
+// LRU cache, and continues matching inside it.
 // Sub-trees are walked in their serving form (ServedSubTree): compressed
 // payloads are never inflated — child lookup is a binary search over the
 // symbol-table ranks of the sorted child block's stored first symbols and
@@ -18,8 +17,8 @@
 // concurrently. Each call leases a text-reader session from an internal pool
 // (readers are pooled, never shared), the sub-tree cache holds its lock only
 // for lookups and inserts (never across a load), and per-session I/O and
-// query counters are folded into the engine aggregates when the lease is
-// returned.
+// query counters are folded into the engine's registry counters when the
+// lease is returned.
 //
 // Overload control: every entry point has a QueryContext overload carrying
 // an absolute deadline and a cancellation token, checked at node-visit and
@@ -64,10 +63,6 @@ struct QueryTraceOptions {
 struct QueryEngineOptions {
   /// Sub-tree cache budget and load retries (see TreeCacheOptions).
   TreeCacheOptions cache;
-  /// Buffer of each pooled text reader.
-  uint64_t reader_buffer_bytes = 64 << 10;
-  /// Readers kept for reuse; excess sessions are dropped on release.
-  std::size_t max_pooled_sessions = 64;
   /// Overload policy (disabled by default: everything admitted instantly,
   /// but Drain() still rejects new work while in-flight queries finish).
   AdmissionOptions admission;
@@ -75,10 +70,6 @@ struct QueryEngineOptions {
   /// MetricsRegistry::Global(). Each engine registers its series under a
   /// unique {engine="N"} label, so a fresh engine always starts from zero.
   MetricsRegistry* registry = nullptr;
-  /// When false the engine keeps the original plain-struct aggregation and
-  /// registers nothing — the pre-registry hot path, kept so
-  /// bench_query_qps can measure (and guard) the registry's overhead.
-  bool metrics_enabled = true;
   /// Per-request tracing (off by default).
   QueryTraceOptions trace;
 };
@@ -117,19 +108,6 @@ struct QueryStats {
   /// Edge walks avoided versus the per-pattern loop: for every shared edge,
   /// (patterns entering the edge - 1).
   uint64_t dict_descents_saved = 0;
-
-  void Add(const QueryStats& other) {
-    queries += other.queries;
-    trie_resolved_counts += other.trie_resolved_counts;
-    nodes_visited += other.nodes_visited;
-    label_fetches += other.label_fetches;
-    leaves_enumerated += other.leaves_enumerated;
-    unavailable_queries += other.unavailable_queries;
-    batch_duplicates_folded += other.batch_duplicates_folded;
-    dict_groups_formed += other.dict_groups_formed;
-    dict_descents_shared += other.dict_descents_shared;
-    dict_descents_saved += other.dict_descents_saved;
-  }
 };
 
 /// QueryStats field table for the metrics registry (the IoStatsFields
@@ -240,10 +218,10 @@ class QueryEngine {
 
   const TreeIndex& index() const { return index_; }
   /// Snapshot of the accumulated I/O of retired sessions (sub-tree loads,
-  /// cache traffic, label reads). Sessions still in flight report on
-  /// release.
+  /// cache traffic, label reads), read from the engine's registry counters.
+  /// Sessions still in flight report on release.
   IoStats io() const;
-  /// Snapshot of the aggregate query counters.
+  /// Snapshot of the aggregate query counters (registry-backed, like io()).
   QueryStats stats() const;
   /// Snapshot of the sub-tree cache (hits/misses/evictions/residency).
   TreeIndex::CacheSnapshot cache() const { return index_.CacheStats(); }
@@ -280,7 +258,7 @@ class QueryEngine {
   };
 
   /// RAII over AcquireSession/ReleaseSession: folds the session's counters
-  /// into the engine aggregates on every exit path.
+  /// into the engine's registry counters on every exit path.
   class Lease {
    public:
     Lease() = default;
@@ -390,25 +368,17 @@ class QueryEngine {
   QueryEngineOptions options_;
   AdmissionController admission_;
 
-  mutable std::mutex mu_;  // guards pool_ and the retired aggregates
+  mutable std::mutex mu_;  // guards pool_ and quarantine_
   std::vector<std::unique_ptr<Session>> pool_;
-  /// Plain-struct aggregates, used only when metrics are disabled (the
-  /// pre-registry path bench_query_qps compares against).
-  IoStats io_;
-  QueryStats stats_;
   std::map<uint32_t, uint64_t> quarantine_;  // subtree id -> failed loads
 
-  /// Registry wiring (null when options_.metrics_enabled is false).
-  /// Counter vectors are index-aligned with IoStatsFields() /
-  /// QueryStatsFields(): ReleaseSession folds a retired session into them,
-  /// io()/stats() materialize the snapshot structs back out.
-  struct RegistryHooks {
-    MetricsRegistry* registry = nullptr;
-    std::vector<std::shared_ptr<Counter>> io;
-    std::vector<std::shared_ptr<Counter>> query;
-    uint64_t collector_id = 0;
-  };
-  std::unique_ptr<RegistryHooks> metrics_;
+  /// Registry wiring in options_.registry. The counter vectors are
+  /// index-aligned with IoStatsFields() / QueryStatsFields(): ReleaseSession
+  /// folds a retired session into them, io()/stats() materialize the
+  /// snapshot structs back out.
+  std::vector<std::shared_ptr<Counter>> io_counters_;
+  std::vector<std::shared_ptr<Counter>> query_counters_;
+  uint64_t collector_id_ = 0;
   std::unique_ptr<TraceRecorder> tracer_;
   std::atomic<uint64_t> trace_tick_{0};  // sampling counter
 };

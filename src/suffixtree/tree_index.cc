@@ -138,7 +138,6 @@ StatusOr<TreeIndex> TreeIndex::Load(Env* env, const std::string& dir) {
   if (!saw_format) {
     return Status::Corruption("manifest missing format line in " + dir);
   }
-  index.dispatch_.Build(index.trie_, index.text_.alphabet.symbols());
   return index;
 }
 

@@ -10,8 +10,8 @@
 // the same budget than 32-byte TreeNodes would). Lookups and inserts
 // hold one mutex briefly, loads run outside it, and entries are handed out
 // as shared_ptr so an eviction never invalidates a tree an in-flight query
-// is still walking. Pattern-to-sub-tree routing goes through a flat k-mer
-// dispatch table built over the trie at Load time (Route()).
+// is still walking. A pattern reaches its sub-tree through the resident
+// top-level trie (trie().Descend()).
 
 #ifndef ERA_SUFFIXTREE_TREE_INDEX_H_
 #define ERA_SUFFIXTREE_TREE_INDEX_H_
@@ -85,15 +85,6 @@ class TreeIndex {
       Env* env, uint32_t id, IoStats* stats,
       const QueryContext* ctx = nullptr) const;
 
-  /// Routes `pattern` to its deepest trie node — one k-mer table probe in
-  /// the common case, a trie map walk otherwise. Equivalent to
-  /// trie().Descend(pattern).
-  PrefixTrie::DescendResult Route(const std::string& pattern) const {
-    return dispatch_.Route(trie_, pattern);
-  }
-
-  const KmerDispatchTable& dispatch() const { return dispatch_; }
-
   /// Replaces the cache with a fresh one using `options`. Call before
   /// serving traffic; NOT safe concurrently with OpenSubTree.
   void ConfigureCache(const TreeCacheOptions& options) const;
@@ -147,7 +138,6 @@ class TreeIndex {
 
   TextInfo text_;
   PrefixTrie trie_;
-  KmerDispatchTable dispatch_;
   std::vector<SubTreeEntry> subtrees_;
   std::string dir_;
   mutable std::shared_ptr<Cache> cache_ =

@@ -186,101 +186,4 @@ uint64_t PrefixTrie::MemoryBytes() const {
   return total;
 }
 
-namespace {
-
-uint32_t TrieDepth(const PrefixTrie& trie, uint32_t node) {
-  uint32_t depth = 0;
-  for (const auto& [sym, child] : trie.node(node).children) {
-    (void)sym;
-    const uint32_t d = 1 + TrieDepth(trie, child);
-    if (d > depth) depth = d;
-  }
-  return depth;
-}
-
-}  // namespace
-
-void KmerDispatchTable::Build(const PrefixTrie& trie,
-                              const std::string& alphabet_symbols) {
-  code_.fill(-1);
-  slots_.clear();
-  k_ = 0;
-  sigma_ = 0;
-
-  const uint32_t depth = TrieDepth(trie, 0);
-  if (depth == 0 || alphabet_symbols.empty()) return;
-  for (std::size_t i = 0; i < alphabet_symbols.size(); ++i) {
-    code_[static_cast<uint8_t>(alphabet_symbols[i])] =
-        static_cast<int16_t>(i);
-  }
-  sigma_ = static_cast<uint32_t>(alphabet_symbols.size());
-
-  // k = the partitioner's deepest prefix, capped so sigma^k <= kMaxSlots.
-  uint32_t k = 0;
-  uint64_t slots = 1;
-  while (k < depth && slots * sigma_ <= kMaxSlots) {
-    slots *= sigma_;
-    ++k;
-  }
-  if (k == 0) return;
-  k_ = k;
-
-  // Enumerate every k-mer in lexicographic (row-major) order, reusing the
-  // parent row's walk: slot(s[0..k-1]) extends slot(s[0..k-2]) by one symbol.
-  std::vector<Slot> rows(1, Slot{0, 0});  // depth-0 row: the root
-  std::string kmer;
-  for (uint32_t d = 1; d <= k_; ++d) {
-    std::vector<Slot> next;
-    next.reserve(rows.size() * sigma_);
-    for (const Slot& parent : rows) {
-      for (uint32_t c = 0; c < sigma_; ++c) {
-        Slot s = parent;
-        if (s.matched == d - 1) {  // parent walk didn't stop early
-          const auto& children = trie.node(s.node).children;
-          auto it = children.find(alphabet_symbols[c]);
-          if (it != children.end()) {
-            s.node = it->second;
-            s.matched = d;
-          }
-        }
-        next.push_back(s);
-      }
-    }
-    rows = std::move(next);
-  }
-  slots_ = std::move(rows);
-}
-
-PrefixTrie::DescendResult KmerDispatchTable::Route(
-    const PrefixTrie& trie, const std::string& pattern) const {
-  if (k_ == 0 || pattern.size() < k_) return trie.Descend(pattern);
-  uint64_t idx = 0;
-  for (uint32_t i = 0; i < k_; ++i) {
-    const int16_t code = code_[static_cast<uint8_t>(pattern[i])];
-    if (code < 0) return trie.Descend(pattern);
-    idx = idx * sigma_ + static_cast<uint64_t>(code);
-  }
-  const Slot& s = slots_[idx];
-  if (s.matched < k_) {
-    // The trie walk stalled inside the first k symbols; the pattern cannot
-    // be exhausted because it is at least k long.
-    return {s.node, s.matched, false};
-  }
-  // Deep trie: continue the map walk where the table left off.
-  PrefixTrie::DescendResult result;
-  uint32_t cur = s.node;
-  std::size_t i = k_;
-  while (i < pattern.size()) {
-    const auto& children = trie.node(cur).children;
-    auto it = children.find(pattern[i]);
-    if (it == children.end()) break;
-    cur = it->second;
-    ++i;
-  }
-  result.node = cur;
-  result.matched = i;
-  result.pattern_exhausted = (i == pattern.size());
-  return result;
-}
-
 }  // namespace era

@@ -9,7 +9,6 @@
 #ifndef ERA_SUFFIXTREE_TRIE_H_
 #define ERA_SUFFIXTREE_TRIE_H_
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -94,50 +93,6 @@ class PrefixTrie {
   uint32_t GetOrCreate(const std::string& prefix);
 
   std::vector<Node> nodes_;
-};
-
-/// Flat k-mer dispatch over the trie's top layer: one slot per length-k
-/// alphabet string holding the precomputed Descend result for that k-mer, so
-/// routing a pattern costs one array probe (plus a short map walk only when
-/// the trie is deeper than k). Correct because the trie walk over the first
-/// k symbols never depends on later symbols.
-///
-/// k is chosen from the vertical partitioner's prefix lengths — the trie's
-/// maximum depth — capped so the table stays <= kMaxSlots entries (a few MB
-/// at most; tiny next to the sub-tree cache). Patterns shorter than k, or
-/// containing a symbol outside the alphabet, fall back to the map walk.
-class KmerDispatchTable {
- public:
-  /// Precomputes the table for `trie` over `alphabet_symbols` (each symbol
-  /// distinct). An empty alphabet or depth-0 trie disables the table (Route
-  /// degrades to PrefixTrie::Descend).
-  void Build(const PrefixTrie& trie, const std::string& alphabet_symbols);
-
-  /// Drop-in replacement for trie.Descend(pattern).
-  PrefixTrie::DescendResult Route(const PrefixTrie& trie,
-                                  const std::string& pattern) const;
-
-  bool enabled() const { return k_ > 0; }
-  uint32_t k() const { return k_; }
-  uint32_t sigma() const { return sigma_; }
-  uint64_t slot_count() const { return slots_.size(); }
-  uint64_t MemoryBytes() const {
-    return slots_.size() * sizeof(Slot) + sizeof(*this);
-  }
-
-  /// Largest permitted sigma^k (2^18 slots = 2 MB of table).
-  static constexpr uint64_t kMaxSlots = 1ull << 18;
-
- private:
-  struct Slot {
-    uint32_t node = 0;     // deepest trie node for this k-mer
-    uint32_t matched = 0;  // symbols consumed (< k when the walk stopped)
-  };
-
-  std::array<int16_t, 256> code_{};  // symbol -> dense code, -1 if uncoded
-  std::vector<Slot> slots_;          // sigma^k entries, row-major by symbol
-  uint32_t k_ = 0;
-  uint32_t sigma_ = 0;
 };
 
 }  // namespace era

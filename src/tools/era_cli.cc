@@ -34,11 +34,13 @@
 // appended if missing.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "collection/collection_builder.h"
@@ -102,6 +104,12 @@ int Usage() {
   return 2;
 }
 
+/// A bad invocation: prints the error, then the usage, and exits 2.
+int BadUsage(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return Usage();
+}
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   // Distinct exit codes so scripts can separate "device/file problem"
@@ -121,18 +129,68 @@ StatusOr<Alphabet> ParseAlphabet(const std::string& name) {
 }
 
 /// Returns the value of --flag from args (either "--flag value" or
-/// "--flag=value"), or `fallback`.
+/// "--flag=value"), or `fallback` when the flag is absent. A flag that ends
+/// the argument list has the empty value.
 std::string FlagValue(const std::vector<std::string>& args,
                       const std::string& flag, const std::string& fallback) {
   const std::string prefix = flag + "=";
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == flag && i + 1 < args.size()) return args[i + 1];
+    if (args[i] == flag) return i + 1 < args.size() ? args[i + 1] : "";
     if (args[i].compare(0, prefix.size(), prefix) == 0) {
       return args[i].substr(prefix.size());
     }
   }
   return fallback;
 }
+
+/// Parses `token`, the value of `what`, as a whole unsigned decimal of at
+/// least `min`, scaled by 2^shift (kMiB: megabytes to bytes). The rule is
+/// the MANIFEST parser's: one std::from_chars over the entire token. An
+/// empty, signed, non-numeric or trailing-junk value, one below `min`, and
+/// one that overflows T (also after the shift) are InvalidArgument.
+template <typename T>
+Status ParseNumber(const std::string& what, const std::string& token, T* out,
+                   std::type_identity_t<T> min = 0, unsigned shift = 0) {
+  T value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min ||
+      value > (std::numeric_limits<T>::max() >> shift)) {
+    return Status::InvalidArgument(
+        what + " expects an integer in [" + std::to_string(min) + ", " +
+        std::to_string(std::numeric_limits<T>::max() >> shift) + "], got '" +
+        token + "'");
+  }
+  *out = value << shift;
+  return Status::OK();
+}
+
+constexpr unsigned kMiB = 20;
+
+/// Reads a subcommand's numeric flags through ParseNumber, keeping the first
+/// error: chain Get() calls, then check status().
+class NumberFlags {
+ public:
+  explicit NumberFlags(const std::vector<std::string>& args) : args_(args) {}
+
+  /// Parses --flag (or `fallback` when it is absent) into `*out`.
+  template <typename T>
+  NumberFlags& Get(const std::string& flag, const std::string& fallback,
+                   T* out, std::type_identity_t<T> min = 0,
+                   unsigned shift = 0) {
+    if (status_.ok()) {
+      status_ = ParseNumber(flag, FlagValue(args_, flag, fallback), out, min,
+                            shift);
+    }
+    return *this;
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  const std::vector<std::string>& args_;
+  Status status_;
+};
 
 bool HasFlag(const std::vector<std::string>& args, const std::string& flag) {
   for (const std::string& arg : args) {
@@ -141,14 +199,13 @@ bool HasFlag(const std::vector<std::string>& args, const std::string& flag) {
   return false;
 }
 
-/// The caller's --deadline-ms as a QueryContext (no deadline when absent or
-/// zero). The clock starts at parse time — the deadline covers the query
-/// itself, not the index open, matching a server that admits after startup.
-QueryContext ContextFromArgs(const std::vector<std::string>& args) {
-  const double ms =
-      std::strtod(FlagValue(args, "--deadline-ms", "0").c_str(), nullptr);
-  if (ms <= 0) return QueryContext::Background();
-  return QueryContext::WithTimeout(ms / 1000.0);
+/// The caller's --deadline-ms as a QueryContext (no deadline when zero).
+/// The clock starts here — callers build it after opening the index, so the
+/// deadline covers the query itself, matching a server that admits after
+/// startup.
+QueryContext ContextWithDeadline(uint64_t deadline_ms) {
+  if (deadline_ms == 0) return QueryContext::Background();
+  return QueryContext::WithTimeout(static_cast<double>(deadline_ms) / 1000.0);
 }
 
 /// Registry-backed degradation printer — the single place the CLI's failure
@@ -235,19 +292,20 @@ int CmdBuild(const std::vector<std::string>& args) {
   auto alphabet_or = ParseAlphabet(FlagValue(args, "--alphabet", "dna"));
   if (!alphabet_or.ok()) return Fail(alphabet_or.status());
   Alphabet alphabet = *alphabet_or;
-  uint64_t budget =
-      std::strtoull(FlagValue(args, "--budget-mb", "64").c_str(), nullptr, 10)
-      << 20;
-  unsigned threads = static_cast<unsigned>(
-      std::strtoul(FlagValue(args, "--threads", "1").c_str(), nullptr, 10));
+  uint64_t budget = 0;
+  unsigned threads = 0;
+  uint64_t cache_budget = 0;
+  const Status flags = NumberFlags(args)
+                           .Get("--budget-mb", "64", &budget, 0, kMiB)
+                           .Get("--threads", "1", &threads, 1)
+                           .Get("--cache-budget", "0", &cache_budget, 0, kMiB)
+                           .status();
+  if (!flags.ok()) return BadUsage(flags);
   const std::string algorithm = FlagValue(args, "--algorithm", "era");
   if (algorithm != "era" && algorithm != "wavefront") {
-    Fail(Status::InvalidArgument("unknown --algorithm " + algorithm +
-                                 " (expected era or wavefront)"));
-    return Usage();
+    return BadUsage(Status::InvalidArgument(
+        "unknown --algorithm " + algorithm + " (expected era or wavefront)"));
   }
-  uint64_t cache_budget_mb = std::strtoull(
-      FlagValue(args, "--cache-budget", "0").c_str(), nullptr, 10);
   const bool tile_cache = !HasFlag(args, "--no-tile-cache");
 
   // Fault injection: wrap the whole build's filesystem in a FaultyEnv so
@@ -286,7 +344,7 @@ int CmdBuild(const std::vector<std::string>& args) {
   options.work_dir = index_dir;
   options.memory_budget = budget;
   options.tile_cache = tile_cache;
-  options.tile_cache_budget_bytes = cache_budget_mb << 20;
+  options.tile_cache_budget_bytes = cache_budget;
   options.env = env;
   options.resume = HasFlag(args, "--resume");
   options.checkpoint = !HasFlag(args, "--no-checkpoint");
@@ -343,15 +401,20 @@ int CmdBuild(const std::vector<std::string>& args) {
 
 int CmdQuery(const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
+  std::size_t limit = 0;
+  uint64_t deadline_ms = 0;
+  const Status flags = NumberFlags(args)
+                           .Get("--limit", "10", &limit)
+                           .Get("--deadline-ms", "0", &deadline_ms)
+                           .status();
+  if (!flags.ok()) return BadUsage(flags);
   const std::string metrics_out = FlagValue(args, "--metrics-out", "");
   const std::string trace_out = FlagValue(args, "--trace-out", "");
   QueryEngineOptions options;
   options.trace.enabled = !trace_out.empty();
   auto engine = QueryEngine::Open(GetDefaultEnv(), args[0], options);
   if (!engine.ok()) return Fail(engine.status());
-  std::size_t limit = static_cast<std::size_t>(
-      std::strtoull(FlagValue(args, "--limit", "10").c_str(), nullptr, 10));
-  const QueryContext ctx = ContextFromArgs(args);
+  const QueryContext ctx = ContextWithDeadline(deadline_ms);
 
   // Exports run on success AND failure: a shed or timed-out query is
   // exactly when the operator wants the metrics file.
@@ -487,20 +550,20 @@ int CmdBenchQuery(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
   Env* env = GetDefaultEnv();
 
-  unsigned threads = static_cast<unsigned>(
-      std::strtoul(FlagValue(args, "--threads", "4").c_str(), nullptr, 10));
+  unsigned threads = 0;
   QueryWorkloadOptions workload_options;
-  workload_options.num_patterns = static_cast<std::size_t>(std::strtoull(
-      FlagValue(args, "--patterns", "2000").c_str(), nullptr, 10));
-  workload_options.seed = std::strtoull(
-      FlagValue(args, "--seed", "42").c_str(), nullptr, 10);
+  QueryEngineOptions engine_options;
+  const Status flags =
+      NumberFlags(args)
+          .Get("--threads", "4", &threads, 1)
+          .Get("--patterns", "2000", &workload_options.num_patterns)
+          .Get("--seed", "42", &workload_options.seed)
+          .Get("--cache-mb", "64", &engine_options.cache.budget_bytes, 0, kMiB)
+          .status();
+  if (!flags.ok()) return BadUsage(flags);
 
   const std::string metrics_out = FlagValue(args, "--metrics-out", "");
   const std::string trace_out = FlagValue(args, "--trace-out", "");
-  QueryEngineOptions engine_options;
-  engine_options.cache.budget_bytes =
-      std::strtoull(FlagValue(args, "--cache-mb", "64").c_str(), nullptr, 10)
-      << 20;
   engine_options.trace.enabled = !trace_out.empty();
 
   auto engine = QueryEngine::Open(env, args[0], engine_options);
@@ -570,19 +633,18 @@ int CmdBuildCollection(const std::vector<std::string>& args) {
 
   CollectionBuildOptions options;
   options.build.work_dir = index_dir;
-  options.build.memory_budget =
-      std::strtoull(FlagValue(args, "--budget-mb", "64").c_str(), nullptr, 10)
-      << 20;
-  options.num_workers = static_cast<unsigned>(std::max(
-      1ul, std::strtoul(FlagValue(args, "--threads", "1").c_str(), nullptr,
-                        10)));
-
-  const std::size_t synthetic = static_cast<std::size_t>(
-      std::strtoull(FlagValue(args, "--synthetic", "0").c_str(), nullptr, 10));
-  const std::size_t doc_bytes = static_cast<std::size_t>(std::strtoull(
-      FlagValue(args, "--doc-bytes", "65536").c_str(), nullptr, 10));
-  const uint64_t seed =
-      std::strtoull(FlagValue(args, "--seed", "42").c_str(), nullptr, 10);
+  std::size_t synthetic = 0;
+  std::size_t doc_bytes = 0;
+  uint64_t seed = 0;
+  const Status flags =
+      NumberFlags(args)
+          .Get("--budget-mb", "64", &options.build.memory_budget, 0, kMiB)
+          .Get("--threads", "1", &options.num_workers, 1)
+          .Get("--synthetic", "0", &synthetic)
+          .Get("--doc-bytes", "65536", &doc_bytes)
+          .Get("--seed", "42", &seed)
+          .status();
+  if (!flags.ok()) return BadUsage(flags);
   bool fasta = false;
   for (const std::string& arg : args) {
     if (arg == "--fasta") fasta = true;
@@ -648,6 +710,13 @@ int FailDocQuery(const Status& status) {
 
 int CmdDocQuery(const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
+  std::size_t top = 0;
+  uint64_t deadline_ms = 0;
+  const Status flags = NumberFlags(args)
+                           .Get("--top", "5", &top)
+                           .Get("--deadline-ms", "0", &deadline_ms)
+                           .status();
+  if (!flags.ok()) return BadUsage(flags);
   const std::string metrics_out = FlagValue(args, "--metrics-out", "");
   const std::string trace_out = FlagValue(args, "--trace-out", "");
   QueryEngineOptions options;
@@ -655,9 +724,7 @@ int CmdDocQuery(const std::vector<std::string>& args) {
   auto engine = DocEngine::Open(GetDefaultEnv(), args[0], options);
   if (!engine.ok()) return Fail(engine.status());
   const std::string& pattern = args[1];
-  const std::size_t top = static_cast<std::size_t>(
-      std::strtoull(FlagValue(args, "--top", "5").c_str(), nullptr, 10));
-  const QueryContext ctx = ContextFromArgs(args);
+  const QueryContext ctx = ContextWithDeadline(deadline_ms);
 
   auto finish = [&](int code) {
     if (Status s = WriteMetricsOut(metrics_out); !s.ok()) return Fail(s);
@@ -708,12 +775,16 @@ int CmdDictQuery(const std::vector<std::string>& args) {
     std::fprintf(stderr, "dict-query needs --patterns FILE\n");
     return Usage();
   }
+  std::size_t top = 0;
+  uint64_t deadline_ms = 0;
+  const Status flags = NumberFlags(args)
+                           .Get("--top", "5", &top)
+                           .Get("--deadline-ms", "0", &deadline_ms)
+                           .status();
+  if (!flags.ok()) return BadUsage(flags);
   const std::string metrics_out = FlagValue(args, "--metrics-out", "");
   const std::string trace_out = FlagValue(args, "--trace-out", "");
-  const std::size_t top = static_cast<std::size_t>(
-      std::strtoull(FlagValue(args, "--top", "5").c_str(), nullptr, 10));
   const bool doc_mode = HasFlag(args, "--doc");
-  const QueryContext ctx = ContextFromArgs(args);
 
   // One pattern per line; blank lines (and trailing \r) are skipped so both
   // Unix and DOS files work.
@@ -752,6 +823,7 @@ int CmdDictQuery(const std::vector<std::string>& args) {
     plain_engine = std::move(*opened);
     engine = plain_engine.get();
   }
+  const QueryContext ctx = ContextWithDeadline(deadline_ms);
 
   auto finish = [&](int code) {
     if (Status s = WriteMetricsOut(metrics_out); !s.ok()) return Fail(s);
@@ -840,10 +912,13 @@ int CmdDictQuery(const std::vector<std::string>& args) {
 
 int CmdGenerate(const std::vector<std::string>& args) {
   if (args.size() < 3) return Usage();
-  uint64_t bytes = std::strtoull(args[2].c_str(), nullptr, 10);
-  uint64_t seed = args.size() > 3
-                      ? std::strtoull(args[3].c_str(), nullptr, 10)
-                      : 42;
+  uint64_t bytes = 0;
+  uint64_t seed = 42;
+  Status parsed = ParseNumber("generate <bytes>", args[2], &bytes);
+  if (parsed.ok() && args.size() > 3) {
+    parsed = ParseNumber("generate [seed]", args[3], &seed);
+  }
+  if (!parsed.ok()) return BadUsage(parsed);
   std::string text;
   if (args[1] == "dna") {
     text = GenerateDna(bytes, seed);

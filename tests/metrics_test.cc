@@ -3,9 +3,8 @@
 // Pins the observability substrate from common/metrics.h: bucket semantics
 // (upper-inclusive, Prometheus `le`), quantile estimation against a
 // sorted-sample oracle, counter sharding under thread contention (run under
-// TSan in CI), trace ring wraparound, exporter round-trips, and the
-// guarantee that turning the registry on does not change any of the
-// engine's existing snapshot values.
+// TSan in CI), trace ring wraparound, exporter round-trips, and the engine's
+// registry counters as its only stats store.
 
 #include "common/metrics.h"
 
@@ -13,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <random>
 #include <thread>
 #include <vector>
@@ -412,7 +412,7 @@ TEST(PhaseProfilerTest, FormatPhaseTableRendersRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine integration: registry on/off equivalence and span nesting
+// Engine integration: registry-backed stats and span nesting
 // ---------------------------------------------------------------------------
 
 class MetricsEngineTest : public ::testing::Test {
@@ -435,54 +435,99 @@ class MetricsEngineTest : public ::testing::Test {
   std::string text_;
 };
 
-TEST_F(MetricsEngineTest, SnapshotValuesIdenticalWithRegistryOnOrOff) {
+/// Values of `engine`'s series in `registry`, keyed by metric name.
+std::map<std::string, double> EngineSeries(MetricsRegistry& registry,
+                                           QueryEngine& engine) {
+  const MetricLabels& labels = engine.admission().options().metric_labels;
+  std::map<std::string, double> series;
+  for (const MetricSample& sample : registry.Snapshot()) {
+    if (sample.labels == labels) series[sample.name] = sample.value;
+  }
+  return series;
+}
+
+TEST_F(MetricsEngineTest, RegistryCountersAreTheEngineStats) {
   QueryWorkloadOptions workload_options;
   workload_options.num_patterns = 400;
-  std::vector<std::string> patterns =
+  const std::vector<std::string> patterns =
       SamplePatternWorkload(text_, workload_options);
-
-  auto run = [&](bool metrics_enabled, MetricsRegistry* registry,
-                 QueryStats* stats, IoStats* io, uint64_t* checksum) {
-    QueryEngineOptions options;
-    options.metrics_enabled = metrics_enabled;
-    options.registry = registry;
-    auto engine = QueryEngine::Open(&env_, "/idx", options);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    // One thread: multi-threaded replay makes cache hit/miss attribution
-    // timing-dependent, and this test pins exact equality.
-    auto replay =
-        ReplayWorkload(engine->get(), patterns, 1, workload_options);
-    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-    *checksum = replay->occurrence_checksum;
-    *stats = (*engine)->stats();
-    *io = (*engine)->io();
-  };
+  ASSERT_EQ(patterns.size(), 400u);
 
   MetricsRegistry registry;  // private registry: no Global() pollution
-  QueryStats stats_on, stats_off;
-  IoStats io_on, io_off;
-  uint64_t checksum_on = 0, checksum_off = 0;
-  run(true, &registry, &stats_on, &io_on, &checksum_on);
-  run(false, nullptr, &stats_off, &io_off, &checksum_off);
+  QueryEngineOptions options;
+  options.registry = &registry;
+  auto engine = QueryEngine::Open(&env_, "/idx", options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  // One thread: multi-threaded replay makes cache hit/miss attribution
+  // timing-dependent, and this test pins exact values.
+  auto replay = ReplayWorkload(engine->get(), patterns, 1, workload_options);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
 
-  EXPECT_EQ(checksum_on, checksum_off);
+  const QueryStats stats = (*engine)->stats();
+  const IoStats io = (*engine)->io();
+  EXPECT_EQ(stats.queries, 400u);
+  const std::map<std::string, double> series =
+      EngineSeries(registry, **engine);
   for (const QueryStatsField& field : QueryStatsFields()) {
-    EXPECT_EQ(stats_on.*(field.member), stats_off.*(field.member))
+    ASSERT_EQ(series.count(field.name), 1u) << field.name;
+    EXPECT_EQ(series.at(field.name),
+              static_cast<double>(stats.*(field.member)))
         << field.name;
   }
   for (const IoStatsField& field : IoStatsFields()) {
-    EXPECT_EQ(io_on.*(field.member), io_off.*(field.member)) << field.name;
+    ASSERT_EQ(series.count(field.name), 1u) << field.name;
+    EXPECT_EQ(series.at(field.name), static_cast<double>(io.*(field.member)))
+        << field.name;
   }
-  // The registry-backed engine exported real values: its query counter
-  // matches the struct view.
-  bool found = false;
-  for (const MetricSample& sample : registry.Snapshot()) {
-    if (sample.name == "era_query_queries_total") {
-      found = true;
-      EXPECT_DOUBLE_EQ(sample.value, static_cast<double>(stats_on.queries));
+
+  // Brute-force checksum over the text: a Count adds the number of
+  // overlapping occurrences, a Locate adds offset + 1 of its smallest
+  // locate_limit occurrences (ReplayWorkload's rule). A smallest-first
+  // Locate decodes every occurrence before it selects.
+  uint64_t expected = 0;
+  uint64_t located = 0;
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    std::vector<uint64_t> offsets;
+    for (std::size_t pos = text_.find(patterns[i]); pos != std::string::npos;
+         pos = text_.find(patterns[i], pos + 1)) {
+      offsets.push_back(pos);
+    }
+    if (i % workload_options.locate_every == 0) {
+      const std::size_t kept =
+          std::min(offsets.size(), workload_options.locate_limit);
+      for (std::size_t j = 0; j < kept; ++j) expected += offsets[j] + 1;
+      located += offsets.size();
+    } else {
+      expected += offsets.size();
     }
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(replay->occurrence_checksum, expected);
+  EXPECT_EQ(stats.leaves_enumerated, located);
+  // Every layer the replay drives left counts behind: child probes, label
+  // reads, sub-tree loads and cache hits.
+  EXPECT_GT(stats.nodes_visited, 0u);
+  EXPECT_GT(stats.label_fetches, 0u);
+  EXPECT_GT(io.bytes_read, 0u);
+  EXPECT_GT(io.cache_misses, 0u);
+  EXPECT_GT(io.cache_hits, 0u);
+
+  // A second engine on the same registry gets its own series, all zero.
+  auto second = QueryEngine::Open(&env_, "/idx", options);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const QueryStats second_stats = (*second)->stats();
+  const IoStats second_io = (*second)->io();
+  const std::map<std::string, double> second_series =
+      EngineSeries(registry, **second);
+  for (const QueryStatsField& field : QueryStatsFields()) {
+    EXPECT_EQ(second_stats.*(field.member), 0u) << field.name;
+    ASSERT_EQ(second_series.count(field.name), 1u) << field.name;
+    EXPECT_EQ(second_series.at(field.name), 0.0) << field.name;
+  }
+  for (const IoStatsField& field : IoStatsFields()) {
+    EXPECT_EQ(second_io.*(field.member), 0u) << field.name;
+    ASSERT_EQ(second_series.count(field.name), 1u) << field.name;
+    EXPECT_EQ(second_series.at(field.name), 0.0) << field.name;
+  }
 }
 
 TEST_F(MetricsEngineTest, TracedQueriesRecordNestedSpans) {

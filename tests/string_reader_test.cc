@@ -212,25 +212,6 @@ TEST_F(StringReaderTest, FetchBatchRejectsUnsortedStream) {
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
 }
 
-TEST_F(StringReaderTest, RandomFetchBatchHitsResidentWindow) {
-  StringReaderOptions options;
-  options.buffer_bytes = 8192;
-  options.random_window_bytes = 4096;
-  auto reader = Open(options);
-  char a[16], b[16], c[16];
-  // First request repositions (one seek); the other two hit the window.
-  std::vector<FetchRequest> requests = {
-      {500000, 16, a, 0}, {500100, 16, b, 0}, {500050, 16, c, 0}};
-  ASSERT_TRUE(reader->RandomFetchBatch(requests).ok());
-  for (const FetchRequest& r : requests) {
-    ASSERT_EQ(r.got, 16u);
-    EXPECT_EQ(std::string(r.out, r.got), data_.substr(r.pos, 16));
-  }
-  EXPECT_EQ(stats_.seeks, 1u);
-  EXPECT_EQ(stats_.fetch_batches, 1u);
-  EXPECT_EQ(stats_.batched_requests, 3u);
-}
-
 TEST(DiskModelTest, PricesTransferAndSeeks) {
   IoStats stats;
   stats.bytes_read = 100 * 1024 * 1024;  // 1 second at 100 MB/s

@@ -210,11 +210,6 @@ TEST(OptionsTest, ValidationCatchesBadConfigs) {
   tiny.memory_budget = 1024;
   EXPECT_FALSE(ValidateBuildOptions(tiny).ok());
 
-  BuildOptions bad_range = options;
-  bad_range.min_range = 100;
-  bad_range.max_range = 10;
-  EXPECT_FALSE(ValidateBuildOptions(bad_range).ok());
-
   BuildOptions bad_fixed = options;
   bad_fixed.range_policy = RangePolicyKind::kFixed;
   bad_fixed.fixed_range = 0;
