@@ -81,10 +81,12 @@ void BM_AhoCorasickScan(benchmark::State& state) {
   auto ac = AhoCorasick::Build(patterns);
   IoStats stats;
   auto reader = OpenStringReader(&env, "/s", {}, &stats);
+  std::vector<char> chunk(AhoCorasick::kScanChunk);
   uint64_t matches = 0;
   for (auto _ : state) {
-    (void)ac->ScanAll(reader->get(),
-                      [&](int32_t, uint64_t) { ++matches; });
+    Status s = ac->ScanAll(reader->get(), chunk,
+                           [&](int32_t, uint64_t) { ++matches; });
+    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
     benchmark::DoNotOptimize(matches);
   }
   state.SetBytesProcessed(state.iterations() *
@@ -95,21 +97,34 @@ BENCHMARK(BM_AhoCorasickScan)->Arg(0)->Arg(40);
 // SubTreePrepare old-vs-new: BM_SubTreePrepare runs the allocation-free
 // radix/arena/batched-fetch kernel, BM_SubTreePrepareBaseline the checked-in
 // pre-refactor path (era/subtree_prepare_baseline.h). 512 KiB DNA, elastic
-// range — the acceptance configuration for the rewrite's speedup.
+// range — the acceptance configuration for the rewrite's speedup. The
+// prefixes carry their exact frequencies, counted once before timing, as
+// vertical partitioning hands them to the horizontal phase.
 template <typename Preparer>
 void RunSubTreePrepare(benchmark::State& state) {
   std::string text = DnaText(512 << 10);
   MemEnv env;
   (void)env.WriteFile("/s", text);
   VirtualTree group;
-  group.prefixes = {{"AC", 0}, {"CA", 0}, {"GG", 0},
-                    {"GT", 0}, {"TG", 0}, {"TT", 0}};
+  for (const char* prefix : {"AC", "CA", "GG", "GT", "TG", "TT"}) {
+    uint64_t frequency = 0;
+    for (std::size_t pos = text.find(prefix); pos != std::string::npos;
+         pos = text.find(prefix, pos + 1)) {
+      ++frequency;
+    }
+    group.prefixes.push_back({prefix, frequency});
+    group.total_frequency += frequency;
+  }
   IoStats stats;
   for (auto _ : state) {
     auto reader = OpenStringReader(&env, "/s", {}, &stats);
     Preparer preparer(group, RangePolicy::Elastic(1 << 20, 4, 4096),
                       reader->get(), text.size());
-    (void)preparer.Run();
+    Status s = preparer.Run();
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
     benchmark::DoNotOptimize(preparer.results().data());
   }
   state.SetBytesProcessed(state.iterations() *

@@ -49,9 +49,11 @@ Status GroupStrBuilder::Run() {
   }
   ERA_ASSIGN_OR_RETURN(auto matcher, AhoCorasick::Build(patterns));
   std::vector<std::vector<uint64_t>> occurrences(states_.size());
-  ERA_RETURN_NOT_OK(matcher.ScanAll(reader_, [&](int32_t id, uint64_t pos) {
-    occurrences[static_cast<std::size_t>(id)].push_back(pos);
-  }));
+  std::vector<char> chunk(AhoCorasick::kScanChunk);
+  ERA_RETURN_NOT_OK(matcher.ScanAll(
+      reader_, chunk, [&](int32_t id, uint64_t pos) {
+        occurrences[static_cast<std::size_t>(id)].push_back(pos);
+      }));
 
   for (std::size_t i = 0; i < states_.size(); ++i) {
     State& state = states_[i];

@@ -44,10 +44,10 @@ struct BuildStats {
   /// time is attributed to a synthetic worker id one past the build workers.
   /// Render with FormatPhaseTable().
   std::vector<PhaseProfiler::Entry> phases;
-  /// Prepare's sub-phases (occurrence scan, round layout, fetch, sort +
-  /// B-scan), summed over groups and workers. They nest inside the
-  /// "prepare" phase, so they stay out of `phases`, whose entries are
-  /// disjoint.
+  /// Prepare's sub-phases (occurrence scan with round 1's windows, round
+  /// layout and fetch of rounds >= 2, sort + B-scan), summed over groups
+  /// and workers. They nest inside the "prepare" phase, so they stay out
+  /// of `phases`, whose entries are disjoint.
   PrepareTimes prepare_times;
 
   /// Device bytes read per text byte — the cost of re-streaming S across

@@ -23,4 +23,13 @@ void PrepareScratch::BeginRound(uint64_t total_active, uint32_t range,
   area_tmp.clear();
 }
 
+void PrepareScratch::BeginScan(uint64_t max_straddlers) {
+  Size(&scan_chunk, AhoCorasick::kScanChunk);
+  if (straddlers.capacity() < max_straddlers) {
+    ++allocations_;
+    straddlers.reserve(max_straddlers);
+  }
+  straddlers.clear();
+}
+
 }  // namespace era

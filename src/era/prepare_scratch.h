@@ -1,14 +1,17 @@
 // Reusable working memory for the SubTreePrepare hot path.
 //
-// GroupPreparer::RunRound used to allocate ~8 fresh std::vectors per active
+// GroupPreparer's rounds used to allocate ~8 fresh std::vectors per active
 // area per round (window storage, sort records, permutation temporaries).
 // PrepareScratch hoists all of that into one arena: BeginRound() sizes every
 // buffer for the round's total active leaf count and widest area, reusing
 // capacity from previous rounds. In steady state no round performs any heap
-// allocation: the elastic range keeps active_count * range bounded by the R
+// allocation: the elastic range keeps active leaves * range bounded by the R
 // budget while both factors drift, so the high-water marks are established
 // within the first couple of rounds. A builder worker keeps one arena for
 // all of its groups, so later groups start at those marks too.
+//
+// The occurrence scan's refill buffer and the queue of round-1 windows that
+// straddle a refill live here too, so a worker's groups share them.
 //
 // The `allocations()` counter ticks once per buffer growth event; tests pin
 // the hot path's allocation-freedom by asserting it stops moving after the
@@ -22,6 +25,7 @@
 
 #include "common/loser_tree.h"
 #include "io/string_reader.h"
+#include "text/aho_corasick.h"
 
 namespace era {
 
@@ -33,12 +37,23 @@ struct WindowSortRec {
   uint32_t slot = 0;
 };
 
+/// A round-1 window that runs past the end of the scanned chunk: the text
+/// position it starts at and its compact index.
+struct StraddlingWindow {
+  uint64_t start = 0;
+  uint64_t compact = 0;
+};
+
 class PrepareScratch {
  public:
   /// Sizes every buffer for one round. `total_active` is the group-wide
   /// active leaf count, `range` the symbols fetched per leaf, `max_area` the
   /// widest single active area.
   void BeginRound(uint64_t total_active, uint32_t range, uint64_t max_area);
+
+  /// Sizes the occurrence scan's buffers: the refill chunk, and room for
+  /// `max_straddlers` windows pending across a refill.
+  void BeginScan(uint64_t max_straddlers);
 
   /// Number of buffer-growth events since construction.
   uint64_t allocations() const { return allocations_; }
@@ -70,6 +85,12 @@ class PrepareScratch {
   // appearance-rank cursor into it.
   LoserTree merge;
   std::vector<std::size_t> cursor_rank;
+
+  // The occurrence scan's refill buffer, and the FIFO of round-1 windows
+  // that the next refill finishes (in report order, so in order of window
+  // end).
+  std::vector<char> scan_chunk;
+  std::vector<StraddlingWindow> straddlers;
 
  private:
   /// Makes `vec` hold at least `n` elements. Buffers only grow: a round

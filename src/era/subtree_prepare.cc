@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 #include <numeric>
+#include <span>
 
 #include "common/timer.h"
 #include "text/aho_corasick.h"
@@ -207,27 +208,97 @@ GroupPreparer::GroupPreparer(const VirtualTree& group,
       text_length_(text_length),
       scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
 
-Status GroupPreparer::ScanOccurrences() {
+Status GroupPreparer::ScanOccurrences(uint32_t range) {
   WallTimer scan_timer;
+  PrepareScratch& scratch = *scratch_;
+  // ---- Lay round 1 out from the counted frequencies: every occurrence of
+  // a prefix with f >= 2 is active, and slot s of such a state (its s-th
+  // occurrence) owns compact index window_base + s — the layout FetchRound
+  // would build for one area [0, f) per state.
   std::vector<std::string> patterns;
   patterns.reserve(group_.prefixes.size());
   states_.resize(group_.prefixes.size());
+  uint64_t total_active = 0;
+  uint64_t max_frequency = 0;
+  uint64_t active_states = 0;
   for (std::size_t i = 0; i < group_.prefixes.size(); ++i) {
-    patterns.push_back(group_.prefixes[i].prefix);
-    states_[i].prefix = group_.prefixes[i].prefix;
-    states_[i].expected_frequency = group_.prefixes[i].frequency;
-    states_[i].L.reserve(group_.prefixes[i].frequency);
+    const PrefixInfo& info = group_.prefixes[i];
+    State& state = states_[i];
+    patterns.push_back(info.prefix);
+    state.prefix = info.prefix;
+    state.expected_frequency = info.frequency;
+    state.L.reserve(info.frequency);
+    state.window_base = total_active;
+    if (info.frequency >= 2) {
+      total_active += info.frequency;
+      max_frequency = std::max(max_frequency, info.frequency);
+      ++active_states;
+    }
   }
-  ERA_ASSIGN_OR_RETURN(auto matcher, AhoCorasick::Build(patterns));
-  ERA_RETURN_NOT_OK(matcher.ScanAll(reader_, [&](int32_t id, uint64_t pos) {
-    states_[static_cast<std::size_t>(id)].L.push_back(pos);
+  scratch.BeginRound(total_active, range, max_frequency);
+  // A window straddles a refill only if its match ends within `range` of
+  // the refill's end, and each prefix ends at most once per position.
+  scratch.BeginScan(std::min(total_active, uint64_t{range} * active_states));
+
+  // ---- One scan finds every occurrence (lines 1-7) and copies the `range`
+  // symbols after it into its round-1 window (lines 10-12). A match is
+  // reported once its last symbol is scanned, so its window starts inside
+  // the chunk being scanned or right at its end; a window that runs past
+  // the chunk is finished from the next refill. Window starts follow match
+  // order and every window spans `range`, so straddlers complete in FIFO
+  // order. A window cut short by end-of-file keeps its short length.
+  char* const windows = scratch.windows.data();
+  uint32_t* const window_len = scratch.window_len.data();
+  std::vector<StraddlingWindow>& straddlers = scratch.straddlers;
+  uint64_t chunk_begin = 0;
+  std::span<const char> chunk;
+  uint64_t symbols = 0;
+  auto on_chunk = [&](uint64_t begin, std::span<const char> bytes) {
+    chunk_begin = begin;
+    chunk = bytes;
+    const uint64_t chunk_end = begin + bytes.size();
+    std::size_t finished = 0;
+    for (const StraddlingWindow& w : straddlers) {
+      const uint64_t end = std::min(w.start + range, chunk_end);
+      std::memcpy(windows + w.compact * range + (begin - w.start),
+                  bytes.data(), end - begin);
+      window_len[w.compact] = static_cast<uint32_t>(end - w.start);
+      symbols += end - begin;
+      finished += w.start + range <= chunk_end;
+    }
+    straddlers.erase(straddlers.begin(), straddlers.begin() + finished);
+  };
+  auto on_match = [&](int32_t id, uint64_t pos) {
+    State& state = states_[static_cast<std::size_t>(id)];
+    const uint64_t slot = state.L.size();
+    state.L.push_back(pos);
     ++stats_.occurrence_scan_matches;
-  }));
+    // A prefix with f < 2 has no windows; a match beyond the counted f has
+    // no slot in its state's slab (the count check below fails the group).
+    if (state.expected_frequency < 2 || slot >= state.expected_frequency) {
+      return;
+    }
+    const uint64_t compact = state.window_base + slot;
+    const uint64_t start = pos + state.prefix.size();
+    const uint64_t chunk_end = chunk_begin + chunk.size();
+    const uint64_t end = std::min(start + range, chunk_end);
+    std::memcpy(windows + compact * range,
+                chunk.data() + (start - chunk_begin), end - start);
+    window_len[compact] = static_cast<uint32_t>(end - start);
+    symbols += end - start;
+    if (start + range > chunk_end) {
+      assert(straddlers.size() < straddlers.capacity());
+      straddlers.push_back({start, compact});
+    }
+  };
+  ERA_ASSIGN_OR_RETURN(auto matcher, AhoCorasick::Build(patterns));
+  ERA_RETURN_NOT_OK(
+      matcher.ScanAll(reader_, scratch.scan_chunk, on_match, on_chunk));
+  stats_.symbols_fetched += symbols;
   stats_.times.scan_seconds += scan_timer.Seconds();
 
   for (State& state : states_) {
-    if (state.expected_frequency != 0 &&
-        state.L.size() != state.expected_frequency) {
+    if (state.L.size() != state.expected_frequency) {
       return Status::Internal(
           "occurrence scan found " + std::to_string(state.L.size()) +
           " matches for '" + state.prefix + "', vertical partitioning " +
@@ -244,21 +315,20 @@ Status GroupPreparer::ScanOccurrences() {
     // Sized once here, rewritten in place every round: the hot path must
     // not allocate in steady state.
     state.slot_to_compact.resize(m);
-    state.was_active.resize(m);
+    std::iota(state.slot_to_compact.begin(), state.slot_to_compact.end(), 0);
+    state.was_active.assign(m, m >= 2 ? 1 : 0);
     state.areas.reserve(m / 2 + 1);  // every area holds >= 2 slots
     if (m >= 2) {
       state.areas.emplace_back(0, static_cast<uint32_t>(m));
-      state.active_count = m;
-    } else {
-      state.active_count = 0;
-      if (m == 1) state.I[0] = kDoneSlot;
+    } else if (m == 1) {
+      state.I[0] = kDoneSlot;
     }
   }
-  scratch_->cursor_rank.resize(states_.size());
+  scratch.cursor_rank.resize(states_.size());
   return Status::OK();
 }
 
-Status GroupPreparer::RunRound(uint32_t range) {
+Status GroupPreparer::FetchRound(uint32_t range) {
   PrepareScratch& scratch = *scratch_;
   WallTimer phase_timer;
   // ---- Lay the round out in the arena: per-state compact maps and window
@@ -276,7 +346,6 @@ Status GroupPreparer::RunRound(uint32_t range) {
         state.was_active[s] = 1;
       }
     }
-    state.active_count = compact;
     total_active += compact;
   }
   scratch.BeginRound(total_active, range, max_area);
@@ -355,8 +424,12 @@ Status GroupPreparer::RunRound(uint32_t range) {
   const double merge_and_fetch = phase_timer.Seconds();
   stats_.times.layout_seconds += merge_and_fetch - fetch_seconds;
   stats_.times.fetch_seconds += fetch_seconds;
-  phase_timer.Restart();
+  return Status::OK();
+}
 
+Status GroupPreparer::SortRound(uint32_t range) {
+  PrepareScratch& scratch = *scratch_;
+  WallTimer phase_timer;
   // ---- Sort active areas, define B, retire resolved leaves (lines 13-23).
   for (State& state : states_) {
     if (state.areas.empty()) continue;
@@ -550,22 +623,36 @@ Status GroupPreparer::Run() {
     return Status::InvalidArgument(
         "SetEmitCallback and SetObserver are mutually exclusive");
   }
-  ERA_RETURN_NOT_OK(ScanOccurrences());
+  // Round 1's active leaves, and with them its range, follow from the
+  // counted frequencies, so the occurrence scan fills round 1's windows.
+  uint64_t total_active = 0;
+  for (const PrefixInfo& info : group_.prefixes) {
+    if (info.frequency == 0) {
+      return Status::InvalidArgument(
+          "prefix '" + info.prefix + "' has no counted frequency; " +
+          "GroupPreparer needs every prefix's exact occurrence count");
+    }
+    if (info.frequency >= 2) total_active += info.frequency;
+  }
+  uint32_t range = policy_.NextRange(total_active);
+  ERA_RETURN_NOT_OK(ScanOccurrences(range));
   ERA_RETURN_NOT_OK(FlushResolved());  // single-occurrence prefixes
 
-  while (true) {
-    uint64_t total_active = 0;
+  while (total_active > 0) {
+    ++stats_.rounds;
+    if (stats_.rounds > 1) {
+      range = policy_.NextRange(total_active);
+      ERA_RETURN_NOT_OK(FetchRound(range));
+    }
+    ERA_RETURN_NOT_OK(SortRound(range));
+    EmitSnapshot(range);
+    ERA_RETURN_NOT_OK(FlushResolved());
+    total_active = 0;
     for (const State& state : states_) {
       for (const auto& [begin, end] : state.areas) {
         total_active += end - begin;
       }
     }
-    if (total_active == 0) break;
-    uint32_t range = policy_.NextRange(total_active);
-    ++stats_.rounds;
-    ERA_RETURN_NOT_OK(RunRound(range));
-    EmitSnapshot(range);
-    ERA_RETURN_NOT_OK(FlushResolved());
   }
 
   if (emit_) return Status::OK();  // everything already streamed out

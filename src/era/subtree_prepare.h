@@ -12,10 +12,13 @@
 //   P: slot -> appearance rank
 //   A: active areas (represented as [begin,end) slot ranges)
 //   R: per-active-slot window of `range` next symbols (compact storage)
-// Each iteration performs one merged sequential scan of S for all sub-trees
-// of the group, sorts every active area by window content, emits the B
-// entries that became decidable, and retires resolved leaves — shrinking the
-// active set so the elastic range grows.
+// Each iteration performs one sequential scan of S for all sub-trees of the
+// group, sorts every active area by window content, emits the B entries
+// that became decidable, and retires resolved leaves — shrinking the active
+// set so the elastic range grows. The first iteration's scan is the
+// occurrence scan itself: the prefixes' counted frequencies fix round 1's
+// active leaves and range in advance, so the scan copies each occurrence's
+// window as it finds it. Later iterations fill R with one merged pass.
 
 #ifndef ERA_ERA_SUBTREE_PREPARE_H_
 #define ERA_ERA_SUBTREE_PREPARE_H_
@@ -54,11 +57,13 @@ struct PreparedSubTree {
 };
 
 /// Wall seconds of prepare's sub-phases. Emit callbacks are excluded, so
-/// the sum never exceeds the enclosing "prepare" phase.
+/// the sum never exceeds the enclosing "prepare" phase. Round 1's windows
+/// are filled during the occurrence scan, so layout and fetch time only
+/// rounds >= 2.
 struct PrepareTimes {
-  double scan_seconds = 0;    // occurrence scan (lines 1-7)
+  double scan_seconds = 0;    // occurrence scan + round 1's windows (1-12)
   double layout_seconds = 0;  // compact maps, BeginRound, loser-tree merge
-  double fetch_seconds = 0;   // FetchBatch (lines 10-12)
+  double fetch_seconds = 0;   // FetchBatch (lines 10-12, rounds >= 2)
   double sort_seconds = 0;    // sort + B-scan + retire (lines 13-23)
 
   void Add(const PrepareTimes& other) {
@@ -123,7 +128,10 @@ class GroupPreparer {
   using EmitFn = std::function<Status(std::size_t k, PreparedSubTree&&)>;
   void SetEmitCallback(EmitFn emit) { emit_ = std::move(emit); }
 
-  /// Finds the occurrences (one scan) and iterates until every B is defined.
+  /// Finds the occurrences (one scan, which also fills round 1's windows)
+  /// and iterates until every B is defined. Every prefix of the group must
+  /// carry its exact frequency: a 0 is InvalidArgument before S is read,
+  /// and a scan that finds a different count is Internal.
   Status Run();
 
   /// Results, one per prefix in group order. Valid after Run(); empty when
@@ -157,12 +165,17 @@ class GroupPreparer {
     std::vector<uint32_t> slot_to_compact;
     std::vector<char> was_active;   // slot took part in the current round
     uint64_t window_base = 0;       // first arena compact index of this state
-    uint64_t active_count = 0;
     bool emitted = false;           // handed to the emit callback already
   };
 
-  Status ScanOccurrences();
-  Status RunRound(uint32_t range);
+  /// Plans round 1 from the counted frequencies, then finds every
+  /// occurrence in one scan of S and fills round 1's windows as it goes.
+  Status ScanOccurrences(uint32_t range);
+  /// Lays a later round out in the arena and fills its windows with one
+  /// merged pass over S.
+  Status FetchRound(uint32_t range);
+  /// Sorts the round's active areas, defines B and retires resolved leaves.
+  Status SortRound(uint32_t range);
   void EmitSnapshot(uint32_t range);
   /// Hands every newly resolved state (no active areas left) to emit_.
   Status FlushResolved();

@@ -22,6 +22,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,11 +52,24 @@ class AhoCorasick {
   /// Resets the automaton to the root state (start of a new scan).
   void Reset() { state_ = 0; }
 
+  /// Refill size that every scan of the build uses for its `buffer`.
+  static constexpr uint32_t kScanChunk = 64 << 10;
+
+  /// ScanAll's default `on_chunk`: ignores every refill.
+  struct IgnoreChunks {
+    void operator()(uint64_t, std::span<const char>) const {}
+  };
+
   /// Streams the whole file through the automaton (one sequential scan),
-  /// invoking `emit(pattern_id, start_pos)` for every match in position
-  /// order.
-  template <typename Emit>
-  Status ScanAll(StringReader* reader, Emit&& emit);
+  /// refilling the caller's non-empty `buffer` and invoking
+  /// `emit(pattern_id, start_pos)` for every match in position order.
+  /// `on_chunk(begin, bytes)` runs after each refill, before any match in
+  /// it is reported: `bytes` is the buffer's filled part and holds text
+  /// [begin, begin + bytes.size()), so an emit call may read the text from
+  /// its match up to the end of the chunk being scanned.
+  template <typename Emit, typename OnChunk = IgnoreChunks>
+  Status ScanAll(StringReader* reader, std::span<char> buffer, Emit&& emit,
+                 OnChunk&& on_chunk = {});
 
   std::size_t num_patterns() const { return patterns_.size(); }
   const std::string& pattern(int32_t id) const {
@@ -62,8 +77,6 @@ class AhoCorasick {
   }
 
  private:
-  /// Bytes fetched per ScanAll refill.
-  static constexpr uint32_t kScanChunk = 64 << 10;
   /// Bytes whose matching states ScanAll collects before reporting them.
   static constexpr uint32_t kScanBlock = 4 << 10;
 
@@ -96,11 +109,16 @@ class AhoCorasick {
   uint32_t state_ = 0;
 };
 
-template <typename Emit>
-Status AhoCorasick::ScanAll(StringReader* reader, Emit&& emit) {
+template <typename Emit, typename OnChunk>
+Status AhoCorasick::ScanAll(StringReader* reader, std::span<char> buffer,
+                            Emit&& emit, OnChunk&& on_chunk) {
+  if (buffer.empty()) return Status::InvalidArgument("empty scan buffer");
   Reset();
   reader->BeginScan();
-  std::vector<char> chunk(kScanChunk);
+  char* const chunk = buffer.data();
+  const uint32_t chunk_bytes = static_cast<uint32_t>(
+      std::min<std::size_t>(buffer.size(),
+                            std::numeric_limits<uint32_t>::max()));
   // The transition loop only records where a reporting state was reached,
   // without a data-dependent branch; the matches are reported afterwards,
   // block by block. Locals keep the table in registers across emit calls,
@@ -114,8 +132,9 @@ Status AhoCorasick::ScanAll(StringReader* reader, Emit&& emit) {
   const uint64_t size = reader->size();
   while (pos < size) {
     uint32_t got = 0;
-    ERA_RETURN_NOT_OK(reader->Fetch(pos, kScanChunk, chunk.data(), &got));
+    ERA_RETURN_NOT_OK(reader->Fetch(pos, chunk_bytes, chunk, &got));
     if (got == 0) break;
+    on_chunk(pos, std::span<const char>(chunk, got));
     for (uint32_t block = 0; block < got; block += kScanBlock) {
       const uint32_t end = std::min(got, block + kScanBlock);
       uint32_t hits = 0;

@@ -651,25 +651,23 @@ int CmdBuildCollection(const std::vector<std::string>& args) {
   }
 
   // Positional document files: everything after the index dir that is not a
-  // flag or a flag's value.
+  // flag or a flag's value, in either form FlagValue reads ("--flag value"
+  // or "--flag=value").
   std::vector<std::string> doc_files;
   const std::vector<std::string> value_flags = {
       "--alphabet", "--budget-mb", "--threads",
       "--synthetic", "--doc-bytes", "--seed"};
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--fasta") continue;
-    bool is_value_flag = false;
-    for (const std::string& flag : value_flags) {
-      if (args[i] == flag) {
-        is_value_flag = true;
-        break;
-      }
-    }
-    if (is_value_flag) {
+    const auto flag = std::find_if(
+        value_flags.begin(), value_flags.end(), [&](const std::string& f) {
+          return args[i] == f || args[i].starts_with(f + "=");
+        });
+    if (flag == value_flags.end()) {
+      doc_files.push_back(args[i]);
+    } else if (args[i] == *flag) {
       ++i;  // skip the flag's value
-      continue;
     }
-    doc_files.push_back(args[i]);
   }
 
   CollectionBuilder builder(*alphabet_or, options);

@@ -123,18 +123,12 @@ TEST(EdgeCaseTest, GroupPreparerWithManyPrefixesInOneGroup) {
   std::string text = testing::RandomText(Alphabet::Dna(), 20000, 7);
   ASSERT_TRUE(env.WriteFile("/s", text).ok());
 
-  VirtualTree group;
+  std::vector<std::string> two_mers;
   const char* sym = "ACGT";
   for (int a = 0; a < 4; ++a) {
-    for (int b = 0; b < 4; ++b) {
-      std::string p{sym[a], sym[b]};
-      uint64_t freq = 0;
-      for (std::size_t i = 0; i + 2 < text.size(); ++i) {
-        if (text.compare(i, 2, p) == 0) ++freq;
-      }
-      if (freq > 0) group.prefixes.push_back({p, freq});
-    }
+    for (int b = 0; b < 4; ++b) two_mers.push_back({sym[a], sym[b]});
   }
+  const VirtualTree group = testing::CountedGroup(text, two_mers);
   IoStats stats;
   auto reader = OpenStringReader(&env, "/s", {}, &stats);
   ASSERT_TRUE(reader.ok());

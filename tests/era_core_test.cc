@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -15,6 +16,7 @@
 #include "io/mem_env.h"
 #include "suffixtree/validator.h"
 #include "tests/test_util.h"
+#include "text/aho_corasick.h"
 
 namespace era {
 namespace {
@@ -518,15 +520,74 @@ TEST_F(PaperTraceTest, ElasticRangeGrowsAfterLeavesResolve) {
   EXPECT_EQ(ranges[1], 7u);
 }
 
+TEST_F(PaperTraceTest, EachRoundReadsTheTextOnce) {
+  // Round 1's windows are copied out of the occurrence scan, so the
+  // example's two rounds read S twice: the scan and round 2's fetch.
+  GroupPreparer preparer(group_, RangePolicy::Fixed(4), reader_.get(),
+                         std::strlen(kPaperText));
+  ASSERT_TRUE(preparer.Run().ok());
+  EXPECT_EQ(preparer.stats().rounds, 2u);
+  EXPECT_EQ(stats_.scans_started, preparer.stats().rounds);
+}
+
+TEST(SubTreePrepareTest, EveryPrefixNeedsItsCountedFrequency) {
+  MemEnv env;
+  std::string text = testing::RandomText(Alphabet::Dna(), 3000, 29);
+  // One prefix occurs once (no round-1 window) and one twice.
+  text.insert(1000, "GATTACAG");
+  text.insert(500, "TGCATGCA");
+  text.insert(2500, "TGCATGCA");
+  ASSERT_TRUE(env.WriteFile("/s", text).ok());
+  const VirtualTree counted = testing::CountedGroup(
+      text, {"A", "CC", "GATTACAG", "TGCATGCA", "TTT"});
+  ASSERT_EQ(counted.prefixes[2].frequency, 1u);
+  ASSERT_EQ(counted.prefixes[3].frequency, 2u);
+  const RangePolicy policy = RangePolicy::Elastic(4 << 10, 4, 64);
+  auto run = [&](const VirtualTree& group, IoStats* io) {
+    auto reader = OpenStringReader(&env, "/s", {}, io);
+    EXPECT_TRUE(reader.ok());
+    GroupPreparer preparer(group, policy, reader->get(), text.size());
+    return preparer.Run();
+  };
+  IoStats io;
+  ASSERT_TRUE(run(counted, &io).ok());
+
+  // An unknown (0) frequency is refused before S is read.
+  for (std::size_t k = 0; k < counted.prefixes.size(); ++k) {
+    VirtualTree group = counted;
+    group.prefixes[k].frequency = 0;
+    IoStats zero_io;
+    Status s = run(group, &zero_io);
+    EXPECT_TRUE(s.IsInvalidArgument()) << k << ": " << s.ToString();
+    EXPECT_EQ(zero_io.scans_started, 0u);
+  }
+  // A count off by one either way fails the group after the scan. Round 1's
+  // windows are laid out from these counts, so an over-counted prefix
+  // leaves windows unfilled and an under-counted one has matches beyond
+  // its slab: neither may write outside its own windows (the ASan build
+  // runs this test).
+  for (std::size_t k = 0; k < counted.prefixes.size(); ++k) {
+    for (int delta : {-1, 1}) {
+      VirtualTree group = counted;
+      group.prefixes[k].frequency += delta;
+      if (group.prefixes[k].frequency == 0) continue;
+      IoStats off_io;
+      Status s = run(group, &off_io);
+      EXPECT_TRUE(s.IsInternal())
+          << group.prefixes[k].prefix << " " << delta << ": " << s.ToString();
+    }
+  }
+}
+
 TEST(SubTreePrepareTest, SharedArenaIsReusedAcrossGroups) {
-  // A builder worker hands one arena to all of its groups. Preparing a
-  // group again on it grows nothing, and yields the same (L, B) as a
-  // private arena. The group's first round spans several fetch slices.
+  // A builder worker hands one arena to all of its groups, and the
+  // occurrence scan's refill buffer lives in it. Preparing a group again on
+  // it grows nothing, and yields the same (L, B) as a private arena. The
+  // group's second round spans several fetch slices.
   MemEnv env;
   std::string text = testing::RandomText(Alphabet::Dna(), 30000, 5);
   ASSERT_TRUE(env.WriteFile("/s", text).ok());
-  VirtualTree group;
-  group.prefixes = {{"A", 0}, {"CG", 0}, {"T", 0}};
+  const VirtualTree group = testing::CountedGroup(text, {"A", "CG", "T"});
   IoStats io;
   auto reader = OpenStringReader(&env, "/s", {}, &io);
   ASSERT_TRUE(reader.ok());
@@ -538,19 +599,27 @@ TEST(SubTreePrepareTest, SharedArenaIsReusedAcrossGroups) {
   const uint64_t grown = scratch.allocations();
   EXPECT_GT(grown, 0u);
   GroupPreparer again(group, policy, reader->get(), text.size(), &scratch);
+  uint64_t second_round_leaves = 0;
+  again.SetObserver([&](const PrepareSnapshot& snapshot) {
+    if (snapshot.round != 1) return;
+    for (const PrepareSnapshot::State& state : snapshot.states) {
+      second_round_leaves += static_cast<uint64_t>(
+          std::count_if(state.area.begin(), state.area.end(),
+                        [](int64_t area) { return area > 0; }));
+    }
+  });
   ASSERT_TRUE(again.Run().ok());
   EXPECT_EQ(scratch.allocations(), grown);
   EXPECT_EQ(&again.scratch(), &scratch);
+  EXPECT_GT(second_round_leaves, PrepareScratch::kFetchSlice);
 
   GroupPreparer alone(group, policy, reader->get(), text.size());
   ASSERT_TRUE(alone.Run().ok());
   EXPECT_EQ(alone.scratch().allocations(), grown);
   ASSERT_EQ(again.results().size(), alone.results().size());
-  uint64_t leaves = 0;
   for (std::size_t k = 0; k < alone.results().size(); ++k) {
     const PreparedSubTree& got = again.results()[k];
     const PreparedSubTree& want = alone.results()[k];
-    leaves += want.leaves.size();
     EXPECT_EQ(got.leaves, want.leaves);
     ASSERT_EQ(got.branches.size(), want.branches.size());
     for (std::size_t b = 0; b < want.branches.size(); ++b) {
@@ -560,7 +629,7 @@ TEST(SubTreePrepareTest, SharedArenaIsReusedAcrossGroups) {
       EXPECT_EQ(got.branches[b].defined, want.branches[b].defined);
     }
   }
-  EXPECT_GT(leaves, PrepareScratch::kFetchSlice);
+  EXPECT_EQ(scratch.scan_chunk.size(), AhoCorasick::kScanChunk);
 }
 
 // ---------------------------------------------------------------------------

@@ -435,16 +435,8 @@ TEST(PipelineTest, StreamingPrepareEmitsEveryPrefixExactlyOnce) {
   auto reader = OpenStringReader(&env, "/s", {}, &io);
   ASSERT_TRUE(reader.ok());
 
-  // Count occurrences of a few 2-mers to build a valid group.
-  VirtualTree group;
-  for (const char* p : {"AA", "AC", "AG", "AT"}) {
-    uint64_t freq = 0;
-    for (std::size_t i = 0; i + 2 < text.size(); ++i) {
-      if (text.compare(i, 2, p) == 0) ++freq;
-    }
-    if (freq > 0) group.prefixes.push_back({p, freq});
-  }
-  ASSERT_GE(group.prefixes.size(), 2u);
+  const VirtualTree group =
+      testing::CountedGroup(text, {"AA", "AC", "AG", "AT"});
 
   GroupPreparer preparer(group, RangePolicy::Elastic(1 << 16, 4, 256),
                          reader->get(), text.size());

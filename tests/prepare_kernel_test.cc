@@ -2,8 +2,9 @@
 //
 // The radix/arena/batched-fetch GroupPreparer must produce byte-identical
 // (L, B) output to BaselineGroupPreparer (the checked-in pre-refactor code
-// path) across alphabets, prefix counts, and range policies — and its
-// scratch arena must stop allocating after the first round.
+// path) across alphabets, prefix counts, and range policies while reading
+// the text once per round — and its scratch arena must stop allocating
+// after the first round.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "era/subtree_prepare_baseline.h"
 #include "io/mem_env.h"
 #include "tests/test_util.h"
+#include "text/aho_corasick.h"
 
 namespace era {
 namespace {
@@ -48,29 +50,21 @@ struct PrepareCase {
   uint64_t seed;
 };
 
-void RunEquivalenceCase(const PrepareCase& c) {
-  std::string text =
-      c.repetitive
-          ? testing::RepetitiveText(c.alphabet, c.text_len, c.seed)
-          : testing::RandomText(c.alphabet, c.text_len, c.seed);
+/// Prepares `group` over `text` with both preparers and expects identical
+/// (L, B), rounds and fetched symbols — and one text pass per round from
+/// the rewritten kernel, whose occurrence scan fills round 1's windows.
+void ExpectSameAsBaseline(const std::string& text, const VirtualTree& group,
+                          const RangePolicy& policy) {
   MemEnv env;
   ASSERT_TRUE(env.WriteFile("/s", text).ok());
-
-  VirtualTree group;
-  for (const std::string& p :
-       SamplePrefixes(text, c.prefix_len, c.prefix_count, c.seed * 7 + 1)) {
-    group.prefixes.push_back({p, 0});
-  }
-  ASSERT_FALSE(group.prefixes.empty());
-
   IoStats new_io, old_io;
   auto new_reader = OpenStringReader(&env, "/s", {}, &new_io);
   auto old_reader = OpenStringReader(&env, "/s", {}, &old_io);
   ASSERT_TRUE(new_reader.ok());
   ASSERT_TRUE(old_reader.ok());
 
-  GroupPreparer rewritten(group, c.policy, new_reader->get(), text.size());
-  BaselineGroupPreparer reference(group, c.policy, old_reader->get(),
+  GroupPreparer rewritten(group, policy, new_reader->get(), text.size());
+  BaselineGroupPreparer reference(group, policy, old_reader->get(),
                                   text.size());
   ASSERT_TRUE(rewritten.Run().ok());
   ASSERT_TRUE(reference.Run().ok());
@@ -79,6 +73,8 @@ void RunEquivalenceCase(const PrepareCase& c) {
   EXPECT_EQ(rewritten.stats().rounds, reference.stats().rounds);
   EXPECT_EQ(rewritten.stats().symbols_fetched,
             reference.stats().symbols_fetched);
+  EXPECT_EQ(new_io.scans_started,
+            std::max<uint64_t>(rewritten.stats().rounds, 1));
   for (std::size_t i = 0; i < rewritten.results().size(); ++i) {
     const PreparedSubTree& got = rewritten.results()[i];
     const PreparedSubTree& want = reference.results()[i];
@@ -96,6 +92,18 @@ void RunEquivalenceCase(const PrepareCase& c) {
           << want.prefix << " branch " << b;
     }
   }
+}
+
+void RunEquivalenceCase(const PrepareCase& c) {
+  const std::string text =
+      c.repetitive
+          ? testing::RepetitiveText(c.alphabet, c.text_len, c.seed)
+          : testing::RandomText(c.alphabet, c.text_len, c.seed);
+  const VirtualTree group = testing::CountedGroup(
+      text,
+      SamplePrefixes(text, c.prefix_len, c.prefix_count, c.seed * 7 + 1));
+  ASSERT_FALSE(group.prefixes.empty());
+  ExpectSameAsBaseline(text, group, c.policy);
 }
 
 TEST(PrepareKernelEquivalence, DnaSinglePrefixFixedRange) {
@@ -156,6 +164,50 @@ TEST(PrepareKernelEquivalence, RandomizedSweep) {
   }
 }
 
+TEST(PrepareKernelEquivalence, RoundOneWindowsAcrossScanRefills) {
+  // Round 1's windows are copied out of the occurrence scan's refills. The
+  // planted string q sits right before every refill boundary b, so its
+  // three 8-symbol substrings end at b - 1, b - 2 and b - 3: one window
+  // starts exactly at b, two straddle it, and "ATTG" ends where one of
+  // them does. q also ends two symbols before the terminal, so the last
+  // windows are cut short by end-of-file.
+  constexpr uint64_t kChunk = AhoCorasick::kScanChunk;
+  const std::string q = "ACGGTCATTG";
+  std::string text =
+      testing::RandomText(Alphabet::Dna(), 4 * kChunk + 5000, 37);
+  const uint64_t terminal = text.size() - 1;
+  for (uint64_t b = kChunk; b < terminal; b += kChunk) {
+    text.replace(b - q.size(), q.size(), q);
+  }
+  text.replace(terminal - 2 - q.size(), q.size(), q);
+  const std::vector<std::string> planted = {q.substr(0, 8), q.substr(1, 8),
+                                            q.substr(2, 8)};
+  for (uint64_t b = kChunk; b < terminal; b += kChunk) {
+    for (uint64_t gap = 1; gap <= 3; ++gap) {
+      const std::string& p = planted[3 - gap];
+      const std::vector<uint64_t> hits = testing::NaiveLocate(text, p);
+      ASSERT_TRUE(std::binary_search(hits.begin(), hits.end(),
+                                     b - gap + 1 - p.size()))
+          << p << " before " << b;
+    }
+  }
+
+  std::vector<std::string> prefixes = planted;
+  for (const char* p : {"ATTG", "GCA", "TTA"}) prefixes.push_back(p);
+  const VirtualTree group = testing::CountedGroup(text, prefixes);
+  for (const RangePolicy& policy :
+       {RangePolicy::Elastic(64 << 10, 4, 1024), RangePolicy::Fixed(4),
+        RangePolicy::Fixed(16), RangePolicy::Fixed(64)}) {
+    SCOPED_TRACE("range " + std::to_string(policy.NextRange(
+                                group.total_frequency)));
+    ExpectSameAsBaseline(text, group, policy);
+  }
+  // Windows longer than a refill are finished over two refills.
+  SCOPED_TRACE("range longer than a refill");
+  ExpectSameAsBaseline(text, testing::CountedGroup(text, planted),
+                       RangePolicy::Fixed(kChunk + kChunk / 2));
+}
+
 TEST(PrepareScratchTest, SteadyStateRoundsDoNotAllocate) {
   PrepareScratch scratch;
   scratch.BeginRound(/*total_active=*/5000, /*range=*/16, /*max_area=*/5000);
@@ -185,10 +237,8 @@ TEST(PrepareScratchTest, PreparerStopsAllocatingAfterFirstRound) {
   std::string text = testing::RepetitiveText(Alphabet::Dna(), 60000, 77);
   MemEnv env;
   ASSERT_TRUE(env.WriteFile("/s", text).ok());
-  VirtualTree group;
-  for (const std::string& p : SamplePrefixes(text, 2, 8, 5)) {
-    group.prefixes.push_back({p, 0});
-  }
+  const VirtualTree group =
+      testing::CountedGroup(text, SamplePrefixes(text, 2, 8, 5));
   IoStats io;
   auto reader = OpenStringReader(&env, "/s", {}, &io);
   ASSERT_TRUE(reader.ok());

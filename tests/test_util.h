@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "alphabet/alphabet.h"
+#include "era/vertical_partitioner.h"
 #include "io/env.h"
 #include "sa/lcp.h"
 #include "sa/sais.h"
@@ -67,6 +68,20 @@ inline std::vector<uint64_t> NaiveLocate(const std::string& text,
     hits.push_back(pos);
   }
   return hits;
+}
+
+/// One virtual tree holding `prefixes` in order, each with its exact
+/// (overlapping) occurrence count in `text`, as vertical partitioning
+/// records it. GroupPreparer requires these counts.
+inline VirtualTree CountedGroup(const std::string& text,
+                                const std::vector<std::string>& prefixes) {
+  VirtualTree group;
+  for (const std::string& prefix : prefixes) {
+    const uint64_t frequency = NaiveLocate(text, prefix).size();
+    group.prefixes.push_back({prefix, frequency});
+    group.total_frequency += frequency;
+  }
+  return group;
 }
 
 /// Ground-truth (SA, LCP-between-adjacent) via SA-IS + Kasai.

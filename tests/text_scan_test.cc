@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <span>
 
 #include "common/crc32.h"
 #include "common/options.h"
@@ -146,7 +147,7 @@ TEST(AhoCorasickTest, RandomTextsMatchOracle) {
 }
 
 TEST(AhoCorasickTest, ScanAllStreamsWholeFile) {
-  constexpr uint64_t kChunk = 64 << 10;  // ScanAll's refill size
+  constexpr uint64_t kChunk = AhoCorasick::kScanChunk;
   std::string text = testing::RandomText(Alphabet::Dna(), 200000, 9);
   // Planted patterns straddle the first two chunk boundaries.
   const std::string straddle1 = text.substr(kChunk - 3, 7);
@@ -167,9 +168,25 @@ TEST(AhoCorasickTest, ScanAllStreamsWholeFile) {
     auto reader = OpenStringReader(&env, "/s", {}, &stats);
     ASSERT_TRUE(reader.ok());
     std::vector<std::pair<int32_t, uint64_t>> matches;
-    ASSERT_TRUE(ac->ScanAll(reader->get(), [&](int32_t id, uint64_t pos) {
-                    matches.emplace_back(id, pos);
-                  }).ok());
+    std::vector<char> chunk(kChunk);
+    // Every refill is announced before its matches, holds the next text
+    // bytes, and the refills tile the file.
+    uint64_t scanned = 0;
+    ASSERT_TRUE(ac->ScanAll(
+                      reader->get(), chunk,
+                      [&](int32_t id, uint64_t pos) {
+                        EXPECT_LT(pos + ac->pattern(id).size() - 1, scanned);
+                        matches.emplace_back(id, pos);
+                      },
+                      [&](uint64_t begin, std::span<const char> bytes) {
+                        EXPECT_EQ(begin, scanned);
+                        EXPECT_EQ(bytes.data(), chunk.data());
+                        EXPECT_EQ(std::string(bytes.begin(), bytes.end()),
+                                  text.substr(begin, bytes.size()));
+                        scanned += bytes.size();
+                      })
+                    .ok());
+    EXPECT_EQ(scanned, text.size());
     std::sort(matches.begin(), matches.end(),
               [](const auto& a, const auto& b) {
                 return a.second != b.second ? a.second < b.second
@@ -179,6 +196,10 @@ TEST(AhoCorasickTest, ScanAllStreamsWholeFile) {
         << "first pattern '" << patterns[0] << "'";
     EXPECT_GE(stats.bytes_read, text.size());
     EXPECT_EQ(stats.scans_started, 1u);
+    // A scan with nowhere to read into is refused, not an empty scan.
+    EXPECT_TRUE(ac->ScanAll(reader->get(), std::span<char>(),
+                            [](int32_t, uint64_t) {})
+                    .IsInvalidArgument());
     if (set == planted) {
       EXPECT_NE(std::find(matches.begin(), matches.end(),
                           std::make_pair(int32_t{2}, kChunk - 3)),
