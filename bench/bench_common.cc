@@ -72,14 +72,9 @@ BuildOptions BenchOptions(uint64_t memory_budget, const std::string& tag) {
   options.memory_budget = memory_budget;
   options.work_dir = WorkDir(tag);
   // The figure/table harnesses price IoStats with DiskModel to reproduce
-  // the paper's algorithmic I/O; read-ahead is an implementation detail
-  // whose speculative windows (one per scan tail) would drift those
-  // numbers, so it stays off here. bench_e2e_build measures it instead,
-  // as wall time against LatencyEnv.
-  options.prefetch_reads = false;
-  // Same reasoning for the shared tile cache: the figures measure the
-  // paper's uncached streaming cost model; the cache's win is recorded by
-  // bench_e2e_build (io_amplification columns in BENCH_era.json).
+  // the paper's algorithmic I/O, so they measure the uncached streaming
+  // cost model; the shared tile cache's win is recorded by bench_e2e_build
+  // (io_amplification columns in BENCH_era.json).
   options.tile_cache = false;
   return options;
 }

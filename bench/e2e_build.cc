@@ -1,32 +1,31 @@
 // End-to-end pipelined horizontal phase benchmark.
 //
 // Builds a generated DNA corpus with ParallelBuilder at 1/2/4/8 workers and
-// emits BENCH_era.json (wall seconds, MB/s, prefetch hit rate, worker busy
-// fraction) in the current directory.
+// emits BENCH_era.json (wall seconds, MB/s, I/O amplification, tile-cache
+// hit rate, worker busy fraction) in the current directory.
 //
 // Methodology notes:
 //  * The corpus lives in real files (PosixEnv) wrapped in LatencyEnv: at
 //    laptop/CI scale the page cache hides device time entirely, so without a
 //    modeled device every run degenerates to pure CPU — on a single-core CI
 //    box that would make overlap unmeasurable. With per-request latency
-//    charged as real sleeps, prefetching and multi-worker scheduling show up
-//    as genuine wall-clock speedup, which is exactly the paper's CPU/I-O
+//    charged as real sleeps, the tile cache and multi-worker scheduling show
+//    up as genuine wall-clock speedup, which is exactly the paper's CPU/I-O
 //    overlap claim (Section 4.4). The model is NVMe-like: concurrent
 //    requests do not serialize against each other.
 //  * The memory budget scales with the worker count, so every run plans the
 //    identical partition (same FM, same groups) and the speedup isolates
 //    scheduling/overlap rather than plan differences; this is also what
 //    makes the output index byte-identical across rows (asserted in
-//    tests/pipeline_test.cc on small inputs). The tile-cache and
-//    prefetch-ring carves come out of the retrieved-data slack (R and the
-//    trie area above their floors; see era/memory_layout.h), so cached
-//    and uncached rows share the plan too.
-//  * Row 0 is the 1-worker run with prefetching and the tile cache disabled
-//    — the unpipelined reference every speedup is relative to. The
-//    1-worker prefetch-only row is the uncached reference for
-//    io_amplification: the bench FAILS (exit 1) if the cached 1-worker run
-//    does not come in strictly below it, which is the CI regression guard
-//    for this record.
+//    tests/pipeline_test.cc on small inputs). The tile-cache carve comes
+//    out of the retrieved-data slack (R and the trie area above their
+//    floors; see era/memory_layout.h), so cached and uncached rows share
+//    the plan too.
+//  * Row 0 is the 1-worker run with the tile cache disabled — the
+//    unpipelined reference every speedup is relative to, and the uncached
+//    reference for io_amplification: the bench FAILS (exit 1) if the cached
+//    1-worker run does not come in strictly below it, which is the CI
+//    regression guard for this record.
 
 #include <unistd.h>
 
@@ -52,17 +51,12 @@ using bench::ScopedRemoveAll;
 
 struct RunResult {
   unsigned workers = 0;
-  bool prefetch = false;
   bool tile_cache = false;
   double wall_seconds = 0;
   double horizontal_seconds = 0;
   double vertical_seconds = 0;
   double mb_per_second = 0;
   double speedup = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_misses = 0;
-  uint64_t prefetch_depth_hits = 0;
-  double prefetch_hit_rate = 0;
   double io_amplification = 0;
   double device_read_mb = 0;
   double tile_hit_rate = 0;
@@ -80,9 +74,8 @@ int Main(int argc, char** argv) {
   const double buffer_kb = ArgOr(argc, argv, "buffer-kb", 256.0);
   // Pure sequential scans: at this corpus/window scale a 64 KiB+ gap skip
   // re-reads a full window per seek, which amplifies device traffic past
-  // plain read-through — and read-ahead can only double-buffer scans it can
-  // predict. The paper's seek optimization pays off when skips dwarf the
-  // window; that regime is the figure benches' territory.
+  // plain read-through. The paper's seek optimization pays off when skips
+  // dwarf the window; that regime is the figure benches' territory.
   const bool seek_opt = ArgOr(argc, argv, "seek-opt", 0.0) != 0.0;
   const uint64_t body_len = static_cast<uint64_t>(text_mb * 1024 * 1024);
 
@@ -116,21 +109,19 @@ int Main(int argc, char** argv) {
 
   struct Config {
     unsigned workers;
-    bool prefetch;
     bool tile_cache;
   };
-  // The two uncached 1-worker rows reproduce the PR 2 pipeline baselines;
-  // every cached row then shows what the shared tile cache (and the
-  // affinity-ordered scheduling feeding it) removes from the device.
+  // The uncached 1-worker row is the pipeline baseline; every cached row
+  // then shows what the shared tile cache (and the affinity-ordered
+  // scheduling feeding it) removes from the device.
   // Uncached rows keep the seek optimization off (see the note above: at
   // this window scale a skip re-reads a full window, amplifying device
-  // traffic past read-through — PR 2's measured optimum). Cached rows turn
-  // it ON: with resident tiles a skip costs nothing, and sparse late
-  // rounds then fetch only the windows they actually probe (the cache's
-  // span-granular bypass reads exactly those bytes on a miss).
-  const std::vector<Config> configs = {{1, false, false}, {1, true, false},
-                                       {1, true, true},   {2, true, true},
-                                       {4, true, true},   {8, true, true}};
+  // traffic past read-through). Cached rows turn it ON: with resident
+  // tiles a skip costs nothing, and sparse late rounds then fetch only the
+  // windows they actually probe (the cache's span-granular bypass reads
+  // exactly those bytes on a miss).
+  const std::vector<Config> configs = {
+      {1, false}, {1, true}, {2, true}, {4, true}, {8, true}};
 
   std::vector<RunResult> rows;
   double baseline_wall = 0;
@@ -138,19 +129,17 @@ int Main(int argc, char** argv) {
     BuildOptions options;
     options.env = &env;
     options.work_dir = root + "/w" + std::to_string(config.workers) +
-                       (config.prefetch ? "p" : "s") +
                        (config.tile_cache ? "c" : "u");
     // Budget scales with workers: identical per-core share => identical
     // partition plan and output index across ALL rows — the tile-cache
-    // and prefetch-ring carves come out of the retrieved-data slack and
-    // never move FM (see era/memory_layout.cc).
+    // carve comes out of the retrieved-data slack and never moves FM (see
+    // era/memory_layout.cc).
     options.memory_budget = static_cast<uint64_t>(
         per_core_budget_mb * 1024 * 1024 * config.workers);
     options.input_buffer_bytes = static_cast<uint64_t>(buffer_kb * 1024);
     options.r_buffer_bytes = static_cast<uint64_t>(
         ArgOr(argc, argv, "r-buffer-mb", 4.0) * 1024 * 1024);
     options.seek_optimization = config.tile_cache ? true : seek_opt;
-    options.prefetch_reads = config.prefetch;
     options.tile_cache = config.tile_cache;
 
     ParallelBuilder builder(options, config.workers);
@@ -164,7 +153,6 @@ int Main(int argc, char** argv) {
 
     RunResult row;
     row.workers = config.workers;
-    row.prefetch = config.prefetch;
     row.tile_cache = config.tile_cache;
     row.wall_seconds = stats.total_seconds;
     row.horizontal_seconds = stats.horizontal_seconds;
@@ -172,13 +160,6 @@ int Main(int argc, char** argv) {
     row.mb_per_second = text_mb / stats.total_seconds;
     if (baseline_wall == 0) baseline_wall = stats.total_seconds;
     row.speedup = baseline_wall / stats.total_seconds;
-    row.prefetch_hits = stats.io.prefetch_hits;
-    row.prefetch_misses = stats.io.prefetch_misses;
-    row.prefetch_depth_hits = stats.io.prefetch_depth_hits;
-    const uint64_t refills = stats.io.prefetch_hits + stats.io.prefetch_misses;
-    row.prefetch_hit_rate =
-        refills == 0 ? 0
-                     : static_cast<double>(stats.io.prefetch_hits) / refills;
     row.io_amplification = stats.io_amplification();
     row.device_read_mb =
         static_cast<double>(stats.io.bytes_read) / (1024 * 1024);
@@ -195,43 +176,27 @@ int Main(int argc, char** argv) {
     rows.push_back(row);
 
     std::fprintf(stderr,
-                 "workers=%u prefetch=%d cache=%d wall=%.2fs horiz=%.2fs "
-                 "speedup=%.2fx hit_rate=%.2f depth_hits=%llu "
+                 "workers=%u cache=%d wall=%.2fs horiz=%.2fs speedup=%.2fx "
                  "tile_hit_rate=%.2f io_amp=%.1fx busy=%.2f groups=%llu "
                  "rounds=%llu read=%lluMB written=%lluMB\n",
-                 row.workers, row.prefetch ? 1 : 0, row.tile_cache ? 1 : 0,
-                 row.wall_seconds, row.horizontal_seconds, row.speedup,
-                 row.prefetch_hit_rate,
-                 static_cast<unsigned long long>(row.prefetch_depth_hits),
-                 row.tile_hit_rate, row.io_amplification,
-                 row.worker_busy_fraction,
+                 row.workers, row.tile_cache ? 1 : 0, row.wall_seconds,
+                 row.horizontal_seconds, row.speedup, row.tile_hit_rate,
+                 row.io_amplification, row.worker_busy_fraction,
                  static_cast<unsigned long long>(row.num_groups),
                  static_cast<unsigned long long>(stats.prepare_rounds),
                  static_cast<unsigned long long>(stats.io.bytes_read >> 20),
                  static_cast<unsigned long long>(stats.io.bytes_written >> 20));
   }
 
-  // Regression guard (run by CI as a smoke): the cached 1-worker run must
-  // move strictly fewer device bytes than the uncached (--no-tile-cache
-  // equivalent) 1-worker run, or the whole point of the cache is gone.
-  const RunResult* uncached_ref = nullptr;
-  const RunResult* cached_ref = nullptr;
-  for (const RunResult& row : rows) {
-    if (row.workers == 1 && row.prefetch && !row.tile_cache) {
-      uncached_ref = &row;
-    }
-    if (row.workers == 1 && row.prefetch && row.tile_cache) {
-      cached_ref = &row;
-    }
-  }
-  if (uncached_ref == nullptr || cached_ref == nullptr ||
-      cached_ref->io_amplification >= uncached_ref->io_amplification) {
+  // Regression guard (run by CI as a smoke): the cached 1-worker run (row 1)
+  // must move strictly fewer device bytes than the uncached 1-worker run
+  // (row 0, the --no-tile-cache equivalent), or the whole point of the
+  // cache is gone.
+  if (rows[1].io_amplification >= rows[0].io_amplification) {
     std::fprintf(stderr,
                  "FAIL: cached io_amplification (%.2f) is not below the "
                  "uncached run's (%.2f)\n",
-                 cached_ref == nullptr ? -1.0 : cached_ref->io_amplification,
-                 uncached_ref == nullptr ? -1.0
-                                         : uncached_ref->io_amplification);
+                 rows[1].io_amplification, rows[0].io_amplification);
     return 1;
   }
 
@@ -257,27 +222,20 @@ int Main(int argc, char** argv) {
     const RunResult& r = rows[i];
     std::fprintf(
         out,
-        "    {\"workers\": %u, \"prefetch\": %s, \"tile_cache\": %s, "
+        "    {\"workers\": %u, \"tile_cache\": %s, "
         "\"wall_seconds\": %.3f, "
         "\"horizontal_seconds\": %.3f, \"vertical_seconds\": %.3f, "
         "\"mb_per_second\": %.3f, \"speedup_vs_serial\": %.3f, "
         "\"io_amplification\": %.2f, \"device_read_mb\": %.1f, "
         "\"tile_hit_rate\": %.3f, \"tile_hits\": %llu, "
-        "\"tile_misses\": %llu, "
-        "\"prefetch_hits\": %llu, \"prefetch_misses\": %llu, "
-        "\"prefetch_depth_hits\": %llu, "
-        "\"prefetch_hit_rate\": %.3f, \"worker_busy_fraction\": %.3f, "
+        "\"tile_misses\": %llu, \"worker_busy_fraction\": %.3f, "
         "\"groups\": %llu, \"subtrees\": %llu}%s\n",
-        r.workers, r.prefetch ? "true" : "false",
-        r.tile_cache ? "true" : "false", r.wall_seconds,
+        r.workers, r.tile_cache ? "true" : "false", r.wall_seconds,
         r.horizontal_seconds, r.vertical_seconds, r.mb_per_second, r.speedup,
         r.io_amplification, r.device_read_mb, r.tile_hit_rate,
         static_cast<unsigned long long>(r.tile_hits),
         static_cast<unsigned long long>(r.tile_misses),
-        static_cast<unsigned long long>(r.prefetch_hits),
-        static_cast<unsigned long long>(r.prefetch_misses),
-        static_cast<unsigned long long>(r.prefetch_depth_hits),
-        r.prefetch_hit_rate, r.worker_busy_fraction,
+        r.worker_busy_fraction,
         static_cast<unsigned long long>(r.num_groups),
         static_cast<unsigned long long>(r.num_subtrees),
         i + 1 < rows.size() ? "," : "");

@@ -224,7 +224,6 @@ StatusOr<B2stResult> B2stBuilder::Build(const TextInfo& text) {
   // pair); plan without the carve so R is not shrunk for nothing.
   BuildOptions plan_options = options_;
   plan_options.tile_cache = false;
-  plan_options.prefetch_reads = false;  // nor a prefetch ring
   ERA_ASSIGN_OR_RETURN(MemoryLayout layout,
                        PlanMemory(plan_options, text.alphabet.size()));
   stats.fm = layout.fm;

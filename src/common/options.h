@@ -32,14 +32,6 @@ enum class HorizontalMethod {
   kBranchEdge,
 };
 
-/// Speculative windows the prefetch ring keeps ahead of each build scan (1
-/// would be classic double buffering). PlanMemory charges the ring's windows
-/// against the retrieved-data slack, after the tile cache: a build whose
-/// cache consumed the slack runs with a shallower ring (possibly none), so
-/// read-ahead never silently exceeds the budget
-/// (MemoryLayout::read_ahead_bytes).
-inline constexpr uint32_t kBuildPrefetchDepth = 4;
-
 /// Memory and behavior knobs for a build. The defaults are laptop-scaled
 /// versions of the paper's settings; all experiments override them per sweep.
 struct BuildOptions {
@@ -70,21 +62,15 @@ struct BuildOptions {
   /// Skip unneeded blocks with a seek during scans (Section 4.4).
   bool seek_optimization = true;
 
-  /// Ring-buffered read-ahead on the sequential scans (vertical counting,
-  /// occurrence scans, SubTreePrepare rounds): a background thread keeps
-  /// the next input-buffer windows read while the builder consumes the
-  /// resident one, hiding device latency behind compute. See
-  /// PrefetchingStringReader. The ring is kBuildPrefetchDepth windows deep.
-  bool prefetch_reads = true;
-
   /// Shared read-through tile cache over the input text (io/tile_cache.h):
-  /// every horizontal-phase reader of every worker is served from one
-  /// process-wide budgeted cache, so repeated scans of the same tiles stop
-  /// hitting the device. The budget is carved out of memory_budget's
-  /// retrieved-data area (the elastic range shrinks accordingly; FM and the
-  /// partition plan are unchanged, so cached and uncached builds emit
-  /// byte-identical indexes). Disabled automatically when the budget is too
-  /// small to spare cache room.
+  /// the vertical partition's counting scans and every horizontal-phase
+  /// reader of every worker are served from one process-wide budgeted
+  /// cache, so repeated scans of the same tiles stop hitting the device.
+  /// The budget is carved out of memory_budget's retrieved-data area (the
+  /// elastic range shrinks accordingly; FM and the partition plan are
+  /// unchanged, so cached and uncached builds emit byte-identical indexes).
+  /// Disabled automatically when the budget is too small to spare cache
+  /// room.
   bool tile_cache = true;
 
   /// Total tile-cache budget in bytes across all workers; 0 = auto (each

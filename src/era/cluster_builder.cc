@@ -75,9 +75,6 @@ StatusOr<ClusterBuildResult> ClusterBuilder::Build(const TextInfo& text) {
         StringReaderOptions reader_options;
         reader_options.buffer_bytes = layout.input_buffer_bytes;
         reader_options.seek_optimization = node_options.seek_optimization;
-        reader_options.prefetch = layout.read_ahead_bytes > 0 && !wavefront;
-        reader_options.prefetch_depth = static_cast<uint32_t>(
-            layout.read_ahead_bytes / layout.input_buffer_bytes);
         ERA_ASSIGN_OR_RETURN(auto reader,
                              OpenStringReader(env, text.path, reader_options,
                                               &result.node_io[nd]));

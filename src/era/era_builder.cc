@@ -289,9 +289,6 @@ StatusOr<BuildResult> EraBuilder::Build(const TextInfo& text) {
   StringReaderOptions reader_options;
   reader_options.buffer_bytes = options_.input_buffer_bytes;
   reader_options.seek_optimization = options_.seek_optimization;
-  reader_options.prefetch = layout.read_ahead_bytes > 0;
-  reader_options.prefetch_depth = static_cast<uint32_t>(
-      layout.read_ahead_bytes / layout.input_buffer_bytes);
   reader_options.tile_cache = tile_cache;
   IoStats scan_stats;
   ERA_ASSIGN_OR_RETURN(auto reader,
@@ -343,9 +340,6 @@ StatusOr<BuildResult> EraBuilder::Build(const TextInfo& text) {
         std::max(stats.peak_tree_bytes, outputs[g].tree_bytes);
     stats.io.Add(outputs[g].write_io);
   }
-  // A prefetching reader bills its residual speculative windows at
-  // destruction; tear it down before aggregating so nothing is lost.
-  reader.reset();
   stats.io.Add(scan_stats);
   FoldTileCacheStats(tile_cache, &stats);
   stats.horizontal_seconds = horizontal_timer.Seconds();

@@ -21,60 +21,40 @@ StatusOr<MemoryLayout> PlanMemory(const BuildOptions& options,
   }
   layout.trie_bytes = std::min<uint64_t>(1 << 20, options.memory_budget / 16);
 
-  // The tile cache and the prefetch ring are both carved out of the
-  // retrieved-data area's slack (R above max(512 KB, R/8) plus the trie
-  // area above max(64 KB, trie/8)), never out of the tree/processing
-  // areas: the sum of the fixed areas is unchanged, so FM — and with it
-  // the vertical partition and the emitted index bytes — is identical
-  // whatever the cache/prefetch configuration. The elastic range pays
-  // instead (a smaller range means more prepare rounds), which the cache
-  // repays by serving those rounds from memory. Allocation priority is
-  // cache first (residency removes device traffic outright), then ring
-  // windows (they only *overlap* it): when a partial-residency cache
-  // consumes the whole slack, the ring degrades to zero and read-ahead
-  // turns off — exactly the regime where hits are memcpys anyway. Small-R
-  // configurations carve nothing and keep both features' costs at zero.
+  // The tile cache is carved out of the retrieved-data area's slack (R
+  // above max(512 KB, R/8) plus the trie area above max(64 KB, trie/8)),
+  // never out of the tree/processing areas: the sum of the fixed areas is
+  // unchanged, so FM — and with it the vertical partition and the emitted
+  // index bytes — is identical whether or not the cache is on. The elastic
+  // range pays instead (a smaller range means more prepare rounds), which
+  // the cache repays by serving those rounds from memory. Small-R
+  // configurations carve nothing.
   const uint64_t r = layout.r_buffer_bytes;
-  const uint64_t r_floor = std::max<uint64_t>(512 << 10, r / 8);
   const uint64_t trie = layout.trie_bytes;
-  const uint64_t trie_floor = std::max<uint64_t>(64 << 10, trie / 8);
-  uint64_t slack = (r > r_floor ? r - r_floor : 0) +
-                   (trie > trie_floor ? trie - trie_floor : 0);
-  const uint64_t total_slack = slack;
+  const uint64_t r_slack =
+      r - std::min(r, std::max<uint64_t>(512 << 10, r / 8));
+  const uint64_t trie_slack =
+      trie - std::min(trie, std::max<uint64_t>(64 << 10, trie / 8));
   if (options.tile_cache) {
-    if (options.tile_cache_budget_bytes > 0) {
-      if (options.tile_cache_budget_bytes > slack) {
-        return Status::OutOfBudget(
-            "explicit tile cache budget (" +
-            std::to_string(options.tile_cache_budget_bytes) +
-            " bytes per core) does not fit in the retrieved-data area (" +
-            std::to_string(slack) + " bytes of R/trie slack available)");
-      }
-      layout.tile_cache_bytes = options.tile_cache_budget_bytes;
-    } else {
-      layout.tile_cache_bytes = slack;
+    const uint64_t slack = r_slack + trie_slack;
+    if (options.tile_cache_budget_bytes > slack) {
+      return Status::OutOfBudget(
+          "explicit tile cache budget (" +
+          std::to_string(options.tile_cache_budget_bytes) +
+          " bytes per core) does not fit in the retrieved-data area (" +
+          std::to_string(slack) + " bytes of R/trie slack available)");
     }
-    slack -= layout.tile_cache_bytes;
-  }
-  if (options.prefetch_reads) {
-    const uint64_t want = layout.input_buffer_bytes * kBuildPrefetchDepth;
-    layout.read_ahead_bytes =
-        std::min(want, (slack / layout.input_buffer_bytes) *
-                           layout.input_buffer_bytes);
-    slack -= layout.read_ahead_bytes;
-  }
-  {
-    // Deduct the consumed slack from R first, then from the trie area.
-    const uint64_t taken = total_slack - slack;
-    const uint64_t from_r =
-        std::min(taken, r > r_floor ? r - r_floor : 0);
+    layout.tile_cache_bytes = options.tile_cache_budget_bytes > 0
+                                  ? options.tile_cache_budget_bytes
+                                  : slack;
+    // Deduct the carve from R first, then from the trie area.
+    const uint64_t from_r = std::min(layout.tile_cache_bytes, r_slack);
     layout.r_buffer_bytes = r - from_r;
-    layout.trie_bytes = trie - (taken - from_r);
+    layout.trie_bytes = trie - (layout.tile_cache_bytes - from_r);
   }
 
-  uint64_t fixed = layout.input_buffer_bytes + layout.read_ahead_bytes +
-                   layout.r_buffer_bytes + layout.tile_cache_bytes +
-                   layout.trie_bytes;
+  uint64_t fixed = layout.input_buffer_bytes + layout.r_buffer_bytes +
+                   layout.tile_cache_bytes + layout.trie_bytes;
   if (fixed + (1 << 12) > options.memory_budget) {
     return Status::OutOfBudget(
         "memory budget too small for buffers and trie");

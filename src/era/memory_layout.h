@@ -2,10 +2,12 @@
 //
 // ERA divides the budget into: the retrieved-data area (input buffer B_S, the
 // next-symbol buffer R, a small trie area), the suffix-tree area MTS (~60% of
-// what remains), and the processing area (arrays L and B). I, A and P live
-// inside the tree area: they are only needed by SubTreePrepare, and
-// BuildSubTree — which is what fills the tree area — runs afterwards and only
-// needs L and B, so the regions can safely overlap.
+// what remains), and the processing area (arrays L and B). B_S is each scan
+// reader's only window. The shared tile cache, when on, is carved out of R
+// and the trie area above their floors. I, A and P live inside the tree area:
+// they are only needed by SubTreePrepare, and BuildSubTree — which is what
+// fills the tree area — runs afterwards and only needs L and B, so the
+// regions can safely overlap.
 //
 // FM (Equation 1) is MTS / (2 * sizeof(TreeNode)), further constrained by the
 // per-leaf processing footprint. Figure 6 gives the processing area the other
@@ -25,13 +27,7 @@ namespace era {
 
 /// Resolved allocation of one builder's memory budget.
 struct MemoryLayout {
-  uint64_t input_buffer_bytes = 0;  // B_S (the resident scan window)
-  /// Speculative windows of the prefetch ring, carved from the
-  /// retrieved-data slack after the tile cache (whole windows, up to
-  /// input_buffer_bytes * kBuildPrefetchDepth). Zero disables read-ahead:
-  /// either it was requested off, or the cache consumed the slack —
-  /// charged here so the read path never silently exceeds the budget.
-  uint64_t read_ahead_bytes = 0;
+  uint64_t input_buffer_bytes = 0;  // B_S (the one scan window)
   uint64_t r_buffer_bytes = 0;      // R
   /// This core's share of the shared input-text tile cache (io/tile_cache.h).
   /// Carved out of the retrieved-data slack (R above its floor, then the
@@ -46,9 +42,8 @@ struct MemoryLayout {
   uint64_t fm = 0;
 
   uint64_t total() const {
-    return input_buffer_bytes + read_ahead_bytes + r_buffer_bytes +
-           tile_cache_bytes + trie_bytes + tree_area_bytes +
-           processing_bytes;
+    return input_buffer_bytes + r_buffer_bytes + tile_cache_bytes +
+           trie_bytes + tree_area_bytes + processing_bytes;
   }
 };
 

@@ -116,10 +116,10 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
                 : PlanMemoryForBuild(worker_options, text, num_workers_));
   stats.fm = layout.fm;
 
-  // One process-wide tile cache serves every worker (and every worker's
-  // prefetch thread): a tile one group's scan loads is a hit for every
-  // group scheduled near it. The WaveFront emulation keeps its modeled
-  // device pattern uncached (PlanMemoryWaveFront never carves).
+  // One process-wide tile cache serves every worker: a tile one group's
+  // scan loads is a hit for every group scheduled near it. The WaveFront
+  // emulation keeps its modeled device pattern uncached
+  // (PlanMemoryWaveFront never carves).
   ERA_ASSIGN_OR_RETURN(std::shared_ptr<TileCache> tile_cache,
                        OpenBuildTileCache(env, text, layout, num_workers_));
 
@@ -210,14 +210,9 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
       WallTimer worker_timer;
       double busy = 0;
       auto run = [&]() -> Status {
-        // Stage 2: the scan reader double-buffers through a background
-        // prefetch thread so device latency hides behind the radix kernel.
         StringReaderOptions reader_options;
         reader_options.buffer_bytes = layout.input_buffer_bytes;
         reader_options.seek_optimization = worker_options.seek_optimization;
-        reader_options.prefetch = layout.read_ahead_bytes > 0 && !wavefront;
-        reader_options.prefetch_depth = static_cast<uint32_t>(
-            layout.read_ahead_bytes / layout.input_buffer_bytes);
         if (!wavefront) reader_options.tile_cache = tile_cache;
         ERA_ASSIGN_OR_RETURN(auto reader,
                              OpenStringReader(env, text.path, reader_options,

@@ -1,19 +1,18 @@
 // Shared-memory / shared-disk parallel construction (Section 5), pipelined.
 //
 // A master performs vertical partitioning, then the horizontal phase runs as
-// a three-stage pipeline over subtree-granular tasks:
+// a two-stage pipeline over subtree-granular tasks:
 //
 //   1. Scheduling — group tasks seed a work-stealing queue in LPT order
 //      (era/work_queue.h); a group's prepare stage spawns one build task per
 //      prefix the moment that prefix resolves, so idle workers steal
 //      BuildSubTree work out of large groups mid-prepare.
-//   2. Read-ahead — each worker's StringReader double-buffers its
-//      sequential scans through a background prefetch thread
-//      (PrefetchingStringReader), hiding device latency behind the radix
-//      kernel.
-//   3. Write overlap — finished trees go to a bounded BackgroundSubTreeWriter
+//   2. Write overlap — finished trees go to a bounded BackgroundSubTreeWriter
 //      instead of blocking the worker; (group, k) slot naming keeps the
 //      assembled index byte-identical for any worker count.
+//
+// Each worker reads S through its own synchronous StringReader, served from
+// the shared tile cache when one is open.
 //
 // All workers read the same input file (the architecture's strength) and
 // split the memory budget equally (its constraint): FM is computed from the

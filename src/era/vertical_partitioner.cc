@@ -66,11 +66,6 @@ StatusOr<PartitionPlan> VerticalPartition(
   StringReaderOptions reader_options;
   reader_options.buffer_bytes = options.input_buffer_bytes;
   reader_options.seek_optimization = false;  // counting reads everything
-  // This reader (and its prefetch ring) is transient: partitioning runs
-  // before the horizontal phase commits the tree/processing areas, so the
-  // ring lives in memory the plan has not yet spent.
-  reader_options.prefetch = options.prefetch_reads;
-  reader_options.prefetch_depth = kBuildPrefetchDepth;
   reader_options.tile_cache = tile_cache;
   ERA_ASSIGN_OR_RETURN(auto reader,
                        OpenStringReader(options.GetEnv(), text.path,
@@ -153,10 +148,6 @@ StatusOr<PartitionPlan> VerticalPartition(
 
   plan.groups =
       GroupPrefixes(std::move(accepted), fm, options.group_virtual_trees);
-  // The reader bills into plan.io at destruction (a prefetching reader's
-  // residual speculative window); destroy it before plan leaves the scope
-  // so the accounting never depends on copy elision.
-  reader.reset();
   plan.seconds = timer.Seconds();
   return plan;
 }

@@ -27,13 +27,13 @@ class RandomAccessFile {
   virtual Status Read(uint64_t offset, std::size_t n, char* scratch,
                       std::size_t* out_n) const = 0;
 
-  /// Positional read used by background prefetchers. Same semantics as
-  /// Read(), with one extra requirement: implementations must allow ReadAt
-  /// to run concurrently with Read/ReadAt calls on the same file from other
-  /// threads (pread semantics — no shared cursor). The default forwards to
-  /// Read(), which is sufficient whenever Read is already stateless; an Env
-  /// whose Read mutates per-file state must override this with a
-  /// thread-safe path.
+  /// Positional read used by the shared TileCache, which every worker
+  /// reads through at once. Same semantics as Read(), with one extra
+  /// requirement: implementations must allow ReadAt to run concurrently
+  /// with Read/ReadAt calls on the same file from other threads (pread
+  /// semantics — no shared cursor). The default forwards to Read(), which is
+  /// sufficient whenever Read is already stateless; an Env whose Read
+  /// mutates per-file state must override this with a thread-safe path.
   virtual Status ReadAt(uint64_t offset, std::size_t n, char* scratch,
                         std::size_t* out_n) const {
     return Read(offset, n, scratch, out_n);

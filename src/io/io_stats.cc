@@ -10,10 +10,6 @@ std::string IoStats::ToString() const {
      << "B seq_refills=" << sequential_refills << " seeks=" << seeks
      << " skipped=" << bytes_skipped << "B scans=" << scans_started
      << " batches=" << fetch_batches << " batched_reqs=" << batched_requests
-     << " prefetch_hits=" << prefetch_hits
-     << " prefetch_misses=" << prefetch_misses
-     << " prefetch_depth_hits=" << prefetch_depth_hits
-     << " prefetched=" << prefetched_bytes << "B"
      << " cache_served=" << cache_served_bytes << "B"
      << " tile_hits=" << tile_hits << " tile_misses=" << tile_misses
      << " tile_device=" << tile_device_bytes << "B"
@@ -44,18 +40,6 @@ const std::vector<IoStatsField>& IoStatsFields() {
       {"era_io_batched_requests_total",
        "Individual requests served through batched fetches",
        &IoStats::batched_requests},
-      {"era_io_prefetch_hits_total",
-       "Refills served from a completed background prefetch",
-       &IoStats::prefetch_hits},
-      {"era_io_prefetch_misses_total",
-       "Refills that went to the device despite prefetching",
-       &IoStats::prefetch_misses},
-      {"era_io_prefetch_depth_hits_total",
-       "Prefetch hits only a depth > 1 ring can produce",
-       &IoStats::prefetch_depth_hits},
-      {"era_io_prefetched_bytes_total",
-       "Bytes transferred by background prefetch reads",
-       &IoStats::prefetched_bytes},
       {"era_io_cache_served_bytes_total",
        "Reader bytes served out of a shared tile cache",
        &IoStats::cache_served_bytes},

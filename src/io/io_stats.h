@@ -35,22 +35,11 @@ struct IoStats {
   uint64_t fetch_batches = 0;
   /// Total individual requests served through batched fetches.
   uint64_t batched_requests = 0;
-  /// Sequential window refills served from a completed background prefetch
-  /// (the device wait overlapped with compute; see PrefetchingStringReader).
+  /// Always 0; a benchmark PR removes them. benchmark/era_bench.cc still
+  /// reads both for io.prefetch.hit_rate, so they stay, but nothing counts,
+  /// folds (Add) or exports them.
   uint64_t prefetch_hits = 0;
-  /// Sequential window refills that went to the device in the foreground
-  /// even though prefetching was enabled (first window of a scan, or the
-  /// scan jumped outside the predicted next window).
   uint64_t prefetch_misses = 0;
-  /// Prefetch hits on windows that were issued while other speculative
-  /// windows were still live in the ring — hits only a prefetch depth > 1
-  /// can produce (see StringReaderOptions::prefetch_depth).
-  uint64_t prefetch_depth_hits = 0;
-  /// Bytes transferred by background prefetch reads. For a device-backed
-  /// reader these are counted into bytes_read as well (real device traffic,
-  /// just issued off the consuming thread); for a cache-backed reader they
-  /// count into cache_served_bytes instead.
-  uint64_t prefetched_bytes = 0;
   /// Reader bytes served out of a shared TileCache (memory copies; the
   /// cache bills the underlying device traffic into tile_device_bytes).
   uint64_t cache_served_bytes = 0;
@@ -86,10 +75,6 @@ struct IoStats {
     scans_started += other.scans_started;
     fetch_batches += other.fetch_batches;
     batched_requests += other.batched_requests;
-    prefetch_hits += other.prefetch_hits;
-    prefetch_misses += other.prefetch_misses;
-    prefetch_depth_hits += other.prefetch_depth_hits;
-    prefetched_bytes += other.prefetched_bytes;
     cache_served_bytes += other.cache_served_bytes;
     tile_hits += other.tile_hits;
     tile_misses += other.tile_misses;

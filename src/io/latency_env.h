@@ -1,8 +1,8 @@
 // Env decorator that injects modeled device latency into file traffic.
 //
 // On a laptop-scale testbed the OS page cache serves nearly every read, so
-// the CPU/I-O overlap machinery (prefetching readers, background sub-tree
-// writes, multi-worker scheduling) is invisible in wall time even though it
+// the CPU/I-O overlap machinery (background sub-tree writes, multi-worker
+// scheduling) is invisible in wall time even though it
 // is exactly what the paper's disk-bound evaluation measures. DESIGN.md's
 // answer for the figure benches is the *modeled seconds* of io_stats.h;
 // LatencyEnv is the complement for end-to-end benches: it makes each request
@@ -10,7 +10,7 @@
 // as a genuine speedup. Latency is charged per request —
 // `latency + bytes / bandwidth` — and concurrent requests sleep
 // independently (a queue-depth > 1 device, NVMe-like), which is what lets a
-// prefetch thread or a second worker hide its transfer behind another
+// background writer or a second worker hide its transfer behind another
 // thread's compute.
 
 #ifndef ERA_IO_LATENCY_ENV_H_

@@ -28,11 +28,6 @@ double RetryPolicy::BackoffSeconds(uint32_t attempt) const {
   return nominal * (0.5 + 0.5 * unit);
 }
 
-Status RunWithRetry(const RetryPolicy& policy,
-                    const std::function<Status()>& op, uint64_t* retries) {
-  return RunWithRetry(policy, nullptr, op, retries);
-}
-
 Status RunWithRetry(const RetryPolicy& policy, const QueryContext* ctx,
                     const std::function<Status()>& op, uint64_t* retries) {
   Status s = op();

@@ -45,16 +45,12 @@ struct RetryPolicy {
 /// Runs `op` up to `policy.max_attempts` times, sleeping the jittered
 /// backoff between IOError failures. Non-IOError statuses return
 /// immediately. `*retries` (may be null) accumulates the number of
-/// re-attempts actually performed, successful or not.
-Status RunWithRetry(const RetryPolicy& policy,
-                    const std::function<Status()>& op, uint64_t* retries);
-
-/// Deadline-aware variant: before each backoff sleep the caller's context
-/// (may be null, meaning no deadline) is consulted — if the token is
-/// cancelled or the remaining budget would be consumed by the sleep, the
-/// last IOError is returned promptly instead. The retry loop never sleeps
-/// past the caller's deadline: a retryable fault with 1ms of budget left
-/// costs ~1ms, not a full backoff schedule.
+/// re-attempts actually performed, successful or not. Before each backoff
+/// sleep the caller's context (may be null, meaning no deadline) is
+/// consulted — if the token is cancelled or the remaining budget would be
+/// consumed by the sleep, the last IOError is returned promptly instead.
+/// The retry loop never sleeps past the caller's deadline: a retryable fault
+/// with 1ms of budget left costs ~1ms, not a full backoff schedule.
 Status RunWithRetry(const RetryPolicy& policy, const QueryContext* ctx,
                     const std::function<Status()>& op, uint64_t* retries);
 

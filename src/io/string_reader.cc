@@ -42,8 +42,8 @@ inline void CopySmall(char* dst, const char* src, uint32_t len) {
 StringReader::StringReader(std::unique_ptr<RandomAccessFile> file,
                            const StringReaderOptions& options, IoStats* stats)
     : file_(std::move(file)), options_(options), stats_(stats) {
-  if (options_.buffer_bytes < 4096) options_.buffer_bytes = 4096;
-  buffer_.resize(options_.buffer_bytes);
+  const uint64_t window = std::max<uint64_t>(options_.buffer_bytes, 4096);
+  buffer_.resize(std::max<uint64_t>(1, std::min(window, file_->Size())));
 }
 
 void StringReader::BeginScan(uint64_t start_pos) {
@@ -209,213 +209,6 @@ Status StringReader::RandomFetch(uint64_t pos, uint32_t len, char* out,
   return Status::OK();
 }
 
-PrefetchingStringReader::PrefetchingStringReader(
-    std::unique_ptr<RandomAccessFile> file, const StringReaderOptions& options,
-    IoStats* stats)
-    : StringReader(std::move(file), options, stats) {
-  ring_.resize(std::max<uint32_t>(1, options_.prefetch_depth));
-  for (Slot& slot : ring_) slot.data.resize(buffer_.size());
-  thread_ = std::thread([this] { PrefetchLoop(); });
-}
-
-PrefetchingStringReader::~PrefetchingStringReader() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  // Bill reads the consumer never synchronized on (e.g. the speculative
-  // windows past the last refill of a scan) — they did hit the device.
-  if (stats_ != nullptr) stats_->Add(background_io_);
-}
-
-int PrefetchingStringReader::FreeSlotLocked() const {
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    if (!ring_[i].valid && !ring_[i].pending) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-uint32_t PrefetchingStringReader::LiveCountLocked() const {
-  uint32_t live = 0;
-  for (const Slot& slot : ring_) {
-    if (slot.valid || slot.pending) ++live;
-  }
-  return live;
-}
-
-void PrefetchingStringReader::FoldBackgroundIoLocked() {
-  if (stats_ != nullptr) {
-    stats_->Add(background_io_);
-    background_io_ = IoStats();
-  }
-}
-
-void PrefetchingStringReader::IssueSpeculationLocked() {
-  bool issued = false;
-  while (spec_armed_ && next_spec_pos_ < file_->Size()) {
-    const int s = FreeSlotLocked();
-    if (s < 0) break;
-    Slot& slot = ring_[static_cast<std::size_t>(s)];
-    slot.pending = true;
-    slot.start = next_spec_pos_;
-    slot.issued_with_live = LiveCountLocked() - 1;  // everyone but this slot
-    next_spec_pos_ += slot.data.size();
-    issue_queue_.push_back(s);
-    issued = true;
-  }
-  if (issued) cv_.notify_all();
-}
-
-void PrefetchingStringReader::PrefetchLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_.wait(lock, [this] { return shutdown_ || !issue_queue_.empty(); });
-    if (shutdown_) return;
-    const int s = issue_queue_.front();
-    issue_queue_.erase(issue_queue_.begin());
-    Slot& slot = ring_[static_cast<std::size_t>(s)];
-    const uint64_t pos = slot.start;
-    lock.unlock();
-    std::size_t got = 0;
-    uint64_t retries = 0;
-    Status status = RunWithRetry(
-        options_.retry,
-        [&] {
-          return file_->ReadAt(pos, slot.data.size(), slot.data.data(), &got);
-        },
-        &retries);
-    lock.lock();
-    background_io_.read_retries += retries;
-    if (status.ok()) {
-      slot.len = got;
-      slot.valid = got > 0;
-      if (options_.tile_cache != nullptr) {
-        background_io_.cache_served_bytes += got;
-      } else {
-        background_io_.bytes_read += got;
-      }
-      background_io_.prefetched_bytes += got;
-      ++background_io_.sequential_refills;
-    } else {
-      background_status_ = status;
-      slot.valid = false;
-      spec_armed_ = false;  // stop speculating until the consumer resolves it
-    }
-    slot.pending = false;
-    cv_.notify_all();
-  }
-}
-
-Status PrefetchingStringReader::Refill(uint64_t pos, bool sequential,
-                                       bool full_window) {
-  if (!sequential || !full_window) {
-    // Random repositionings (including seek-optimization skips) keep the
-    // base path. Background reads only touch ring slots, so they may
-    // proceed concurrently; their windows stay valid for when the
-    // interrupted scan resumes. A skip also breaks the streak that re-arms
-    // a paused speculation.
-    recovery_refills_ = 0;
-    return StringReader::Refill(pos, sequential, full_window);
-  }
-  // Same boundary as the base Refill: a ring hit is still a refill, and the
-  // wait on an in-flight slot below should not start for a dead query.
-  if (context_ != nullptr) ERA_RETURN_NOT_OK(context_->Check());
-  std::unique_lock<std::mutex> lock(mu_);
-  FoldBackgroundIoLocked();
-  if (!background_status_.ok()) {
-    // The speculation failed, but this refill may target a readable
-    // window the algorithm actually needs — treat it as a miss and let
-    // the foreground read's own status decide. A real device error still
-    // fails fast below.
-    background_status_ = Status::OK();
-    for (Slot& slot : ring_) {
-      if (!slot.pending) slot.valid = false;
-    }
-  }
-  // Serve from the ring: wait out an in-flight read of the target window
-  // (the wait is exactly the device overlap the hit measures).
-  int found = -1;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const Slot& slot = ring_[i];
-    const uint64_t end =
-        slot.start + (slot.pending ? slot.data.size() : slot.len);
-    if ((slot.valid || slot.pending) && pos >= slot.start && pos < end) {
-      found = static_cast<int>(i);
-      break;
-    }
-  }
-  if (found >= 0 && ring_[static_cast<std::size_t>(found)].pending) {
-    Slot& slot = ring_[static_cast<std::size_t>(found)];
-    cv_.wait(lock, [&slot] { return !slot.pending; });
-    FoldBackgroundIoLocked();
-    if (!slot.valid || pos >= slot.start + slot.len) found = -1;
-    background_status_ = Status::OK();  // a short/failed read falls through
-  }
-  if (found >= 0) {
-    Slot& slot = ring_[static_cast<std::size_t>(found)];
-    std::swap(buffer_, slot.data);
-    buffer_start_ = slot.start;
-    buffer_len_ = slot.len;
-    has_window_ = true;
-    slot.valid = false;
-    wasted_speculations_ = 0;
-    recovery_refills_ = 0;
-    if (stats_ != nullptr) {
-      ++stats_->prefetch_hits;
-      if (slot.issued_with_live > 0) ++stats_->prefetch_depth_hits;
-    }
-    // Windows entirely behind the scan can never be consumed now; free
-    // their slots so the ring keeps speculating ahead.
-    for (Slot& stale : ring_) {
-      if (stale.valid && stale.start + stale.len <= pos) stale.valid = false;
-    }
-    spec_armed_ = true;
-    IssueSpeculationLocked();
-    return Status::OK();
-  }
-
-  // Miss: the scan went somewhere the ring did not speculate. Completed
-  // windows are wasted; discard them, and cancel issued-but-unstarted reads
-  // (a read already in flight finishes and is swept as stale later).
-  bool wasted = false;
-  for (Slot& slot : ring_) {
-    if (slot.valid) {
-      slot.valid = false;
-      wasted = true;
-    }
-  }
-  for (int s : issue_queue_) {
-    ring_[static_cast<std::size_t>(s)].pending = false;
-  }
-  issue_queue_.clear();
-  if (wasted) ++wasted_speculations_;
-  spec_armed_ = false;
-  lock.unlock();
-  ERA_RETURN_NOT_OK(StringReader::Refill(pos, sequential, full_window));
-  if (stats_ != nullptr) ++stats_->prefetch_misses;
-  bool speculate = true;
-  if (wasted_speculations_ >= kMaxWastedSpeculations) {
-    // Sparse scan: stop burning bandwidth on windows the skips jump over
-    // until the pattern proves sequential again.
-    if (++recovery_refills_ >= kRecoveryRefills) {
-      wasted_speculations_ = 0;
-      recovery_refills_ = 0;
-    } else {
-      speculate = false;
-    }
-  }
-  if (!speculate) return Status::OK();
-  lock.lock();
-  if (buffer_len_ > 0 && buffer_start_ + buffer_len_ < file_->Size()) {
-    next_spec_pos_ = buffer_start_ + buffer_len_;
-    spec_armed_ = true;
-    IssueSpeculationLocked();
-  }
-  return Status::OK();
-}
-
 StatusOr<std::unique_ptr<StringReader>> OpenStringReader(
     Env* env, const std::string& path, const StringReaderOptions& options,
     IoStats* stats) {
@@ -429,10 +222,6 @@ StatusOr<std::unique_ptr<StringReader>> OpenStringReader(
     file = NewCachedFile(options.tile_cache);
   } else {
     ERA_ASSIGN_OR_RETURN(file, env->OpenRandomAccess(path));
-  }
-  if (options.prefetch) {
-    return std::unique_ptr<StringReader>(
-        new PrefetchingStringReader(std::move(file), options, stats));
   }
   return std::make_unique<StringReader>(std::move(file), options, stats);
 }

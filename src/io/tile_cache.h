@@ -7,8 +7,8 @@
 // group's occurrence scan walks the whole file and consecutive prepare rounds
 // revisit almost the same positions. The TileCache turns that repetition into
 // memory hits: one process-wide, byte-budgeted cache of fixed-size tiles,
-// shared by every worker (and every worker's prefetch thread), fed through
-// the thread-safe RandomAccessFile::ReadAt hook.
+// shared by every worker, fed through the thread-safe
+// RandomAccessFile::ReadAt hook.
 //
 // Design points (see README "I/O anatomy"):
 //   * Sharded LRU with shared_ptr pinning, in the style of the sub-tree
@@ -74,8 +74,7 @@ struct CachedTile {
 };
 
 /// Process-wide cache of fixed-size tiles of one file. Thread-safe: any
-/// number of workers and prefetch threads may call GetTile/ReadAt
-/// concurrently.
+/// number of workers may call GetTile/ReadAt concurrently.
 class TileCache {
  public:
   /// Opens `path` from `env` and snapshots its size. The file must outlive
@@ -180,8 +179,8 @@ class TileCache {
 
 /// RandomAccessFile adapter serving all reads through `cache` (both Read and
 /// ReadAt — the adapter is stateless, so either is safe from any thread).
-/// Lets StringReader/PrefetchingStringReader become cache-backed without
-/// changing their refill logic.
+/// Lets a StringReader become cache-backed without changing its refill
+/// logic.
 std::unique_ptr<RandomAccessFile> NewCachedFile(
     std::shared_ptr<TileCache> cache);
 

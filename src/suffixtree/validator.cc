@@ -104,7 +104,11 @@ Status ValidateSubTree(const TreeBuffer& tree, const std::string& text,
   // Each leaf's path label must equal its suffix, and leaves must be sorted.
   // Because edges reference the text, path-label equality reduces to: for
   // each leaf, walking down from the root, each edge label must match the
-  // suffix slice at the appropriate offset. We re-walk per leaf (test-scale).
+  // suffix slice at the appropriate offset. Internal edges are compared
+  // byte by byte. A leaf edge runs to the end of S, and S ends with a unique
+  // terminal, so its label equals S[leaf_pos + depth, n) exactly when it
+  // starts there and has that length: an O(1) check where a byte compare
+  // would make the walk Θ(n²) per sub-tree.
   for (uint64_t leaf_pos : leaves_in_order) {
     uint64_t suffix_len = n - leaf_pos;
     uint64_t depth = 0;
@@ -117,10 +121,15 @@ Status ValidateSubTree(const TreeBuffer& tree, const std::string& text,
            c = tree.node(c).next_sibling) {
         const TreeNode& child = tree.node(c);
         if (text[child.edge_start] == text[leaf_pos + depth]) {
-          if (text.compare(child.edge_start, child.edge_len, text,
-                           leaf_pos + depth,
-                           std::min<uint64_t>(child.edge_len,
-                                              suffix_len - depth)) != 0) {
+          const bool label_ok =
+              child.IsLeaf()
+                  ? child.edge_start == leaf_pos + depth &&
+                        child.edge_len == suffix_len - depth
+                  : text.compare(child.edge_start, child.edge_len, text,
+                                 leaf_pos + depth,
+                                 std::min<uint64_t>(child.edge_len,
+                                                    suffix_len - depth)) == 0;
+          if (!label_ok) {
             return Status::Corruption("edge label does not match suffix");
           }
           depth += child.edge_len;

@@ -16,7 +16,8 @@
 
 namespace era {
 
-/// Checks one sub-tree against the text:
+/// Checks one sub-tree against `text`, which ends with a unique terminal
+/// (Alphabet::ValidateText):
 ///  * indices in range, exactly one visit per node (no cycles / orphans)
 ///  * every non-root internal node has >= 2 children; the sub-tree root has
 ///    >= 1 (its incoming path is the partition prefix)

@@ -377,20 +377,13 @@ int CmdBuild(const std::vector<std::string>& args) {
   std::printf("%s\n", stats.ToString().c_str());
   const std::string phase_table = FormatPhaseTable(stats.phases);
   if (!phase_table.empty()) std::printf("%s", phase_table.c_str());
-  const uint64_t refills = stats.io.prefetch_hits + stats.io.prefetch_misses;
   std::printf(
       "io: amplification=%.2fx (%llu MB device reads / %llu MB text)\n"
-      "prefetch: hit_rate=%.3f (%llu hits, %llu depth hits, %llu misses)  "
       "tile cache: hit_rate=%.3f (%llu hits, %llu misses, %llu MB from "
       "device, %llu MB evicted)\n",
       stats.io_amplification(),
       static_cast<unsigned long long>(stats.io.bytes_read >> 20),
       static_cast<unsigned long long>(stats.text_bytes >> 20),
-      refills == 0 ? 0.0
-                   : static_cast<double>(stats.io.prefetch_hits) / refills,
-      static_cast<unsigned long long>(stats.io.prefetch_hits),
-      static_cast<unsigned long long>(stats.io.prefetch_depth_hits),
-      static_cast<unsigned long long>(stats.io.prefetch_misses),
       stats.tile_hit_rate(),
       static_cast<unsigned long long>(stats.io.tile_hits),
       static_cast<unsigned long long>(stats.io.tile_misses),

@@ -226,7 +226,6 @@ StatusOr<BuildResult> TrellisBuilder::Build(const TextInfo& text) {
   // cache that would go unused.
   BuildOptions plan_options = options_;
   plan_options.tile_cache = false;
-  plan_options.prefetch_reads = false;  // nor a prefetch ring
   ERA_ASSIGN_OR_RETURN(MemoryLayout layout,
                        PlanMemory(plan_options, text.alphabet.size()));
   stats.fm = layout.fm;

@@ -57,9 +57,8 @@ TEST(MemoryLayoutTest, AreasSumToBudgetAndFmPositive) {
 
       // The old 60/40 formula, from the reference plan's fixed areas.
       const uint64_t remaining =
-          budget - fixed_r->input_buffer_bytes - fixed_r->read_ahead_bytes -
-          fixed_r->r_buffer_bytes - fixed_r->tile_cache_bytes -
-          fixed_r->trie_bytes;
+          budget - fixed_r->input_buffer_bytes - fixed_r->r_buffer_bytes -
+          fixed_r->tile_cache_bytes - fixed_r->trie_bytes;
       const uint64_t tree = remaining * 6 / 10;
       const uint64_t old_processing = remaining - tree;
       const uint64_t old_fm =
@@ -80,7 +79,6 @@ TEST(MemoryLayoutTest, AreasSumToBudgetAndFmPositive) {
       // surplus, so its areas sum to the whole budget.
       EXPECT_EQ(layout->input_buffer_bytes, fixed_r->input_buffer_bytes);
       EXPECT_EQ(layout->tile_cache_bytes, fixed_r->tile_cache_bytes);
-      EXPECT_EQ(layout->read_ahead_bytes, fixed_r->read_ahead_bytes);
       EXPECT_EQ(layout->trie_bytes, fixed_r->trie_bytes);
       EXPECT_EQ(layout->r_buffer_bytes, fixed_r->r_buffer_bytes + surplus);
       EXPECT_EQ(layout->total(), budget);
@@ -91,7 +89,6 @@ TEST(MemoryLayoutTest, AreasSumToBudgetAndFmPositive) {
   plain.work_dir = "/w";
   plain.memory_budget = 16 << 20;
   plain.tile_cache = false;
-  plain.prefetch_reads = false;
   plain.r_buffer_bytes = 300 << 10;
   auto layout = PlanMemory(plain, 4);
   ASSERT_TRUE(layout.ok());
@@ -125,12 +122,10 @@ TEST(MemoryLayoutTest, TileCacheCarveComesFromRAndPreservesFm) {
   ASSERT_TRUE(carved.ok());
   EXPECT_EQ(plain->tile_cache_bytes, 0u);
   EXPECT_GT(carved->tile_cache_bytes, 0u);
-  // The carve comes out of the retrieved-data area (R/trie slack, shared
-  // with the prefetch ring) alone...
+  // The carve comes out of the retrieved-data area (R/trie slack) alone...
   EXPECT_EQ(carved->r_buffer_bytes + carved->trie_bytes +
-                carved->tile_cache_bytes + carved->read_ahead_bytes,
-            plain->r_buffer_bytes + plain->trie_bytes +
-                plain->read_ahead_bytes);
+                carved->tile_cache_bytes,
+            plain->r_buffer_bytes + plain->trie_bytes);
   EXPECT_GE(carved->r_buffer_bytes, 512u << 10);  // elastic-range floor
   EXPECT_GE(carved->trie_bytes, 64u << 10);       // trie floor
   // ...so FM, the tree area, and the processing area — everything the

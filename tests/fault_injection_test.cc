@@ -241,7 +241,7 @@ TEST(RetryPolicyTest, RetriesIOErrorUpToMaxAttempts) {
   int calls = 0;
   uint64_t retries = 0;
   Status s = RunWithRetry(
-      policy,
+      policy, nullptr,
       [&] {
         ++calls;
         return Status::IOError("still broken");
@@ -258,7 +258,7 @@ TEST(RetryPolicyTest, SucceedsAfterTransientAndCountsRetries) {
   int calls = 0;
   uint64_t retries = 0;
   Status s = RunWithRetry(
-      policy,
+      policy, nullptr,
       [&] {
         return ++calls < 3 ? Status::IOError("blip") : Status::OK();
       },
@@ -272,7 +272,7 @@ TEST(RetryPolicyTest, NeverRetriesCorruption) {
   int calls = 0;
   uint64_t retries = 0;
   Status s = RunWithRetry(
-      policy,
+      policy, nullptr,
       [&] {
         ++calls;
         return Status::Corruption("bad checksum");

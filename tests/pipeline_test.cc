@@ -375,34 +375,6 @@ TEST(PipelineDeterminismTest, ByteIdenticalIndexOnPosixEnv) {
 // Pipeline integration details
 // ---------------------------------------------------------------------------
 
-TEST(PipelineTest, PrefetchIsOnByDefaultAndHits) {
-  MemEnv env;
-  std::string text = testing::RepetitiveText(Alphabet::Dna(), 30000, 72);
-  auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
-  ASSERT_TRUE(info.ok());
-  ParallelBuilder builder(DetOptions(&env, "/pf", 4 << 20), 2);
-  auto result = builder.Build(*info);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->stats.io.prefetch_hits, 0u)
-      << "sequential scans should be served from the double buffer";
-  EXPECT_GT(result->stats.io.prefetched_bytes, 0u);
-  EXPECT_TRUE(testing::IndexMatchesOracle(&env, result->index, text));
-}
-
-TEST(PipelineTest, PrefetchCanBeDisabled) {
-  MemEnv env;
-  std::string text = testing::RepetitiveText(Alphabet::Dna(), 10000, 73);
-  auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
-  ASSERT_TRUE(info.ok());
-  BuildOptions options = DetOptions(&env, "/nopf", 4 << 20);
-  options.prefetch_reads = false;
-  ParallelBuilder builder(options, 2);
-  auto result = builder.Build(*info);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.io.prefetch_hits, 0u);
-  EXPECT_EQ(result->stats.io.prefetched_bytes, 0u);
-}
-
 TEST(PipelineTest, ReportsWorkerBusySeconds) {
   MemEnv env;
   std::string text = testing::RepetitiveText(Alphabet::Dna(), 20000, 74);

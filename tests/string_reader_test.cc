@@ -220,253 +220,51 @@ TEST(DiskModelTest, PricesTransferAndSeeks) {
   EXPECT_NEAR(model.ModeledSeconds(stats), 2.0, 1e-9);
 }
 
-// ---------------------------------------------------------------------------
-// PrefetchingStringReader
-// ---------------------------------------------------------------------------
-
-TEST_F(StringReaderTest, PrefetchingSequentialScanMatchesAndHits) {
+TEST_F(StringReaderTest, MatchesTextUnderRandomizedUse) {
+  // Adversarial use against the text itself: scan restarts, seek-optimized
+  // gaps, EOF short reads and interleaved RandomFetch must all return
+  // exactly the bytes of the file.
   StringReaderOptions options;
-  options.buffer_bytes = 16384;
-  options.prefetch = true;
+  options.buffer_bytes = 8192;
+  options.seek_optimization = true;
+  options.skip_threshold_bytes = 16384;
   auto reader = Open(options);
-  reader->BeginScan();
-  char buf[128];
-  uint32_t got = 0;
-  for (uint64_t pos = 0; pos + 128 <= data_.size(); pos += 4096) {
-    ASSERT_TRUE(reader->Fetch(pos, 128, buf, &got).ok());
-    ASSERT_EQ(got, 128u);
-    ASSERT_EQ(std::string(buf, got), data_.substr(pos, 128)) << pos;
-  }
-  // 1 MiB through 16 KiB windows: after the first (cold) refill every
-  // window should come from the double buffer.
-  EXPECT_GT(stats_.prefetch_hits, 50u);
-  EXPECT_LE(stats_.prefetch_misses, 2u);
-  EXPECT_GT(stats_.prefetched_bytes, 0u);
-  // Prefetched traffic is billed into bytes_read like any other read.
-  EXPECT_GE(stats_.bytes_read, data_.size());
-}
 
-TEST_F(StringReaderTest, PrefetchingMatchesPlainReaderUnderRandomizedUse) {
-  // Adversarial equivalence: the same call sequence against a plain and a
-  // prefetching reader must return identical bytes — across scan restarts,
-  // seek-optimized gaps, EOF short reads, and interleaved RandomFetch.
-  StringReaderOptions plain_options;
-  plain_options.buffer_bytes = 8192;
-  plain_options.seek_optimization = true;
-  plain_options.skip_threshold_bytes = 16384;
-  StringReaderOptions prefetch_options = plain_options;
-  prefetch_options.prefetch = true;
-
-  IoStats plain_stats;
-  auto plain = OpenStringReader(&env_, "/s", plain_options, &plain_stats);
-  ASSERT_TRUE(plain.ok());
-  auto prefetching = Open(prefetch_options);
-
+  // The bytes a read of `len` at `pos` must return (short at end-of-file).
+  auto expected = [&](uint64_t pos, uint32_t len) {
+    return pos >= data_.size() ? std::string() : data_.substr(pos, len);
+  };
   std::mt19937_64 rng(1234);
-  char a[256], b[256];
+  char buf[256];
   uint64_t pos = 0;
-  (*plain)->BeginScan();
-  prefetching->BeginScan();
+  reader->BeginScan();
   for (int step = 0; step < 3000; ++step) {
     const int kind = static_cast<int>(rng() % 20);
     if (kind == 0) {
       pos = rng() % data_.size();
-      (*plain)->BeginScan(pos);
-      prefetching->BeginScan(pos);
+      reader->BeginScan(pos);
       continue;
     }
     if (kind == 1) {
       // Interleaved random access (the vertical partitioner's tail probe).
       uint64_t rpos = rng() % (data_.size() + 64);
       uint32_t len = 1 + static_cast<uint32_t>(rng() % 64);
-      uint32_t got_a = 0, got_b = 0;
-      ASSERT_TRUE((*plain)->RandomFetch(rpos, len, a, &got_a).ok());
-      ASSERT_TRUE(prefetching->RandomFetch(rpos, len, b, &got_b).ok());
-      ASSERT_EQ(got_a, got_b);
-      ASSERT_EQ(std::string(a, got_a), std::string(b, got_b));
+      uint32_t got = 0;
+      ASSERT_TRUE(reader->RandomFetch(rpos, len, buf, &got).ok());
+      ASSERT_EQ(std::string(buf, got), expected(rpos, len)) << "pos " << rpos;
       continue;
     }
     uint64_t gap = rng() % 3 == 0 ? rng() % 50000 : rng() % 512;
     pos += gap;
     if (pos > data_.size() + 32) {
       pos = 0;
-      (*plain)->BeginScan();
-      prefetching->BeginScan();
+      reader->BeginScan();
     }
     uint32_t len = 1 + static_cast<uint32_t>(rng() % 256);
-    uint32_t got_a = 0, got_b = 0;
-    ASSERT_TRUE((*plain)->Fetch(pos, len, a, &got_a).ok());
-    ASSERT_TRUE(prefetching->Fetch(pos, len, b, &got_b).ok());
-    ASSERT_EQ(got_a, got_b) << "pos " << pos << " len " << len;
-    ASSERT_EQ(std::string(a, got_a), std::string(b, got_b)) << "pos " << pos;
-  }
-}
-
-TEST_F(StringReaderTest, PrefetchingFetchBatchMatchesPlain) {
-  StringReaderOptions options;
-  options.buffer_bytes = 8192;
-  StringReaderOptions prefetch_options = options;
-  prefetch_options.prefetch = true;
-  IoStats plain_stats;
-  auto plain = OpenStringReader(&env_, "/s", options, &plain_stats);
-  ASSERT_TRUE(plain.ok());
-  auto prefetching = Open(prefetch_options);
-
-  std::mt19937_64 rng(99);
-  for (int round = 0; round < 20; ++round) {
-    std::vector<uint64_t> positions;
-    uint64_t pos = rng() % 1000;
-    while (pos + 64 < data_.size()) {
-      positions.push_back(pos);
-      pos += 16 + rng() % 30000;
-    }
-    std::vector<char> out_a(positions.size() * 32);
-    std::vector<char> out_b(positions.size() * 32);
-    std::vector<FetchRequest> req_a(positions.size());
-    std::vector<FetchRequest> req_b(positions.size());
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      req_a[i] = {positions[i], 32, out_a.data() + 32 * i, 0};
-      req_b[i] = {positions[i], 32, out_b.data() + 32 * i, 0};
-    }
-    (*plain)->BeginScan();
-    prefetching->BeginScan();
-    ASSERT_TRUE((*plain)->FetchBatch(req_a).ok());
-    ASSERT_TRUE(prefetching->FetchBatch(req_b).ok());
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      ASSERT_EQ(req_a[i].got, req_b[i].got);
-    }
-    ASSERT_EQ(out_a, out_b) << "round " << round;
-  }
-  EXPECT_GT(stats_.prefetch_hits, 0u);
-}
-
-TEST_F(StringReaderTest, PrefetchThrottlesSpeculationOnSeekHeavyScans) {
-  // A sparse seek-optimized scan discards every speculative window; after
-  // a couple of wasted windows the reader must stop speculating instead of
-  // burning a full buffer of device bandwidth per skip.
-  StringReaderOptions options;
-  options.buffer_bytes = 8192;
-  options.seek_optimization = true;
-  options.skip_threshold_bytes = 8192;
-  options.prefetch = true;
-  auto reader = Open(options);
-  reader->BeginScan();
-  char buf[16];
-  uint32_t got = 0;
-  for (uint64_t pos = 0; pos + 16 <= data_.size(); pos += 60000) {
-    ASSERT_TRUE(reader->Fetch(pos, 16, buf, &got).ok());
-    ASSERT_EQ(std::string(buf, got), data_.substr(pos, 16));
-  }
-  // ~17 skips; unthrottled speculation would read one 8 KiB window per
-  // skip (~140 KiB). The throttle caps waste at kMaxWastedSpeculations
-  // windows plus the re-arm probes after recovery streaks.
-  EXPECT_LE(stats_.prefetched_bytes, 6u * options.buffer_bytes)
-      << "speculation was not throttled on a seek-heavy scan";
-
-  // ...and a dense sequential scan afterwards re-arms the double buffer.
-  uint64_t hits_before = stats_.prefetch_hits;
-  reader->BeginScan();
-  for (uint64_t pos = 0; pos < 200000; pos += 4096) {
-    ASSERT_TRUE(reader->Fetch(pos, 16, buf, &got).ok());
-  }
-  EXPECT_GT(stats_.prefetch_hits, hits_before + 5)
-      << "speculation did not recover after the pattern turned sequential";
-}
-
-TEST_F(StringReaderTest, PrefetchRingCountsDepthHits) {
-  // Depth 4 (the default): a steady sequential scan keeps several windows
-  // live at once, so most hits come from windows issued alongside others —
-  // exactly what prefetch_depth_hits counts.
-  StringReaderOptions options;
-  options.buffer_bytes = 16384;
-  options.prefetch = true;
-  options.prefetch_depth = 4;
-  auto reader = Open(options);
-  reader->BeginScan();
-  char buf[64];
-  uint32_t got = 0;
-  for (uint64_t pos = 0; pos + 64 <= data_.size(); pos += 8192) {
-    ASSERT_TRUE(reader->Fetch(pos, 64, buf, &got).ok());
-  }
-  reader.reset();  // fold residual background traffic
-  EXPECT_GT(stats_.prefetch_hits, 50u);
-  EXPECT_GT(stats_.prefetch_depth_hits, 40u);
-  EXPECT_LE(stats_.prefetch_depth_hits, stats_.prefetch_hits);
-}
-
-TEST_F(StringReaderTest, PrefetchDepthOneIsDoubleBufferingWithoutDepthHits) {
-  StringReaderOptions options;
-  options.buffer_bytes = 16384;
-  options.prefetch = true;
-  options.prefetch_depth = 1;
-  auto reader = Open(options);
-  reader->BeginScan();
-  char buf[64];
-  uint32_t got = 0;
-  for (uint64_t pos = 0; pos + 64 <= data_.size(); pos += 8192) {
-    ASSERT_TRUE(reader->Fetch(pos, 64, buf, &got).ok());
-    EXPECT_EQ(std::string(buf, got), data_.substr(pos, 64));
-  }
-  reader.reset();
-  // Still hits (the classic double buffer) but never a depth hit: a single
-  // slot is always issued alone.
-  EXPECT_GT(stats_.prefetch_hits, 50u);
-  EXPECT_EQ(stats_.prefetch_depth_hits, 0u);
-}
-
-TEST_F(StringReaderTest, RingMatchesPlainReaderUnderRandomizedUse) {
-  // The adversarial sequence of PrefetchingMatchesPlainReaderUnderRandomized
-  // Use, at ring depth 4 (that test runs the same body at the default
-  // depth): scan restarts, seek-optimized gaps, EOF, interleaved random.
-  StringReaderOptions plain_options;
-  plain_options.buffer_bytes = 8192;
-  plain_options.seek_optimization = true;
-  plain_options.skip_threshold_bytes = 16384;
-  StringReaderOptions prefetch_options = plain_options;
-  prefetch_options.prefetch = true;
-  prefetch_options.prefetch_depth = 4;
-
-  IoStats plain_stats;
-  auto plain = OpenStringReader(&env_, "/s", plain_options, &plain_stats);
-  ASSERT_TRUE(plain.ok());
-  auto prefetching = Open(prefetch_options);
-
-  std::mt19937_64 rng(777);
-  char a[256], b[256];
-  uint64_t pos = 0;
-  (*plain)->BeginScan();
-  prefetching->BeginScan();
-  for (int step = 0; step < 3000; ++step) {
-    const int kind = static_cast<int>(rng() % 20);
-    if (kind == 0) {
-      pos = rng() % data_.size();
-      (*plain)->BeginScan(pos);
-      prefetching->BeginScan(pos);
-      continue;
-    }
-    if (kind == 1) {
-      uint64_t rpos = rng() % (data_.size() + 64);
-      uint32_t len = 1 + static_cast<uint32_t>(rng() % 64);
-      uint32_t got_a = 0, got_b = 0;
-      ASSERT_TRUE((*plain)->RandomFetch(rpos, len, a, &got_a).ok());
-      ASSERT_TRUE(prefetching->RandomFetch(rpos, len, b, &got_b).ok());
-      ASSERT_EQ(got_a, got_b);
-      ASSERT_EQ(std::string(a, got_a), std::string(b, got_b));
-      continue;
-    }
-    uint64_t gap = rng() % 3 == 0 ? rng() % 50000 : rng() % 512;
-    pos += gap;
-    if (pos > data_.size() + 32) {
-      pos = 0;
-      (*plain)->BeginScan();
-      prefetching->BeginScan();
-    }
-    uint32_t len = 1 + static_cast<uint32_t>(rng() % 256);
-    uint32_t got_a = 0, got_b = 0;
-    ASSERT_TRUE((*plain)->Fetch(pos, len, a, &got_a).ok());
-    ASSERT_TRUE(prefetching->Fetch(pos, len, b, &got_b).ok());
-    ASSERT_EQ(got_a, got_b) << "pos " << pos << " len " << len;
-    ASSERT_EQ(std::string(a, got_a), std::string(b, got_b)) << "pos " << pos;
+    uint32_t got = 0;
+    ASSERT_TRUE(reader->Fetch(pos, len, buf, &got).ok());
+    ASSERT_EQ(std::string(buf, got), expected(pos, len))
+        << "pos " << pos << " len " << len;
   }
 }
 
@@ -479,7 +277,6 @@ TEST_F(StringReaderTest, CacheBackedReaderBillsCacheBytesNotDeviceBytes) {
 
   StringReaderOptions options;
   options.buffer_bytes = 16384;
-  options.prefetch = true;
   options.tile_cache = *cache;
   auto reader = Open(options);
   reader->BeginScan();
@@ -521,19 +318,6 @@ TEST_F(StringReaderTest, CacheBackedReaderRejectsMismatchedPath) {
   options.tile_cache = *cache;
   auto reader = OpenStringReader(&env_, "/s", options, &stats_);
   EXPECT_FALSE(reader.ok());
-}
-
-TEST_F(StringReaderTest, PrefetchDisabledReaderHasNoPrefetchCounters) {
-  auto reader = Open({});
-  reader->BeginScan();
-  char buf[64];
-  uint32_t got = 0;
-  for (uint64_t pos = 0; pos < 500000; pos += 8192) {
-    ASSERT_TRUE(reader->Fetch(pos, 64, buf, &got).ok());
-  }
-  EXPECT_EQ(stats_.prefetch_hits, 0u);
-  EXPECT_EQ(stats_.prefetch_misses, 0u);
-  EXPECT_EQ(stats_.prefetched_bytes, 0u);
 }
 
 }  // namespace

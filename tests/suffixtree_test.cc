@@ -473,6 +473,25 @@ TEST(ValidatorTest, DetectsMutations) {
   broken3.node(leaf_nodes[0]).leaf_id = kNoLeaf;
   broken3.node(leaf_nodes[0]).first_child = 0;
   EXPECT_FALSE(ValidateSubTree(broken3, text, "").ok());
+
+  // Leaf edge moved to an earlier occurrence of its first symbol, length
+  // kept: the first symbol, bounds and depths all still check out, only the
+  // label is wrong.
+  TreeBuffer broken4 = *tree;
+  bool moved = false;
+  for (uint32_t i : leaf_nodes) {
+    TreeNode& leaf = broken4.node(i);
+    const std::size_t earlier =
+        leaf.edge_start == 0
+            ? std::string::npos
+            : text.rfind(text[leaf.edge_start], leaf.edge_start - 1);
+    if (earlier == std::string::npos) continue;
+    leaf.edge_start = earlier;
+    moved = true;
+    break;
+  }
+  ASSERT_TRUE(moved);
+  EXPECT_TRUE(ValidateSubTree(broken4, text, "").IsCorruption());
 }
 
 }  // namespace
