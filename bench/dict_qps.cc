@@ -209,9 +209,8 @@ int Main(int argc, char** argv) {
       return 1;
     }
     std::vector<uint64_t> per_id(patterns.size(), 0);
-    std::vector<char> chunk(AhoCorasick::kScanChunk);
     WallTimer scan_timer;
-    Status scan = matcher->ScanAll(reader->get(), chunk,
+    Status scan = matcher->ScanAll(reader->get(),
                                    [&](int32_t id, uint64_t) {
                                      ++per_id[static_cast<std::size_t>(id)];
                                    });

@@ -6,6 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <optional>
+#include <type_traits>
 
 #include "alphabet/encoded_string.h"
 #include "common/crc32.h"
@@ -81,10 +84,9 @@ void BM_AhoCorasickScan(benchmark::State& state) {
   auto ac = AhoCorasick::Build(patterns);
   IoStats stats;
   auto reader = OpenStringReader(&env, "/s", {}, &stats);
-  std::vector<char> chunk(AhoCorasick::kScanChunk);
   uint64_t matches = 0;
   for (auto _ : state) {
-    Status s = ac->ScanAll(reader->get(), chunk,
+    Status s = ac->ScanAll(reader->get(),
                            [&](int32_t, uint64_t) { ++matches; });
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
     benchmark::DoNotOptimize(matches);
@@ -95,18 +97,22 @@ void BM_AhoCorasickScan(benchmark::State& state) {
 BENCHMARK(BM_AhoCorasickScan)->Arg(0)->Arg(40);
 
 // SubTreePrepare old-vs-new: BM_SubTreePrepare runs the allocation-free
-// radix/arena/batched-fetch kernel, BM_SubTreePrepareBaseline the checked-in
-// pre-refactor path (era/subtree_prepare_baseline.h). 512 KiB DNA, elastic
-// range — the acceptance configuration for the rewrite's speedup. The
-// prefixes carry their exact frequencies, counted once before timing, as
-// vertical partitioning hands them to the horizontal phase.
+// radix/arena/batched-fetch kernel over packed windows,
+// BM_SubTreePrepareBaseline the checked-in pre-refactor path over byte
+// windows (era/subtree_prepare_baseline.h). 512 KiB DNA, elastic range of
+// 1 Mi symbols, so both kernels run the same rounds — the acceptance
+// configuration for the rewrite's speedup. BM_SubTreePrepareProtein runs
+// the kernel's 5-bit codes over 512 KiB of protein. The prefixes carry
+// their exact frequencies, counted once before timing, as vertical
+// partitioning hands them to the horizontal phase.
 template <typename Preparer>
-void RunSubTreePrepare(benchmark::State& state) {
-  std::string text = DnaText(512 << 10);
+void RunSubTreePrepare(benchmark::State& state, const Alphabet& alphabet,
+                       const std::string& text,
+                       std::initializer_list<const char*> prefixes) {
   MemEnv env;
   (void)env.WriteFile("/s", text);
   VirtualTree group;
-  for (const char* prefix : {"AC", "CA", "GG", "GT", "TG", "TT"}) {
+  for (const char* prefix : prefixes) {
     uint64_t frequency = 0;
     for (std::size_t pos = text.find(prefix); pos != std::string::npos;
          pos = text.find(prefix, pos + 1)) {
@@ -115,31 +121,46 @@ void RunSubTreePrepare(benchmark::State& state) {
     group.prefixes.push_back({prefix, frequency});
     group.total_frequency += frequency;
   }
+  const RangePolicy policy = RangePolicy::Elastic(1 << 20, 4, 4096);
   IoStats stats;
   for (auto _ : state) {
     auto reader = OpenStringReader(&env, "/s", {}, &stats);
-    Preparer preparer(group, RangePolicy::Elastic(1 << 20, 4, 4096),
-                      reader->get(), text.size());
-    Status s = preparer.Run();
+    std::optional<Preparer> preparer;
+    if constexpr (std::is_same_v<Preparer, GroupPreparer>) {
+      preparer.emplace(group, policy, reader->get(), text.size(), alphabet);
+    } else {
+      preparer.emplace(group, policy, reader->get(), text.size());
+    }
+    Status s = preparer->Run();
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       break;
     }
-    benchmark::DoNotOptimize(preparer.results().data());
+    benchmark::DoNotOptimize(preparer->results().data());
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(text.size()));
 }
 
 void BM_SubTreePrepare(benchmark::State& state) {
-  RunSubTreePrepare<GroupPreparer>(state);
+  RunSubTreePrepare<GroupPreparer>(state, Alphabet::Dna(), DnaText(512 << 10),
+                                   {"AC", "CA", "GG", "GT", "TG", "TT"});
 }
 BENCHMARK(BM_SubTreePrepare);
 
 void BM_SubTreePrepareBaseline(benchmark::State& state) {
-  RunSubTreePrepare<BaselineGroupPreparer>(state);
+  RunSubTreePrepare<BaselineGroupPreparer>(
+      state, Alphabet::Dna(), DnaText(512 << 10),
+      {"AC", "CA", "GG", "GT", "TG", "TT"});
 }
 BENCHMARK(BM_SubTreePrepareBaseline);
+
+void BM_SubTreePrepareProtein(benchmark::State& state) {
+  RunSubTreePrepare<GroupPreparer>(state, Alphabet::Protein(),
+                                   GenerateProtein(512 << 10, 12345),
+                                   {"A", "E", "G", "L", "S", "V"});
+}
+BENCHMARK(BM_SubTreePrepareProtein);
 
 void BM_BuildSubTree(benchmark::State& state) {
   std::string text = DnaText(1 << 20);

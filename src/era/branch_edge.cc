@@ -49,9 +49,8 @@ Status GroupStrBuilder::Run() {
   }
   ERA_ASSIGN_OR_RETURN(auto matcher, AhoCorasick::Build(patterns));
   std::vector<std::vector<uint64_t>> occurrences(states_.size());
-  std::vector<char> chunk(AhoCorasick::kScanChunk);
   ERA_RETURN_NOT_OK(matcher.ScanAll(
-      reader_, chunk, [&](int32_t id, uint64_t pos) {
+      reader_, [&](int32_t id, uint64_t pos) {
         occurrences[static_cast<std::size_t>(id)].push_back(pos);
       }));
 
@@ -78,6 +77,7 @@ Status GroupStrBuilder::Run() {
   // Level-synchronous BranchEdge rounds with one merged scan per round.
   std::vector<char> windows;
   std::vector<uint32_t> window_len;
+  std::vector<std::pair<uint64_t, uint64_t>> fetch_order;  // (pos, window)
   std::vector<FetchRequest> requests;
   while (true) {
     uint64_t total_active = 0;
@@ -90,33 +90,36 @@ Status GroupStrBuilder::Run() {
 
     // Merged fetch: requests are (position + depth) over all open edges,
     // sorted into one monotone stream and served by a single batched pass
-    // over the input buffer.
+    // over the input buffer, which hands each request's bytes to its
+    // window.
     windows.assign(total_active * range, 0);
     window_len.assign(total_active, 0);
-    requests.clear();
-    requests.reserve(total_active);
+    fetch_order.clear();
+    fetch_order.reserve(total_active);
     uint64_t flat = 0;
     for (State& state : states_) {
       for (OpenEdge& e : state.open) {
         for (uint64_t q : e.positions) {
-          requests.push_back(
-              {q + e.depth, range, windows.data() + flat * range, 0});
-          ++flat;
+          fetch_order.emplace_back(q + e.depth, flat++);
         }
       }
     }
-    std::sort(requests.begin(), requests.end(),
-              [](const FetchRequest& a, const FetchRequest& b) {
-                return a.pos < b.pos;
-              });
-    reader_->BeginScan();
-    ERA_RETURN_NOT_OK(reader_->FetchBatch(requests));
-    for (const FetchRequest& request : requests) {
-      uint64_t index =
-          static_cast<uint64_t>(request.out - windows.data()) / range;
-      window_len[index] = request.got;
-      stats_.symbols_fetched += request.got;
+    std::sort(fetch_order.begin(), fetch_order.end());
+    requests.clear();
+    requests.reserve(total_active);
+    for (const auto& [pos, window] : fetch_order) {
+      requests.push_back({pos, range});
     }
+    reader_->BeginScan();
+    ERA_RETURN_NOT_OK(reader_->FetchBatch(
+        requests, [&](std::size_t r, uint64_t offset,
+                      std::span<const char> piece) {
+          const uint64_t window = fetch_order[r].second;
+          std::memcpy(windows.data() + window * range + offset, piece.data(),
+                      piece.size());
+          window_len[window] = static_cast<uint32_t>(offset + piece.size());
+          stats_.symbols_fetched += piece.size();
+        }));
 
     // Process each open edge: extend, branch, or settle leaves.
     flat = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "alphabet/window_code.h"
 #include "common/timer.h"
 #include "era/branch_edge.h"
 #include "era/build_subtree.h"
@@ -184,12 +185,15 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
                     BackgroundSubTreeWriter* writer,
                     CheckpointManager* checkpoint, PhaseProfiler* profiler,
                     unsigned worker, PrepareScratch* scratch) {
-  RangePolicy policy = RangePolicy::FromOptions(options, layout.r_buffer_bytes);
   out->subtrees.resize(group.prefixes.size());
 
   if (options.horizontal == HorizontalMethod::kBranchEdge) {
     WallTimer fused_timer;
-    GroupStrBuilder builder(group, policy, reader, text.length);
+    // BranchEdge keeps one byte per symbol in R.
+    GroupStrBuilder builder(
+        group,
+        RangePolicy::FromOptions(options, layout, /*symbol_bits=*/8),
+        reader, text.length);
     ERA_RETURN_NOT_OK(builder.Run());
     if (profiler != nullptr) {
       profiler->Record("branch_edge", worker, fused_timer.Seconds());
@@ -205,7 +209,11 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
       out->tree_bytes += bytes;
     }
   } else {
-    GroupPreparer preparer(group, policy, reader, text.length, scratch);
+    GroupPreparer preparer(
+        group,
+        RangePolicy::FromOptions(options, layout,
+                                 WindowCode(text.alphabet).bits()),
+        reader, text.length, text.alphabet, scratch);
     // Stream: a resolved prefix is built and handed to the writer while the
     // remaining prefixes are still scanning S (pipeline stages 2 and 3
     // overlap stage 1 even inside a single group). Build/write time spent

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "alphabet/window_code.h"
 #include "common/timer.h"
 #include "era/build_subtree.h"
 #include "era/checkpoint.h"
@@ -200,7 +201,8 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   }
 
   const RangePolicy policy =
-      RangePolicy::FromOptions(worker_options, layout.r_buffer_bytes);
+      RangePolicy::FromOptions(worker_options, layout,
+                               WindowCode(text.alphabet).bits());
   const bool prepare_build =
       !wavefront && worker_options.horizontal == HorizontalMethod::kPrepareBuild;
 
@@ -274,7 +276,7 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
           gw.prepared.resize(group.prefixes.size());
           outputs[g].subtrees.resize(group.prefixes.size());
           GroupPreparer preparer(group, policy, reader.get(), text.length,
-                                 &scratch);
+                                 text.alphabet, &scratch);
           preparer.SetEmitCallback(
               [&](std::size_t k, PreparedSubTree&& prepared) -> Status {
                 gw.prepared[k] = std::move(prepared);

@@ -10,8 +10,9 @@
 // within the first couple of rounds. A builder worker keeps one arena for
 // all of its groups, so later groups start at those marks too.
 //
-// The occurrence scan's refill buffer and the queue of round-1 windows that
-// straddle a refill live here too, so a worker's groups share them.
+// The occurrence scan reads the text in place, from the reader's window;
+// the queue of round-1 windows that straddle a refill lives here, so a
+// worker's groups share it.
 //
 // The `allocations()` counter ticks once per buffer growth event; tests pin
 // the hot path's allocation-freedom by asserting it stops moving after the
@@ -25,20 +26,20 @@
 
 #include "common/loser_tree.h"
 #include "io/string_reader.h"
-#include "text/aho_corasick.h"
 
 namespace era {
 
-/// One sort-key record: the next (up to) 8 window symbols, big-endian, and
-/// the slot they belong to. Radix passes consume the key bytes most
-/// significant first; ties reload the key from deeper in the window.
+/// One sort-key record: the window's next (up to) symbols_per_word codes,
+/// aligned to the most significant bit, and the slot they belong to. Radix
+/// passes consume the key bytes most significant first; ties reload the key
+/// from deeper in the window.
 struct WindowSortRec {
   uint64_t key = 0;
   uint32_t slot = 0;
 };
 
-/// A round-1 window that runs past the end of the scanned chunk: the text
-/// position it starts at and its compact index.
+/// A round-1 window that runs past the end of the window being scanned: the
+/// text position it starts at and its compact index.
 struct StraddlingWindow {
   uint64_t start = 0;
   uint64_t compact = 0;
@@ -46,27 +47,38 @@ struct StraddlingWindow {
 
 class PrepareScratch {
  public:
-  /// Sizes every buffer for one round. `total_active` is the group-wide
-  /// active leaf count, `range` the symbols fetched per leaf, `max_area` the
-  /// widest single active area.
-  void BeginRound(uint64_t total_active, uint32_t range, uint64_t max_area);
+  /// Sizes every buffer for one round and zeroes its window slab.
+  /// `total_active` is the group-wide active leaf count, `range` the
+  /// symbols fetched per leaf, `bits` the bits per symbol code, `max_area`
+  /// the widest single active area.
+  void BeginRound(uint64_t total_active, uint32_t range, uint32_t bits,
+                  uint64_t max_area);
 
-  /// Sizes the occurrence scan's buffers: the refill chunk, and room for
-  /// `max_straddlers` windows pending across a refill.
+  /// Makes room for `max_straddlers` round-1 windows pending across a
+  /// refill of the occurrence scan.
   void BeginScan(uint64_t max_straddlers);
 
   /// Number of buffer-growth events since construction.
   uint64_t allocations() const { return allocations_; }
 
-  // Shared window arena: one slab for every state of the group. A state's
-  // window for compact index c lives at (window_base + c) * range.
-  std::vector<char> windows;
+  /// Heap bytes the arena's buffers hold (capacity), apart from the
+  /// merge's per-state keys.
+  uint64_t MemoryBytes() const;
+
+  // Shared window arena: one slab of packed WindowCode codes for every
+  // state of the group. A state's window for compact index c holds symbol
+  // i at bits [((window_base + c) * range + i) * bits, +bits), most
+  // significant bit first, with no per-window rounding. The slab holds
+  // ceil(active * range * bits / 64) + 1 words: the extra word lets a
+  // 64-bit load start at any symbol.
+  std::vector<uint64_t> windows;
   std::vector<uint32_t> window_len;
 
-  // One slice of the merged fetch stream. A request's window (and with it
-  // its compact index) is where its `out` points into `windows`.
+  // One slice of the merged fetch stream, and the compact index of each
+  // request's window.
   static constexpr uint64_t kFetchSlice = 8192;
   std::vector<FetchRequest> requests;
+  std::vector<uint64_t> request_window;
 
   // Radix sort records for one area.
   std::vector<WindowSortRec> sort_records;
@@ -86,10 +98,8 @@ class PrepareScratch {
   LoserTree merge;
   std::vector<std::size_t> cursor_rank;
 
-  // The occurrence scan's refill buffer, and the FIFO of round-1 windows
-  // that the next refill finishes (in report order, so in order of window
-  // end).
-  std::vector<char> scan_chunk;
+  // The FIFO of round-1 windows that the occurrence scan's next refill
+  // finishes (in report order, so in order of window end).
   std::vector<StraddlingWindow> straddlers;
 
  private:

@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "common/options.h"
+#include "era/memory_layout.h"
 
 namespace era {
 
@@ -19,14 +20,15 @@ inline constexpr uint32_t kMaxElasticRange = 64 << 10;
 /// SubTreePrepare iteration.
 class RangePolicy {
  public:
-  /// Elastic range: |R| / active leaves, clamped to [min_range, max_range].
-  /// As leaves resolve, the constant-size R is redistributed over the
-  /// survivors and the range grows, cutting the number of scans of S.
-  static RangePolicy Elastic(uint64_t r_buffer_bytes, uint32_t min_range,
+  /// Elastic range: R's capacity in symbols / active leaves, clamped to
+  /// [min_range, max_range]. As leaves resolve, the constant-size R is
+  /// redistributed over the survivors and the range grows, cutting the
+  /// number of scans of S.
+  static RangePolicy Elastic(uint64_t r_symbols, uint32_t min_range,
                              uint32_t max_range) {
     RangePolicy p;
     p.elastic_ = true;
-    p.r_buffer_bytes_ = r_buffer_bytes;
+    p.r_symbols_ = r_symbols;
     p.min_range_ = min_range;
     p.max_range_ = max_range;
     return p;
@@ -40,20 +42,29 @@ class RangePolicy {
     return p;
   }
 
-  /// Builds the policy selected by `options` with the resolved R size.
+  /// Builds the policy selected by `options` for the planned `layout`. R's
+  /// windows store `symbol_bits` bits per symbol, so R holds
+  /// floor(8 * R / symbol_bits) symbols: WindowCode::bits() for
+  /// GroupPreparer's packed windows, 8 for BranchEdge's byte windows. An
+  /// elastic window never outgrows the input buffer B_S: a longer one spans
+  /// refills, and every overlapping request after it would make the sorted
+  /// fetch pass seek back and read it again.
   static RangePolicy FromOptions(const BuildOptions& options,
-                                 uint64_t r_buffer_bytes) {
+                                 const MemoryLayout& layout,
+                                 uint32_t symbol_bits) {
     if (options.range_policy == RangePolicyKind::kFixed) {
       return Fixed(options.fixed_range);
     }
-    return Elastic(r_buffer_bytes, kMinElasticRange, kMaxElasticRange);
+    return Elastic(8 * layout.r_buffer_bytes / symbol_bits, kMinElasticRange,
+                   static_cast<uint32_t>(std::min<uint64_t>(
+                       kMaxElasticRange, layout.input_buffer_bytes)));
   }
 
   /// Range for the next iteration given the surviving active leaf count.
   uint32_t NextRange(uint64_t active_leaves) const {
     if (!elastic_) return min_range_;
     if (active_leaves == 0) return min_range_;
-    uint64_t range = r_buffer_bytes_ / active_leaves;
+    uint64_t range = r_symbols_ / active_leaves;
     return static_cast<uint32_t>(
         std::clamp<uint64_t>(range, min_range_, max_range_));
   }
@@ -62,7 +73,7 @@ class RangePolicy {
 
  private:
   bool elastic_ = true;
-  uint64_t r_buffer_bytes_ = 0;
+  uint64_t r_symbols_ = 0;
   uint32_t min_range_ = kMinElasticRange;
   uint32_t max_range_ = kMaxElasticRange;
 };

@@ -14,82 +14,159 @@ namespace era {
 
 namespace {
 
-/// Reinterprets a native-endian u64 loaded from memory as the big-endian
-/// value of those bytes (the sort keys compare in text byte order).
-inline uint64_t NativeToBigEndian64(uint64_t v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    return __builtin_bswap64(v);
-  } else {
-    return v;
-  }
+// ---------------------------------------------------------------------------
+// Packed windows (see prepare_scratch.h): a window is a run of WindowCode
+// codes of `bits` bits each, most significant bit first, at any bit offset
+// of the slab. Every access is a 64-bit load at a bit offset.
+// ---------------------------------------------------------------------------
+
+/// The 64 bits of `words` from bit `bit` on, the first at the top. Reads
+/// the word after the one holding `bit`; the slab's extra word keeps that
+/// in bounds.
+inline uint64_t LoadBits(const uint64_t* words, uint64_t bit) {
+  const uint64_t w = bit >> 6;
+  const uint32_t off = static_cast<uint32_t>(bit & 63);
+  return (words[w] << off) | ((words[w + 1] >> 1) >> (63 - off));
 }
 
-/// Index of the first (lowest-address) differing byte between two words
-/// loaded from memory, given their nonzero XOR.
-inline uint32_t FirstDiffByte(uint64_t native_xor) {
-  if constexpr (std::endian::native == std::endian::little) {
-    return static_cast<uint32_t>(__builtin_ctzll(native_xor) >> 3);
-  } else {
-    return static_cast<uint32_t>(__builtin_clzll(native_xor) >> 3);
+/// ORs `value` into `words` so that its top bit lands on bit `bit`.
+inline void OrBits(uint64_t* words, uint64_t bit, uint64_t value) {
+  const uint64_t w = bit >> 6;
+  const uint32_t off = static_cast<uint32_t>(bit & 63);
+  words[w] |= value >> off;
+  words[w + 1] |= (value << 1) << (63 - off);
+}
+
+/// PackSymbols for codes of kBits bits: a word's worth of codes at a time,
+/// unrolled with constant shifts, then the tail. A zero code (a byte
+/// without one) is caught once per word by a SWAR zero-field test.
+template <uint32_t kBits>
+inline bool PackCodes(const WindowCode& code, const char* src, uint64_t n,
+                      uint64_t* words, uint64_t bit) {
+  constexpr uint32_t kPerWord = 64 / kBits;
+  // The lowest bit of each of the kPerWord fields, counted from bit 0.
+  constexpr uint64_t kLow = [] {
+    uint64_t low = 0;
+    for (uint32_t i = 0; i < kPerWord; ++i) low |= uint64_t{1} << (i * kBits);
+    return low;
+  }();
+  // Nonzero iff one of the fields of `x` marked by `low` is zero.
+  auto has_zero_field = [](uint64_t x, uint64_t low) {
+    return (x - low) & ~x & (low << (kBits - 1));
+  };
+  uint64_t zero = 0;
+  for (; n >= kPerWord; n -= kPerWord, src += kPerWord) {
+    uint64_t acc = 0;
+#pragma GCC unroll 32
+    for (uint32_t i = 0; i < kPerWord; ++i) {
+      acc |= uint64_t{code.Code(src[i])} << (kBits * (kPerWord - 1 - i));
+    }
+    zero |= has_zero_field(acc, kLow);
+    OrBits(words, bit, acc << (64 - kPerWord * kBits));
+    bit += kPerWord * kBits;
+  }
+  if (n > 0) {
+    uint64_t acc = 0;
+    for (uint32_t i = 0; i < n; ++i) acc = (acc << kBits) | code.Code(src[i]);
+    const uint32_t tail_bits = static_cast<uint32_t>(n) * kBits;
+    zero |= has_zero_field(acc, kLow & ((uint64_t{1} << tail_bits) - 1));
+    OrBits(words, bit, acc << (64 - tail_bits));
+  }
+  return zero == 0;
+}
+
+/// Packs the codes of text bytes [src, src + n) into the zeroed slab from
+/// bit `bit` on, one word's worth of codes per two word updates. Returns
+/// false if a byte has no code; what it packed is then garbage.
+inline bool PackSymbols(const WindowCode& code, const char* src, uint64_t n,
+                        uint64_t* words, uint64_t bit) {
+  switch (code.bits()) {
+    case 2: return PackCodes<2>(code, src, n, words, bit);
+    case 3: return PackCodes<3>(code, src, n, words, bit);
+    case 4: return PackCodes<4>(code, src, n, words, bit);
+    case 5: return PackCodes<5>(code, src, n, words, bit);
+    case 6: return PackCodes<6>(code, src, n, words, bit);
+    default:
+      assert(code.bits() == 7);  // Alphabet::Create caps sigma + 1 at 94
+      return PackCodes<7>(code, src, n, words, bit);
   }
 }
 
 // ---------------------------------------------------------------------------
 // In-place MSD radix sort of one active area.
 //
-// Records carry an 8-symbol big-endian key (a zero-padded load of window
-// bytes [depth, depth+8)). The radix passes consume the key one byte at a
-// time with an American-flag permutation; buckets below the cutoff finish
-// with an insertion sort on (key, slot). Runs whose full 8-byte keys tie are
-// reloaded from the next 8 window symbols and recursed — deep-LCP areas cost
-// one 8-byte integer compare per 8 shared symbols instead of a memcmp per
-// comparison pair.
+// Records carry a key of symbols_per_word codes (21 for DNA, 12 for protein
+// and English): one 64-bit load at the record's depth, aligned to the most
+// significant bit and zero past the window's end. The radix passes consume
+// the key one byte at a time with an American-flag permutation; buckets
+// below the cutoff finish with an insertion sort on (key, slot). Runs whose
+// whole keys tie are reloaded one key deeper and recursed, so a deep-LCP
+// area costs one integer compare per symbols_per_word shared symbols.
 // ---------------------------------------------------------------------------
 
 /// Resolves slots to their windows inside the shared arena.
 struct AreaSortContext {
-  const char* windows;
+  const uint64_t* windows;
   const uint32_t* window_len;
   const uint32_t* slot_to_compact;
   uint64_t window_base;
-  uint32_t range;
+  uint64_t window_bits;  // range * bits
+  uint32_t bits;
+  uint32_t per_word;     // codes per key
 
-  const char* WindowOf(uint32_t slot, uint32_t* len) const {
-    uint64_t compact = window_base + slot_to_compact[slot];
+  /// First bit of the slot's window; its length goes to `*len`.
+  uint64_t WindowBit(uint32_t slot, uint32_t* len) const {
+    const uint64_t compact = window_base + slot_to_compact[slot];
     *len = window_len[compact];
-    return windows + compact * range;
+    return compact * window_bits;
   }
 
-  /// Big-endian load of window bytes [depth, depth+8), zero-padded past the
-  /// window's end (one unaligned load + byte swap on little-endian hosts).
+  /// Codes [depth, depth + per_word) of the slot's window, aligned to the
+  /// most significant bit and zero past the window's end.
   uint64_t KeyAt(uint32_t slot, uint32_t depth) const {
     uint32_t len = 0;
-    const char* w = WindowOf(slot, &len);
+    const uint64_t bit = WindowBit(slot, &len);
     if (depth >= len) return 0;
-    uint64_t v = 0;
-    std::memcpy(&v, w + depth, std::min<uint32_t>(8, len - depth));
-    return NativeToBigEndian64(v);
+    const uint32_t n = std::min(per_word, len - depth);
+    return LoadBits(windows, bit + uint64_t{depth} * bits) &
+           (~uint64_t{0} << (64 - n * bits));
+  }
+
+  /// Where two windows part: `common` leading symbols are equal and, if
+  /// `common` is below both lengths, `code1` and `code2` are the codes
+  /// after them. The B-scan runs this once per adjacent slot pair per
+  /// round, one XOR and leading-zero count per key's worth of symbols.
+  struct Split {
+    uint32_t len1 = 0, len2 = 0;
+    uint32_t common = 0;
+    uint64_t code1 = 0, code2 = 0;
+  };
+  Split Compare(uint32_t slot1, uint32_t slot2) const {
+    Split split;
+    const uint64_t a = WindowBit(slot1, &split.len1);
+    const uint64_t b = WindowBit(slot2, &split.len2);
+    const uint32_t m = std::min(split.len1, split.len2);
+    const uint64_t key_mask = ~uint64_t{0} << (64 - per_word * bits);
+    split.common = m;
+    for (uint32_t depth = 0; depth < m; depth += per_word) {
+      const uint64_t step = uint64_t{depth} * bits;
+      const uint64_t x =
+          (LoadBits(windows, a + step) ^ LoadBits(windows, b + step)) &
+          key_mask;
+      if (x != 0) {
+        split.common = std::min<uint32_t>(
+            m, depth + static_cast<uint32_t>(std::countl_zero(x)) / bits);
+        break;
+      }
+    }
+    if (split.common < m) {
+      const uint64_t at = uint64_t{split.common} * bits;
+      split.code1 = LoadBits(windows, a + at) >> (64 - bits);
+      split.code2 = LoadBits(windows, b + at) >> (64 - bits);
+    }
+    return split;
   }
 };
-
-/// Length of the common prefix of w1[0,l1) and w2[0,l2), compared in 8-byte
-/// chunks (the B-scan runs this once per adjacent slot pair per round).
-uint32_t CommonPrefixLen(const char* w1, uint32_t l1, const char* w2,
-                         uint32_t l2) {
-  const uint32_t m = std::min(l1, l2);
-  uint32_t cs = 0;
-  while (cs + 8 <= m) {
-    uint64_t a, b;
-    std::memcpy(&a, w1 + cs, 8);
-    std::memcpy(&b, w2 + cs, 8);
-    if (a != b) {
-      return cs + FirstDiffByte(a ^ b);
-    }
-    cs += 8;
-  }
-  while (cs < m && w1[cs] == w2[cs]) ++cs;
-  return cs;
-}
 
 void InsertionSortByKeySlot(WindowSortRec* a, uint32_t n) {
   for (uint32_t i = 1; i < n; ++i) {
@@ -153,44 +230,32 @@ void RadixSortKeys(WindowSortRec* a, uint32_t n, uint32_t key_byte) {
   }
 }
 
-/// Sorts an area whose keys hold window bytes [depth, depth+8). Full-key
-/// ties re-extract from the window tail and recurse (the memcmp-free deep
-/// path); ties that exhaust a window fall back to a comparison sort with
-/// the (content, length, slot) order of the reference implementation.
+/// Sorts an area whose keys hold window symbols [depth, depth + per_word).
+/// A run of tied keys is re-keyed one key deeper and recursed if any of its
+/// windows extends past the key. Otherwise its windows are identical
+/// (code 0 marks a window's end), and the radix sort already left them in
+/// slot order: the (content, length, slot) order of the reference
+/// implementation.
 void SortArea(WindowSortRec* a, uint32_t n, uint32_t depth,
               const AreaSortContext& ctx) {
   RadixSortKeys(a, n, 0);
+  const uint32_t next = depth + ctx.per_word;
   uint32_t i = 0;
   while (i < n) {
     uint32_t j = i + 1;
     while (j < n && a[j].key == a[i].key) ++j;
     if (j - i >= 2) {
-      const uint32_t next = depth + 8;
-      bool all_deeper = true;
-      for (uint32_t k = i; k < j && all_deeper; ++k) {
+      bool any_deeper = false;
+      for (uint32_t k = i; k < j && !any_deeper; ++k) {
         uint32_t len = 0;
-        ctx.WindowOf(a[k].slot, &len);
-        all_deeper = len > next;
+        ctx.WindowBit(a[k].slot, &len);
+        any_deeper = len > next;
       }
-      if (all_deeper) {
+      if (any_deeper) {
         for (uint32_t k = i; k < j; ++k) {
           a[k].key = ctx.KeyAt(a[k].slot, next);
         }
         SortArea(a + i, j - i, next, ctx);
-      } else {
-        // A window ends inside the key: near end-of-file, or whenever the
-        // range is below depth + 8, so every tied run of a round whose
-        // range is below 8 takes this comparator sort.
-        std::sort(a + i, a + j,
-                  [&ctx](const WindowSortRec& x, const WindowSortRec& y) {
-                    uint32_t lx = 0, ly = 0;
-                    const char* wx = ctx.WindowOf(x.slot, &lx);
-                    const char* wy = ctx.WindowOf(y.slot, &ly);
-                    int c = std::memcmp(wx, wy, std::min(lx, ly));
-                    if (c != 0) return c < 0;
-                    if (lx != ly) return lx < ly;
-                    return x.slot < y.slot;
-                  });
       }
     }
     i = j;
@@ -201,12 +266,20 @@ void SortArea(WindowSortRec* a, uint32_t n, uint32_t depth,
 
 GroupPreparer::GroupPreparer(const VirtualTree& group,
                              const RangePolicy& policy, StringReader* reader,
-                             uint64_t text_length, PrepareScratch* scratch)
+                             uint64_t text_length, const Alphabet& alphabet,
+                             PrepareScratch* scratch)
     : group_(group),
       policy_(policy),
       reader_(reader),
       text_length_(text_length),
+      code_(alphabet),
       scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
+
+Status GroupPreparer::NoCodeError() {
+  return Status::Corruption(
+      "the text holds a byte outside its alphabet; a prepare window cannot "
+      "encode it");
+}
 
 Status GroupPreparer::ScanOccurrences(uint32_t range) {
   WallTimer scan_timer;
@@ -235,24 +308,27 @@ Status GroupPreparer::ScanOccurrences(uint32_t range) {
       ++active_states;
     }
   }
-  scratch.BeginRound(total_active, range, max_frequency);
+  scratch.BeginRound(total_active, range, code_.bits(), max_frequency);
   // A window straddles a refill only if its match ends within `range` of
   // the refill's end, and each prefix ends at most once per position.
   scratch.BeginScan(std::min(total_active, uint64_t{range} * active_states));
 
-  // ---- One scan finds every occurrence (lines 1-7) and copies the `range`
-  // symbols after it into its round-1 window (lines 10-12). A match is
-  // reported once its last symbol is scanned, so its window starts inside
-  // the chunk being scanned or right at its end; a window that runs past
-  // the chunk is finished from the next refill. Window starts follow match
-  // order and every window spans `range`, so straddlers complete in FIFO
-  // order. A window cut short by end-of-file keeps its short length.
-  char* const windows = scratch.windows.data();
+  // ---- One scan finds every occurrence (lines 1-7) and packs the `range`
+  // symbols after it into its round-1 window (lines 10-12). The scan walks
+  // the reader's window in place. A match is reported once its last symbol
+  // is scanned, so its window starts inside the window being scanned or
+  // right at its end; a prepare window that runs past it is finished from
+  // the next refill. Window starts follow match order and every window
+  // spans `range`, so straddlers complete in FIFO order. A window cut short
+  // by end-of-file keeps its short length.
+  uint64_t* const windows = scratch.windows.data();
   uint32_t* const window_len = scratch.window_len.data();
+  const uint64_t window_bits = uint64_t{range} * code_.bits();
   std::vector<StraddlingWindow>& straddlers = scratch.straddlers;
   uint64_t chunk_begin = 0;
   std::span<const char> chunk;
   uint64_t symbols = 0;
+  bool packed = true;
   auto on_chunk = [&](uint64_t begin, std::span<const char> bytes) {
     chunk_begin = begin;
     chunk = bytes;
@@ -260,8 +336,9 @@ Status GroupPreparer::ScanOccurrences(uint32_t range) {
     std::size_t finished = 0;
     for (const StraddlingWindow& w : straddlers) {
       const uint64_t end = std::min(w.start + range, chunk_end);
-      std::memcpy(windows + w.compact * range + (begin - w.start),
-                  bytes.data(), end - begin);
+      packed &= PackSymbols(code_, bytes.data(), end - begin, windows,
+                            w.compact * window_bits +
+                                (begin - w.start) * code_.bits());
       window_len[w.compact] = static_cast<uint32_t>(end - w.start);
       symbols += end - begin;
       finished += w.start + range <= chunk_end;
@@ -282,8 +359,8 @@ Status GroupPreparer::ScanOccurrences(uint32_t range) {
     const uint64_t start = pos + state.prefix.size();
     const uint64_t chunk_end = chunk_begin + chunk.size();
     const uint64_t end = std::min(start + range, chunk_end);
-    std::memcpy(windows + compact * range,
-                chunk.data() + (start - chunk_begin), end - start);
+    packed &= PackSymbols(code_, chunk.data() + (start - chunk_begin),
+                          end - start, windows, compact * window_bits);
     window_len[compact] = static_cast<uint32_t>(end - start);
     symbols += end - start;
     if (start + range > chunk_end) {
@@ -292,10 +369,10 @@ Status GroupPreparer::ScanOccurrences(uint32_t range) {
     }
   };
   ERA_ASSIGN_OR_RETURN(auto matcher, AhoCorasick::Build(patterns));
-  ERA_RETURN_NOT_OK(
-      matcher.ScanAll(reader_, scratch.scan_chunk, on_match, on_chunk));
+  ERA_RETURN_NOT_OK(matcher.ScanAll(reader_, on_match, on_chunk));
   stats_.symbols_fetched += symbols;
   stats_.times.scan_seconds += scan_timer.Seconds();
+  if (!packed) return NoCodeError();
 
   for (State& state : states_) {
     if (state.L.size() != state.expected_frequency) {
@@ -348,7 +425,7 @@ Status GroupPreparer::FetchRound(uint32_t range) {
     }
     total_active += compact;
   }
-  scratch.BeginRound(total_active, range, max_area);
+  scratch.BeginRound(total_active, range, code_.bits(), max_area);
 
   // ---- Fill R with one merged sequential pass. Each state's unresolved
   // leaves are visited in appearance order via I, so per-state positions are
@@ -373,27 +450,32 @@ Status GroupPreparer::FetchRound(uint32_t range) {
     }
   }
   merge.Build();
+  // FetchBatch hands each request's bytes to the sink as spans of the
+  // reader's window, which packs them straight into the request's window:
+  // no staging copy. A request cut short by end-of-file leaves a short
+  // window_len.
   reader_->BeginScan();
-  const uint64_t file_size = reader_->size();
-  char* const windows = scratch.windows.data();
+  uint64_t* const windows = scratch.windows.data();
+  uint32_t* const window_len = scratch.window_len.data();
+  const uint64_t* const request_window = scratch.request_window.data();
+  const uint64_t window_bits = uint64_t{range} * code_.bits();
+  uint64_t symbols = 0;
+  bool packed = true;
+  auto pack = [&](std::size_t r, uint64_t offset,
+                  std::span<const char> piece) {
+    const uint64_t compact = request_window[r];
+    packed &= PackSymbols(code_, piece.data(), piece.size(), windows,
+                          compact * window_bits + offset * code_.bits());
+    window_len[compact] = static_cast<uint32_t>(offset + piece.size());
+    symbols += piece.size();
+  };
   double fetch_seconds = 0;
   [[maybe_unused]] uint64_t served = 0;
   auto serve = [&](uint64_t n) -> Status {
     WallTimer fetch_timer;
     served += n;
     ERA_RETURN_NOT_OK(reader_->FetchBatch(
-        std::span<FetchRequest>(scratch.requests.data(), n)));
-    // A fetch comes back short only at end-of-file, and the stream is
-    // sorted by position, so only a tail of the requests can need their
-    // optimistic window_len corrected.
-    stats_.symbols_fetched += n * range;
-    for (uint64_t r = n; r-- > 0;) {
-      const FetchRequest& request = scratch.requests[r];
-      if (request.pos + range <= file_size) break;
-      scratch.window_len[static_cast<uint64_t>(request.out - windows) /
-                         range] = request.got;
-      stats_.symbols_fetched -= range - request.got;
-    }
+        std::span<const FetchRequest>(scratch.requests.data(), n), pack));
     fetch_seconds += fetch_timer.Seconds();
     return Status::OK();
   };
@@ -405,9 +487,9 @@ Status GroupPreparer::FetchRound(uint32_t range) {
     std::size_t rank = scratch.cursor_rank[way];
     uint64_t slot = static_cast<uint64_t>(state.I[rank]);
     uint64_t compact = state.window_base + state.slot_to_compact[slot];
-    scratch.requests[num_requests] = {pos, range, windows + compact * range,
-                                      0};
-    scratch.window_len[compact] = range;  // optimistic; EOF tail patched
+    scratch.requests[num_requests] = {pos, range};
+    scratch.request_window[num_requests] = compact;
+    window_len[compact] = 0;  // set by its pieces
     if (++num_requests == scratch.requests.size()) {
       ERA_RETURN_NOT_OK(serve(num_requests));
       num_requests = 0;
@@ -421,26 +503,38 @@ Status GroupPreparer::FetchRound(uint32_t range) {
   }
   ERA_RETURN_NOT_OK(serve(num_requests));
   assert(served == total_active);
+  stats_.symbols_fetched += symbols;
   const double merge_and_fetch = phase_timer.Seconds();
   stats_.times.layout_seconds += merge_and_fetch - fetch_seconds;
   stats_.times.fetch_seconds += fetch_seconds;
-  return Status::OK();
+  return packed ? Status::OK() : NoCodeError();
 }
 
 Status GroupPreparer::SortRound(uint32_t range) {
   PrepareScratch& scratch = *scratch_;
   WallTimer phase_timer;
+  auto undecidable = [range](const AreaSortContext::Split& split) {
+    if (split.len1 != split.len2) {
+      return Status::Internal(
+          "window is a proper prefix of its neighbor; the terminal "
+          "invariant is broken");
+    }
+    if (split.len1 < range) {
+      return Status::Internal(
+          "equal short windows: two suffixes share the terminal");
+    }
+    return Status::OK();
+  };
   // ---- Sort active areas, define B, retire resolved leaves (lines 13-23).
   for (State& state : states_) {
     if (state.areas.empty()) continue;
-    AreaSortContext ctx{scratch.windows.data(), scratch.window_len.data(),
-                        state.slot_to_compact.data(), state.window_base,
-                        range};
-    auto window_of = [&](uint32_t slot) {
-      uint32_t len = 0;
-      const char* w = ctx.WindowOf(slot, &len);
-      return std::pair<const char*, uint32_t>(w, len);
-    };
+    const AreaSortContext ctx{scratch.windows.data(),
+                              scratch.window_len.data(),
+                              state.slot_to_compact.data(),
+                              state.window_base,
+                              uint64_t{range} * code_.bits(),
+                              code_.bits(),
+                              code_.symbols_per_word()};
 
     scratch.area_tmp.clear();
     for (const auto& [begin, end] : state.areas) {
@@ -449,42 +543,31 @@ Status GroupPreparer::SortRound(uint32_t range) {
         // Most areas degenerate to pairs within a few rounds; one common-
         // prefix scan both orders the pair and yields its B entry, skipping
         // the sort/permute machinery entirely.
-        auto [w1, l1] = window_of(begin);
-        auto [w2, l2] = window_of(begin + 1);
-        uint32_t m = std::min(l1, l2);
-        uint32_t cs = CommonPrefixLen(w1, l1, w2, l2);
-        if (cs == m) {
-          if (l1 != l2) {
-            return Status::Internal(
-                "window is a proper prefix of its neighbor; the terminal "
-                "invariant is broken");
-          }
-          if (l1 < range) {
-            return Status::Internal(
-                "equal short windows: two suffixes share the terminal");
-          }
+        const AreaSortContext::Split split = ctx.Compare(begin, begin + 1);
+        if (split.common == std::min(split.len1, split.len2)) {
+          ERA_RETURN_NOT_OK(undecidable(split));
           scratch.area_tmp.emplace_back(begin, end);  // still undecidable
           continue;
         }
-        char c1 = w1[cs];
-        char c2 = w2[cs];
-        if (static_cast<unsigned char>(c1) > static_cast<unsigned char>(c2)) {
+        uint64_t c1 = split.code1;
+        uint64_t c2 = split.code2;
+        if (c1 > c2) {
           std::swap(state.L[begin], state.L[begin + 1]);
           std::swap(state.P[begin], state.P[begin + 1]);
           std::swap(state.slot_to_compact[begin],
                     state.slot_to_compact[begin + 1]);
           std::swap(c1, c2);
         }
-        state.B[begin + 1].offset = state.start + cs;
-        state.B[begin + 1].c1 = c1;
-        state.B[begin + 1].c2 = c2;
+        state.B[begin + 1].offset = state.start + split.common;
+        state.B[begin + 1].c1 = code_.Symbol(c1);
+        state.B[begin + 1].c2 = code_.Symbol(c2);
         state.B[begin + 1].defined = true;
         state.I[state.P[begin]] = kDoneSlot;      // both slots resolved
         state.I[state.P[begin + 1]] = kDoneSlot;
         continue;
       }
 
-      // Sort slots [begin, end) by window content (radix on the 8-symbol
+      // Sort slots [begin, end) by window content (radix on word-wide
       // keys; see SortArea). Equal windows keep their relative slot order
       // (they stay in one active area), so the slot tie-break keeps the
       // sort stable.
@@ -494,9 +577,9 @@ Status GroupPreparer::SortRound(uint32_t range) {
       }
       SortArea(order, area_size, 0, ctx);
 
-      // Apply the permutation to L, P and the slot->compact map. The window
-      // bytes never move: re-pointing the map costs O(area) words instead
-      // of two O(area * range) byte copies per round.
+      // Apply the permutation to L, P and the slot->compact map. The packed
+      // windows never move: re-pointing the map costs O(area) words instead
+      // of two O(area * range) copies per round.
       for (uint32_t k = 0; k < area_size; ++k) {
         uint32_t src = order[k].slot;
         scratch.perm_l[k] = state.L[src];
@@ -517,25 +600,14 @@ Status GroupPreparer::SortRound(uint32_t range) {
       for (uint32_t i = begin + 1; i <= end; ++i) {
         bool bond_open = false;
         if (i < end) {
-          auto [w1, l1] = window_of(i - 1);
-          auto [w2, l2] = window_of(i);
-          uint32_t m = std::min(l1, l2);
-          uint32_t cs = CommonPrefixLen(w1, l1, w2, l2);
-          if (cs == m) {
-            if (l1 != l2) {
-              return Status::Internal(
-                  "window is a proper prefix of its neighbor; the terminal "
-                  "invariant is broken");
-            }
-            if (l1 < range) {
-              return Status::Internal(
-                  "equal short windows: two suffixes share the terminal");
-            }
+          const AreaSortContext::Split split = ctx.Compare(i - 1, i);
+          if (split.common == std::min(split.len1, split.len2)) {
+            ERA_RETURN_NOT_OK(undecidable(split));
             bond_open = true;  // identical full windows: stay active
           } else {
-            state.B[i].offset = state.start + cs;
-            state.B[i].c1 = w1[cs];
-            state.B[i].c2 = w2[cs];
+            state.B[i].offset = state.start + split.common;
+            state.B[i].c1 = code_.Symbol(split.code1);
+            state.B[i].c2 = code_.Symbol(split.code2);
             state.B[i].defined = true;
           }
         }
@@ -579,12 +651,18 @@ void GroupPreparer::EmitSnapshot(uint32_t range) {
       }
     }
     // Windows were fetched for the slots active at the start of the round;
-    // expose them post-permutation (what the paper's traces print).
+    // expose them post-permutation (what the paper's traces print), decoded
+    // back to text.
     for (uint32_t slot = 0; slot < state.L.size(); ++slot) {
       if (!state.was_active[slot]) continue;
-      uint64_t compact = state.window_base + state.slot_to_compact[slot];
-      s.R[slot].assign(scratch_->windows.data() + compact * range,
-                       scratch_->window_len[compact]);
+      const uint64_t compact = state.window_base + state.slot_to_compact[slot];
+      const uint64_t* const windows = scratch_->windows.data();
+      const uint64_t bit = compact * range * code_.bits();
+      for (uint32_t i = 0; i < scratch_->window_len[compact]; ++i) {
+        const uint64_t at = bit + uint64_t{i} * code_.bits();
+        s.R[slot].push_back(
+            code_.Symbol(LoadBits(windows, at) >> (64 - code_.bits())));
+      }
     }
     s.B.resize(state.B.size());
     for (std::size_t i = 0; i < state.B.size(); ++i) {

@@ -11,13 +11,15 @@
 //   I: appearance-rank -> current slot (drives the sequential fill of R)
 //   P: slot -> appearance rank
 //   A: active areas (represented as [begin,end) slot ranges)
-//   R: per-active-slot window of `range` next symbols (compact storage)
+//   R: per-active-slot window of `range` next symbols, packed as
+//      WindowCode codes (3 bits per DNA symbol, 5 per protein or English
+//      symbol), so R's bytes hold 8 / bits times the symbols
 // Each iteration performs one sequential scan of S for all sub-trees of the
 // group, sorts every active area by window content, emits the B entries
 // that became decidable, and retires resolved leaves — shrinking the active
 // set so the elastic range grows. The first iteration's scan is the
 // occurrence scan itself: the prefixes' counted frequencies fix round 1's
-// active leaves and range in advance, so the scan copies each occurrence's
+// active leaves and range in advance, so the scan packs each occurrence's
 // window as it finds it. Later iterations fill R with one merged pass.
 
 #ifndef ERA_ERA_SUBTREE_PREPARE_H_
@@ -30,6 +32,7 @@
 #include <tuple>
 #include <vector>
 
+#include "alphabet/window_code.h"
 #include "common/status.h"
 #include "era/prepare_scratch.h"
 #include "era/range_policy.h"
@@ -103,12 +106,14 @@ struct PrepareSnapshot {
 class GroupPreparer {
  public:
   /// `reader` must outlive the preparer; its IoStats accumulate the scans.
-  /// `scratch`, when given, is the hot-path arena to use instead of a
-  /// private one: a worker passes the same arena to all of its groups, so
-  /// its buffers are grown once per worker rather than once per group.
+  /// `alphabet` is the text's: its WindowCode packs R, and `policy` counts
+  /// R in symbols of that width. `scratch`, when given, is the hot-path
+  /// arena to use instead of a private one: a worker passes the same arena
+  /// to all of its groups, so its buffers are grown once per worker rather
+  /// than once per group.
   GroupPreparer(const VirtualTree& group, const RangePolicy& policy,
                 StringReader* reader, uint64_t text_length,
-                PrepareScratch* scratch = nullptr);
+                const Alphabet& alphabet, PrepareScratch* scratch = nullptr);
   GroupPreparer(const GroupPreparer&) = delete;
   GroupPreparer& operator=(const GroupPreparer&) = delete;
 
@@ -131,7 +136,8 @@ class GroupPreparer {
   /// Finds the occurrences (one scan, which also fills round 1's windows)
   /// and iterates until every B is defined. Every prefix of the group must
   /// carry its exact frequency: a 0 is InvalidArgument before S is read,
-  /// and a scan that finds a different count is Internal.
+  /// and a scan that finds a different count is Internal. A window byte
+  /// outside the alphabet is Corruption.
   Status Run();
 
   /// Results, one per prefix in group order. Valid after Run(); empty when
@@ -159,9 +165,9 @@ class GroupPreparer {
     uint64_t start = 0;  // symbols consumed so far (>= |prefix|)
 
     // Round-local layout into the shared PrepareScratch arena. A slot's
-    // window lives at (window_base + slot_to_compact[slot]) * range. The
-    // per-slot maps are sized once in ScanOccurrences and rewritten in
-    // place each round.
+    // window starts at symbol (window_base + slot_to_compact[slot]) * range
+    // of the packed slab. The per-slot maps are sized once in
+    // ScanOccurrences and rewritten in place each round.
     std::vector<uint32_t> slot_to_compact;
     std::vector<char> was_active;   // slot took part in the current round
     uint64_t window_base = 0;       // first arena compact index of this state
@@ -179,11 +185,14 @@ class GroupPreparer {
   void EmitSnapshot(uint32_t range);
   /// Hands every newly resolved state (no active areas left) to emit_.
   Status FlushResolved();
+  /// The error for a window byte without a code.
+  static Status NoCodeError();
 
   const VirtualTree& group_;
   RangePolicy policy_;
   StringReader* reader_;
   uint64_t text_length_;
+  WindowCode code_;
   std::vector<State> states_;
   std::vector<PreparedSubTree> results_;
   PrepareStats stats_;

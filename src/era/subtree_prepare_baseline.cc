@@ -29,9 +29,8 @@ Status BaselineGroupPreparer::ScanOccurrences() {
     states_[i].L.reserve(group_.prefixes[i].frequency);
   }
   ERA_ASSIGN_OR_RETURN(auto matcher, AhoCorasick::Build(patterns));
-  std::vector<char> chunk(AhoCorasick::kScanChunk);
   ERA_RETURN_NOT_OK(matcher.ScanAll(
-      reader_, chunk, [&](int32_t id, uint64_t pos) {
+      reader_, [&](int32_t id, uint64_t pos) {
         states_[static_cast<std::size_t>(id)].L.push_back(pos);
         ++stats_.occurrence_scan_matches;
       }));

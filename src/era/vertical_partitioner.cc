@@ -89,7 +89,6 @@ StatusOr<PartitionPlan> VerticalPartition(
     working.push_back(std::string(1, alphabet.Symbol(i)));
   }
   std::vector<PrefixInfo> accepted;
-  std::vector<char> chunk(AhoCorasick::kScanChunk);
 
   while (!working.empty()) {
     ++plan.rounds;
@@ -102,7 +101,7 @@ StatusOr<PartitionPlan> VerticalPartition(
     std::vector<uint64_t> freq(working.size(), 0);
     std::vector<uint64_t> masks(working.size(), 0);
     ERA_RETURN_NOT_OK(matcher.ScanAll(
-        reader.get(), chunk, [&](int32_t id, uint64_t pos) {
+        reader.get(), [&](int32_t id, uint64_t pos) {
           ++freq[static_cast<std::size_t>(id)];
           masks[static_cast<std::size_t>(id)] |=
               uint64_t{1} << (pos >> footprint_shift);

@@ -7,7 +7,9 @@
 //                     With the disk-seek optimization enabled, long gaps
 //                     between requested positions are skipped with a seek
 //                     instead of being read through (Section 4.4 of the
-//                     paper).
+//                     paper). FetchSpans() and FetchBatch() serve the same
+//                     scans as spans of the resident window, without a
+//                     copy.
 //   * RandomFetch() — arbitrary positions (used by the semi-disk-based
 //                     TRELLIS merge phase and by query-time edge-label
 //                     resolution); buffer misses count as seeks.
@@ -17,6 +19,7 @@
 #ifndef ERA_IO_STRING_READER_H_
 #define ERA_IO_STRING_READER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -63,13 +66,10 @@ struct StringReaderOptions {
   RetryPolicy retry;
 };
 
-/// One read of a batched fetch. `out` must have room for `len` bytes; `got`
-/// receives the number of bytes actually available (short at end-of-file).
+/// One read of a batched fetch: `len` bytes at `pos`.
 struct FetchRequest {
   uint64_t pos = 0;
   uint32_t len = 0;
-  char* out = nullptr;
-  uint32_t got = 0;
 };
 
 /// Instrumented buffered reader over one file. Not thread-safe; each worker
@@ -89,12 +89,24 @@ class StringReader {
   /// (short at end-of-file).
   Status Fetch(uint64_t pos, uint32_t len, char* out, uint32_t* out_len);
 
+  /// Fetch without the copy: hands text [pos, pos + len) to
+  /// `sink(offset, piece)` as spans of the resident window, in order. A
+  /// piece holds text [pos + offset, pos + offset + piece.size()); a range
+  /// that crosses refills arrives in several pieces, and the pieces stop
+  /// short at end-of-file. `pos` and the window's moves follow Fetch, so a
+  /// scan makes the same device reads either way. A piece is valid only
+  /// during its call, and the sink must not use this reader.
+  template <typename Sink>
+  Status FetchSpans(uint64_t pos, uint64_t len, Sink&& sink);
+
   /// Serves a pre-merged stream of sequential reads in one call: request
-  /// positions must be non-decreasing (like Fetch within a scan). Runs of
-  /// requests that land in the resident window are each served with a single
-  /// memcpy, and the window advances once per gap instead of once per
+  /// positions must be non-decreasing (like Fetch within a scan). Request
+  /// r's bytes reach `sink(r, offset, piece)` as FetchSpans pieces. A
+  /// request inside the resident window costs one bounds check and one
+  /// call, and the window advances once per gap instead of once per
   /// request — the batch drives exactly one pass over the buffer.
-  Status FetchBatch(std::span<FetchRequest> requests);
+  template <typename Sink>
+  Status FetchBatch(std::span<const FetchRequest> requests, Sink&& sink);
 
   /// Reads up to `len` bytes at any `pos`; buffer misses reposition the
   /// window (counted as a seek).
@@ -116,9 +128,15 @@ class StringReader {
   /// disk-seek optimization, which continues a scan after the skip).
   Status Refill(uint64_t pos, bool sequential, bool full_window = true);
 
-  /// Core of Fetch: reads [pos, pos+len) into `out`, moving the window as
-  /// needed. Does not validate scan monotonicity (callers do).
-  Status FetchInto(uint64_t pos, uint32_t len, char* out, uint32_t* out_len);
+  /// Moves the window of a scan so that it holds `pos`, which it does not
+  /// hold yet: skips or reads through the gap (Section 4.4's seek
+  /// optimization). Leaves an empty window at end-of-file.
+  Status MoveWindowTo(uint64_t pos);
+
+  bool InWindow(uint64_t pos) const {
+    return has_window_ && pos >= buffer_start_ &&
+           pos < buffer_start_ + buffer_len_;
+  }
 
   std::unique_ptr<RandomAccessFile> file_;
   StringReaderOptions options_;
@@ -132,6 +150,61 @@ class StringReader {
   bool has_window_ = false;
   uint64_t scan_pos_ = 0;      // last requested position in this scan
 };
+
+template <typename Sink>
+Status StringReader::FetchSpans(uint64_t pos, uint64_t len, Sink&& sink) {
+  if (pos < scan_pos_) {
+    return Status::InvalidArgument(
+        "Fetch position moved backwards within a scan");
+  }
+  scan_pos_ = pos;
+  const uint64_t size = file_->Size();
+  const uint64_t end = pos + std::min(len, size - std::min(pos, size));
+  uint64_t cur = pos;
+  while (cur < end) {
+    if (!InWindow(cur)) {
+      ERA_RETURN_NOT_OK(MoveWindowTo(cur));
+      if (buffer_len_ == 0) break;  // EOF
+    }
+    const uint64_t take = std::min(end, buffer_start_ + buffer_len_) - cur;
+    sink(cur - pos, std::span<const char>(
+                        buffer_.data() + (cur - buffer_start_), take));
+    cur += take;
+  }
+  return Status::OK();
+}
+
+template <typename Sink>
+Status StringReader::FetchBatch(std::span<const FetchRequest> requests,
+                                Sink&& sink) {
+  if (stats_ != nullptr) {
+    ++stats_->fetch_batches;
+    stats_->batched_requests += requests.size();
+  }
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const FetchRequest& request = requests[r];
+    if (request.pos < scan_pos_) {
+      return Status::InvalidArgument(
+          "FetchBatch request stream is not sorted by position");
+    }
+    scan_pos_ = request.pos;
+    // Fast path: runs of adjacent and overlapping windows land in the
+    // resident buffer.
+    if (InWindow(request.pos) &&
+        request.pos + request.len <= buffer_start_ + buffer_len_) {
+      sink(r, uint64_t{0},
+           std::span<const char>(
+               buffer_.data() + (request.pos - buffer_start_), request.len));
+      continue;
+    }
+    ERA_RETURN_NOT_OK(FetchSpans(
+        request.pos, request.len,
+        [&](uint64_t offset, std::span<const char> piece) {
+          sink(r, offset, piece);
+        }));
+  }
+  return Status::OK();
+}
 
 /// Opens `path` from `env` and wraps it in a StringReader.
 StatusOr<std::unique_ptr<StringReader>> OpenStringReader(

@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,24 +51,21 @@ class AhoCorasick {
   /// Resets the automaton to the root state (start of a new scan).
   void Reset() { state_ = 0; }
 
-  /// Refill size that every scan of the build uses for its `buffer`.
-  static constexpr uint32_t kScanChunk = 64 << 10;
-
   /// ScanAll's default `on_chunk`: ignores every refill.
   struct IgnoreChunks {
     void operator()(uint64_t, std::span<const char>) const {}
   };
 
-  /// Streams the whole file through the automaton (one sequential scan),
-  /// refilling the caller's non-empty `buffer` and invoking
+  /// Streams the whole file through the automaton (one sequential scan) in
+  /// place, over the reader's resident window, invoking
   /// `emit(pattern_id, start_pos)` for every match in position order.
-  /// `on_chunk(begin, bytes)` runs after each refill, before any match in
-  /// it is reported: `bytes` is the buffer's filled part and holds text
+  /// `on_chunk(begin, bytes)` runs for each window the scan walks, before
+  /// any match in it is reported: `bytes` holds text
   /// [begin, begin + bytes.size()), so an emit call may read the text from
-  /// its match up to the end of the chunk being scanned.
+  /// its match up to the end of the window being scanned. Neither callback
+  /// may use the reader.
   template <typename Emit, typename OnChunk = IgnoreChunks>
-  Status ScanAll(StringReader* reader, std::span<char> buffer, Emit&& emit,
-                 OnChunk&& on_chunk = {});
+  Status ScanAll(StringReader* reader, Emit&& emit, OnChunk&& on_chunk = {});
 
   std::size_t num_patterns() const { return patterns_.size(); }
   const std::string& pattern(int32_t id) const {
@@ -110,15 +106,10 @@ class AhoCorasick {
 };
 
 template <typename Emit, typename OnChunk>
-Status AhoCorasick::ScanAll(StringReader* reader, std::span<char> buffer,
-                            Emit&& emit, OnChunk&& on_chunk) {
-  if (buffer.empty()) return Status::InvalidArgument("empty scan buffer");
+Status AhoCorasick::ScanAll(StringReader* reader, Emit&& emit,
+                            OnChunk&& on_chunk) {
   Reset();
   reader->BeginScan();
-  char* const chunk = buffer.data();
-  const uint32_t chunk_bytes = static_cast<uint32_t>(
-      std::min<std::size_t>(buffer.size(),
-                            std::numeric_limits<uint32_t>::max()));
   // The transition loop only records where a reporting state was reached,
   // without a data-dependent branch; the matches are reported afterwards,
   // block by block. Locals keep the table in registers across emit calls,
@@ -128,28 +119,27 @@ Status AhoCorasick::ScanAll(StringReader* reader, std::span<char> buffer,
   const uint32_t* delta = delta_.data();
   const uint32_t first_output = first_output_state_;
   uint32_t state = 0;
-  uint64_t pos = 0;
-  const uint64_t size = reader->size();
-  while (pos < size) {
-    uint32_t got = 0;
-    ERA_RETURN_NOT_OK(reader->Fetch(pos, chunk_bytes, chunk, &got));
-    if (got == 0) break;
-    on_chunk(pos, std::span<const char>(chunk, got));
-    for (uint32_t block = 0; block < got; block += kScanBlock) {
-      const uint32_t end = std::min(got, block + kScanBlock);
-      uint32_t hits = 0;
-      for (uint32_t i = block; i < end; ++i) {
-        state = delta[state + code_[static_cast<unsigned char>(chunk[i])]];
-        hit_offset[hits] = i;
-        hit_state[hits] = state;
-        hits += state >= first_output;
-      }
-      for (uint32_t h = 0; h < hits; ++h) {
-        EmitOutputs(hit_state[h], pos + hit_offset[h], emit);
-      }
-    }
-    pos += got;
-  }
+  ERA_RETURN_NOT_OK(reader->FetchSpans(
+      0, reader->size(), [&](uint64_t begin, std::span<const char> bytes) {
+        on_chunk(begin, bytes);
+        const char* const chunk = bytes.data();
+        for (std::size_t block = 0; block < bytes.size();
+             block += kScanBlock) {
+          const uint32_t n = static_cast<uint32_t>(
+              std::min<std::size_t>(bytes.size() - block, kScanBlock));
+          uint32_t hits = 0;
+          for (uint32_t i = 0; i < n; ++i) {
+            state = delta[state + code_[static_cast<unsigned char>(
+                                          chunk[block + i])]];
+            hit_offset[hits] = i;
+            hit_state[hits] = state;
+            hits += state >= first_output;
+          }
+          for (uint32_t h = 0; h < hits; ++h) {
+            EmitOutputs(hit_state[h], begin + block + hit_offset[h], emit);
+          }
+        }
+      }));
   state_ = state;
   return Status::OK();
 }

@@ -192,9 +192,8 @@ Status WaveFrontProcessUnit(const TextInfo& text, const BuildOptions& options,
                        AhoCorasick::Build({prefix}));
   std::vector<uint64_t> occ;
   occ.reserve(unit.prefixes[0].frequency);
-  std::vector<char> chunk(AhoCorasick::kScanChunk);
   ERA_RETURN_NOT_OK(matcher.ScanAll(
-      scan_reader, chunk,
+      scan_reader,
       [&](int32_t, uint64_t pos) { occ.push_back(pos); }));
   if (occ.size() != unit.prefixes[0].frequency) {
     return Status::Internal("occurrence count mismatch for " + prefix);

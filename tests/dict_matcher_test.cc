@@ -154,9 +154,8 @@ TEST(DictMatcherEquivalence, AhoCorasickStreamingBaselineAgreesOnCounts) {
   auto reader = OpenStringReader(&env, "/text", {}, &io);
   ASSERT_TRUE(reader.ok());
   std::vector<uint64_t> ac_counts(patterns.size(), 0);
-  std::vector<char> chunk(AhoCorasick::kScanChunk);
   ASSERT_TRUE(matcher
-                  ->ScanAll(reader->get(), chunk,
+                  ->ScanAll(reader->get(),
                             [&](int32_t id, uint64_t) {
                               ++ac_counts[static_cast<std::size_t>(id)];
                             })

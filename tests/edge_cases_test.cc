@@ -133,7 +133,7 @@ TEST(EdgeCaseTest, GroupPreparerWithManyPrefixesInOneGroup) {
   auto reader = OpenStringReader(&env, "/s", {}, &stats);
   ASSERT_TRUE(reader.ok());
   GroupPreparer preparer(group, RangePolicy::Elastic(1 << 16, 4, 1024),
-                         reader->get(), text.size());
+                         reader->get(), text.size(), Alphabet::Dna());
   ASSERT_TRUE(preparer.Run().ok());
 
   // Every prefix's (L, B) must match the oracle slice.

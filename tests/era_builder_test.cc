@@ -270,7 +270,7 @@ TEST(EraBuilderTest, BuildAndEmitPrefixLeavesTheCallerSlotEmpty) {
   auto reader = OpenStringReader(&env, "/s", {}, &io);
   ASSERT_TRUE(reader.ok());
   GroupPreparer preparer(group, RangePolicy::Elastic(64 << 10, 4, 256),
-                         reader->get(), text.size());
+                         reader->get(), text.size(), Alphabet::Dna());
   ASSERT_TRUE(preparer.Run().ok());
 
   BuildOptions options;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <map>
 
+#include "alphabet/window_code.h"
 #include "era/build_subtree.h"
 #include "era/memory_layout.h"
 #include "era/range_policy.h"
@@ -229,6 +230,30 @@ TEST(RangePolicyTest, ElasticGrowsAsLeavesResolve) {
   EXPECT_EQ(r3, 65536u);   // clamped at max
 }
 
+TEST(RangePolicyTest, FromOptionsCountsRInPackedSymbols) {
+  // R's windows pack b-bit codes, so R bytes hold floor(8 R / b) symbols:
+  // b = 3 for DNA, 5 for protein, and 8 for BranchEdge's byte windows.
+  BuildOptions options;
+  MemoryLayout layout;
+  layout.r_buffer_bytes = 3000;
+  layout.input_buffer_bytes = 1 << 20;
+  const uint32_t dna = WindowCode(Alphabet::Dna()).bits();
+  const uint32_t protein = WindowCode(Alphabet::Protein()).bits();
+  EXPECT_EQ(RangePolicy::FromOptions(options, layout, dna).NextRange(100),
+            80u);  // 8000 symbols
+  EXPECT_EQ(RangePolicy::FromOptions(options, layout, protein).NextRange(100),
+            48u);  // 4800 symbols
+  EXPECT_EQ(RangePolicy::FromOptions(options, layout, 8).NextRange(100), 30u);
+  // A window never outgrows the input buffer.
+  layout.input_buffer_bytes = 4096;
+  EXPECT_EQ(RangePolicy::FromOptions(options, layout, dna).NextRange(1),
+            4096u);
+  // A fixed range is taken as given.
+  options.range_policy = RangePolicyKind::kFixed;
+  options.fixed_range = 16;
+  EXPECT_EQ(RangePolicy::FromOptions(options, layout, dna).NextRange(7), 16u);
+}
+
 TEST(RangePolicyTest, FixedIgnoresActiveCount) {
   RangePolicy policy = RangePolicy::Fixed(32);
   EXPECT_EQ(policy.NextRange(1), 32u);
@@ -402,7 +427,7 @@ class PaperTraceTest : public ::testing::Test {
 
 TEST_F(PaperTraceTest, TracesMatchThePaper) {
   GroupPreparer preparer(group_, RangePolicy::Fixed(4), reader_.get(),
-                         std::strlen(kPaperText));
+                         std::strlen(kPaperText), Alphabet::Dna());
   std::vector<PrepareSnapshot> snapshots;
   preparer.SetObserver(
       [&](const PrepareSnapshot& s) { snapshots.push_back(s); });
@@ -477,7 +502,7 @@ TEST_F(PaperTraceTest, TracesMatchThePaper) {
 
 TEST_F(PaperTraceTest, BuildSubTreeProducesFigure5Tree) {
   GroupPreparer preparer(group_, RangePolicy::Fixed(4), reader_.get(),
-                         std::strlen(kPaperText));
+                         std::strlen(kPaperText), Alphabet::Dna());
   ASSERT_TRUE(preparer.Run().ok());
   auto tree = BuildSubTree(preparer.results()[0], std::strlen(kPaperText));
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
@@ -505,7 +530,8 @@ TEST_F(PaperTraceTest, ElasticRangeGrowsAfterLeavesResolve) {
   // With R = 28 bytes, iteration 1 has 7 active leaves -> range 4; after
   // three leaves resolve, 4 remain -> range 7.
   GroupPreparer preparer(group_, RangePolicy::Elastic(28, 2, 64),
-                         reader_.get(), std::strlen(kPaperText));
+                         reader_.get(), std::strlen(kPaperText),
+                         Alphabet::Dna());
   std::vector<uint32_t> ranges;
   preparer.SetObserver(
       [&](const PrepareSnapshot& s) { ranges.push_back(s.range); });
@@ -519,7 +545,7 @@ TEST_F(PaperTraceTest, EachRoundReadsTheTextOnce) {
   // Round 1's windows are copied out of the occurrence scan, so the
   // example's two rounds read S twice: the scan and round 2's fetch.
   GroupPreparer preparer(group_, RangePolicy::Fixed(4), reader_.get(),
-                         std::strlen(kPaperText));
+                         std::strlen(kPaperText), Alphabet::Dna());
   ASSERT_TRUE(preparer.Run().ok());
   EXPECT_EQ(preparer.stats().rounds, 2u);
   EXPECT_EQ(stats_.scans_started, preparer.stats().rounds);
@@ -541,7 +567,8 @@ TEST(SubTreePrepareTest, EveryPrefixNeedsItsCountedFrequency) {
   auto run = [&](const VirtualTree& group, IoStats* io) {
     auto reader = OpenStringReader(&env, "/s", {}, io);
     EXPECT_TRUE(reader.ok());
-    GroupPreparer preparer(group, policy, reader->get(), text.size());
+    GroupPreparer preparer(group, policy, reader->get(), text.size(),
+                           Alphabet::Dna());
     return preparer.Run();
   };
   IoStats io;
@@ -575,10 +602,11 @@ TEST(SubTreePrepareTest, EveryPrefixNeedsItsCountedFrequency) {
 }
 
 TEST(SubTreePrepareTest, SharedArenaIsReusedAcrossGroups) {
-  // A builder worker hands one arena to all of its groups, and the
-  // occurrence scan's refill buffer lives in it. Preparing a group again on
-  // it grows nothing, and yields the same (L, B) as a private arena. The
-  // group's second round spans several fetch slices.
+  // A builder worker hands one arena to all of its groups. Preparing a
+  // group again on it grows nothing, and yields the same (L, B) as a
+  // private arena. The group's second round spans several fetch slices.
+  // The occurrence scan reads the reader's window in place, so the arena
+  // holds no scan buffer.
   MemEnv env;
   std::string text = testing::RandomText(Alphabet::Dna(), 30000, 5);
   ASSERT_TRUE(env.WriteFile("/s", text).ok());
@@ -589,11 +617,13 @@ TEST(SubTreePrepareTest, SharedArenaIsReusedAcrossGroups) {
   const RangePolicy policy = RangePolicy::Elastic(64 << 10, 4, 256);
 
   PrepareScratch scratch;
-  GroupPreparer first(group, policy, reader->get(), text.size(), &scratch);
+  GroupPreparer first(group, policy, reader->get(), text.size(),
+                      Alphabet::Dna(), &scratch);
   ASSERT_TRUE(first.Run().ok());
   const uint64_t grown = scratch.allocations();
   EXPECT_GT(grown, 0u);
-  GroupPreparer again(group, policy, reader->get(), text.size(), &scratch);
+  GroupPreparer again(group, policy, reader->get(), text.size(),
+                      Alphabet::Dna(), &scratch);
   uint64_t second_round_leaves = 0;
   again.SetObserver([&](const PrepareSnapshot& snapshot) {
     if (snapshot.round != 1) return;
@@ -608,7 +638,8 @@ TEST(SubTreePrepareTest, SharedArenaIsReusedAcrossGroups) {
   EXPECT_EQ(&again.scratch(), &scratch);
   EXPECT_GT(second_round_leaves, PrepareScratch::kFetchSlice);
 
-  GroupPreparer alone(group, policy, reader->get(), text.size());
+  GroupPreparer alone(group, policy, reader->get(), text.size(),
+                      Alphabet::Dna());
   ASSERT_TRUE(alone.Run().ok());
   EXPECT_EQ(alone.scratch().allocations(), grown);
   ASSERT_EQ(again.results().size(), alone.results().size());
@@ -624,7 +655,17 @@ TEST(SubTreePrepareTest, SharedArenaIsReusedAcrossGroups) {
       EXPECT_EQ(got.branches[b].defined, want.branches[b].defined);
     }
   }
-  EXPECT_EQ(scratch.scan_chunk.size(), AhoCorasick::kScanChunk);
+
+  // A group without windows (every prefix occurs once) leaves a fresh
+  // arena nearly empty: nothing in it is sized by the scan.
+  const VirtualTree unique_group =
+      testing::CountedGroup(text, {text.substr(100, 24), text.substr(900, 24)});
+  ASSERT_EQ(unique_group.total_frequency, 2u);
+  PrepareScratch bare;
+  GroupPreparer unique(unique_group, policy, reader->get(), text.size(),
+                       Alphabet::Dna(), &bare);
+  ASSERT_TRUE(unique.Run().ok());
+  EXPECT_LT(bare.MemoryBytes(), 1024u);
 }
 
 // ---------------------------------------------------------------------------

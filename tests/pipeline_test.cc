@@ -411,7 +411,7 @@ TEST(PipelineTest, StreamingPrepareEmitsEveryPrefixExactlyOnce) {
       testing::CountedGroup(text, {"AA", "AC", "AG", "AT"});
 
   GroupPreparer preparer(group, RangePolicy::Elastic(1 << 16, 4, 256),
-                         reader->get(), text.size());
+                         reader->get(), text.size(), Alphabet::Dna());
   std::vector<int> seen(group.prefixes.size(), 0);
   preparer.SetEmitCallback(
       [&](std::size_t k, PreparedSubTree&& prepared) -> Status {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,23 @@ TEST_F(StringReaderTest, FetchSpanningBufferBoundary) {
   EXPECT_EQ(std::string(buf, 256), data_.substr(4000, 256));
 }
 
+/// Serves `requests` with one FetchBatch and joins each request's pieces,
+/// which must arrive in order.
+Status CollectBatch(StringReader* reader,
+                    const std::vector<FetchRequest>& requests,
+                    std::vector<std::string>* out,
+                    std::vector<int>* pieces = nullptr) {
+  out->assign(requests.size(), "");
+  if (pieces != nullptr) pieces->assign(requests.size(), 0);
+  return reader->FetchBatch(
+      requests,
+      [&](std::size_t r, uint64_t offset, std::span<const char> piece) {
+        EXPECT_EQ(offset, (*out)[r].size()) << "request " << r;
+        (*out)[r].append(piece.data(), piece.size());
+        if (pieces != nullptr) ++(*pieces)[r];
+      });
+}
+
 TEST_F(StringReaderTest, FetchBatchMatchesContentAndCoalesces) {
   StringReaderOptions options;
   options.buffer_bytes = 64 << 10;
@@ -167,17 +185,18 @@ TEST_F(StringReaderTest, FetchBatchMatchesContentAndCoalesces) {
   reader->BeginScan();
 
   // Adjacent and overlapping windows, the SubTreePrepare request shape.
-  char out[8][32];
   std::vector<FetchRequest> requests;
   uint64_t pos = 1000;
   for (int i = 0; i < 8; ++i) {
-    requests.push_back({pos, 32, out[i], 0});
+    requests.push_back({pos, 32});
     pos += (i % 2 == 0) ? 16 : 32;  // every other request overlaps
   }
-  ASSERT_TRUE(reader->FetchBatch(requests).ok());
-  for (const FetchRequest& r : requests) {
-    ASSERT_EQ(r.got, 32u);
-    EXPECT_EQ(std::string(r.out, r.got), data_.substr(r.pos, 32));
+  std::vector<std::string> got;
+  std::vector<int> pieces;
+  ASSERT_TRUE(CollectBatch(reader.get(), requests, &got, &pieces).ok());
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    EXPECT_EQ(got[r], data_.substr(requests[r].pos, 32));
+    EXPECT_EQ(pieces[r], 1);
   }
   // The whole batch fits in one window residency: one refill, no seeks.
   EXPECT_EQ(stats_.sequential_refills, 1u);
@@ -186,29 +205,44 @@ TEST_F(StringReaderTest, FetchBatchMatchesContentAndCoalesces) {
   EXPECT_EQ(stats_.batched_requests, 8u);
 }
 
+TEST_F(StringReaderTest, FetchBatchHandsPiecesAcrossRefills) {
+  // A request that runs past the resident window arrives in two pieces,
+  // each a span of the window at the time: no copy is made.
+  StringReaderOptions options;
+  options.buffer_bytes = 4096;
+  auto reader = Open(options);
+  reader->BeginScan();
+  const std::vector<FetchRequest> requests = {{100, 50}, {4000, 200}};
+  std::vector<std::string> got;
+  std::vector<int> pieces;
+  ASSERT_TRUE(CollectBatch(reader.get(), requests, &got, &pieces).ok());
+  EXPECT_EQ(got[0], data_.substr(100, 50));
+  EXPECT_EQ(got[1], data_.substr(4000, 200));
+  EXPECT_EQ(pieces, (std::vector<int>{1, 2}));  // window [100, 4196)
+  EXPECT_EQ(stats_.sequential_refills, 2u);
+}
+
 TEST_F(StringReaderTest, FetchBatchShortReadsAtEof) {
   auto reader = Open({});
   reader->BeginScan();
-  char a[64], b[64], c[64];
-  std::vector<FetchRequest> requests = {
-      {data_.size() - 100, 64, a, 0},  // fully inside
-      {data_.size() - 10, 64, b, 0},   // short
-      {data_.size() + 5, 64, c, 0},    // past the end
+  const std::vector<FetchRequest> requests = {
+      {data_.size() - 100, 64},  // fully inside
+      {data_.size() - 10, 64},   // short
+      {data_.size() + 5, 64},    // past the end
   };
-  ASSERT_TRUE(reader->FetchBatch(requests).ok());
-  EXPECT_EQ(requests[0].got, 64u);
-  EXPECT_EQ(requests[1].got, 10u);
-  EXPECT_EQ(std::string(requests[1].out, requests[1].got),
-            data_.substr(data_.size() - 10));
-  EXPECT_EQ(requests[2].got, 0u);
+  std::vector<std::string> got;
+  ASSERT_TRUE(CollectBatch(reader.get(), requests, &got).ok());
+  EXPECT_EQ(got[0], data_.substr(data_.size() - 100, 64));
+  EXPECT_EQ(got[1], data_.substr(data_.size() - 10));
+  EXPECT_EQ(got[2], "");
 }
 
 TEST_F(StringReaderTest, FetchBatchRejectsUnsortedStream) {
   auto reader = Open({});
   reader->BeginScan();
-  char a[8], b[8];
-  std::vector<FetchRequest> requests = {{5000, 8, a, 0}, {4000, 8, b, 0}};
-  Status status = reader->FetchBatch(requests);
+  const std::vector<FetchRequest> requests = {{5000, 8}, {4000, 8}};
+  std::vector<std::string> got;
+  Status status = CollectBatch(reader.get(), requests, &got);
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
 }
 

@@ -147,11 +147,13 @@ TEST(AhoCorasickTest, RandomTextsMatchOracle) {
 }
 
 TEST(AhoCorasickTest, ScanAllStreamsWholeFile) {
-  constexpr uint64_t kChunk = AhoCorasick::kScanChunk;
+  // The scan walks the reader's window in place, so its refills fall at
+  // multiples of the window size.
+  constexpr uint64_t kWindow = 64 << 10;
   std::string text = testing::RandomText(Alphabet::Dna(), 200000, 9);
-  // Planted patterns straddle the first two chunk boundaries.
-  const std::string straddle1 = text.substr(kChunk - 3, 7);
-  const std::string straddle2 = text.substr(2 * kChunk - 1, 2);
+  // Planted patterns straddle the first two refill boundaries.
+  const std::string straddle1 = text.substr(kWindow - 3, 7);
+  const std::string straddle2 = text.substr(2 * kWindow - 1, 2);
   std::vector<std::vector<std::string>> sets = SampledPatternSets(text, 9);
   const std::size_t planted = sets.size();
   sets.push_back({"ACGT", "TTAA", straddle1, straddle2});
@@ -159,28 +161,35 @@ TEST(AhoCorasickTest, ScanAllStreamsWholeFile) {
   AddStrayBytes(&text);
   MemEnv env;
   ASSERT_TRUE(env.WriteFile("/s", text).ok());
+  StringReaderOptions options;
+  options.buffer_bytes = kWindow;
 
   for (std::size_t set = 0; set < sets.size(); ++set) {
     const std::vector<std::string>& patterns = sets[set];
     auto ac = AhoCorasick::Build(patterns);
     ASSERT_TRUE(ac.ok());
     IoStats stats;
-    auto reader = OpenStringReader(&env, "/s", {}, &stats);
+    auto reader = OpenStringReader(&env, "/s", options, &stats);
     ASSERT_TRUE(reader.ok());
     std::vector<std::pair<int32_t, uint64_t>> matches;
-    std::vector<char> chunk(kChunk);
     // Every refill is announced before its matches, holds the next text
-    // bytes, and the refills tile the file.
+    // bytes in the reader's own window (no copy), and the refills tile the
+    // file.
     uint64_t scanned = 0;
+    const char* window = nullptr;
     ASSERT_TRUE(ac->ScanAll(
-                      reader->get(), chunk,
+                      reader->get(),
                       [&](int32_t id, uint64_t pos) {
                         EXPECT_LT(pos + ac->pattern(id).size() - 1, scanned);
                         matches.emplace_back(id, pos);
                       },
                       [&](uint64_t begin, std::span<const char> bytes) {
                         EXPECT_EQ(begin, scanned);
-                        EXPECT_EQ(bytes.data(), chunk.data());
+                        EXPECT_EQ(bytes.size(),
+                                  std::min<uint64_t>(kWindow,
+                                                     text.size() - begin));
+                        if (window == nullptr) window = bytes.data();
+                        EXPECT_EQ(bytes.data(), window);
                         EXPECT_EQ(std::string(bytes.begin(), bytes.end()),
                                   text.substr(begin, bytes.size()));
                         scanned += bytes.size();
@@ -196,16 +205,12 @@ TEST(AhoCorasickTest, ScanAllStreamsWholeFile) {
         << "first pattern '" << patterns[0] << "'";
     EXPECT_GE(stats.bytes_read, text.size());
     EXPECT_EQ(stats.scans_started, 1u);
-    // A scan with nowhere to read into is refused, not an empty scan.
-    EXPECT_TRUE(ac->ScanAll(reader->get(), std::span<char>(),
-                            [](int32_t, uint64_t) {})
-                    .IsInvalidArgument());
     if (set == planted) {
       EXPECT_NE(std::find(matches.begin(), matches.end(),
-                          std::make_pair(int32_t{2}, kChunk - 3)),
+                          std::make_pair(int32_t{2}, kWindow - 3)),
                 matches.end());
       EXPECT_NE(std::find(matches.begin(), matches.end(),
-                          std::make_pair(int32_t{3}, 2 * kChunk - 1)),
+                          std::make_pair(int32_t{3}, 2 * kWindow - 1)),
                 matches.end());
     }
   }
