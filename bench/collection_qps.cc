@@ -1,7 +1,7 @@
 // Concurrent document-query serving benchmark.
 //
 // Builds a generated multi-document DNA collection once (CollectionBuilder
-// over the work-stealing pipeline), then replays a mixed CountDocs /
+// over ParallelBuilder), then replays a mixed CountDocs /
 // TopKDocuments / LocateInDoc workload against one DocEngine at 1/2/4/8
 // threads and emits BENCH_collection.json (QPS, speedup, cache hit rate,
 // doc-query counters) in the current directory.

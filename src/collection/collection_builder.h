@@ -5,8 +5,8 @@
 // per-record FASTA files, or a synthetic corpus), joins them with the
 // reserved separator symbol, extends the alphabet with that separator
 // (keeping symbol order: the separator sorts above every document symbol,
-// below the terminal), and runs the existing work-stealing ParallelBuilder
-// over the combined text.  The resulting directory serves both plain
+// below the terminal), and runs the existing ParallelBuilder over the
+// combined text.  The resulting directory serves both plain
 // pattern queries (QueryEngine) and document-aware queries (DocEngine):
 //
 //   <dir>/TEXT       the concatenated text (documents + separators + terminal)
@@ -39,8 +39,8 @@ struct CollectionBuildOptions {
   /// Passed through to the pipeline builder. `work_dir` is the index
   /// directory; `memory_budget` is the TOTAL budget (split across workers).
   BuildOptions build;
-  /// Horizontal-phase workers (>= 1); the work-stealing pipeline runs even
-  /// single-threaded.
+  /// Horizontal-phase workers (>= 1); ParallelBuilder and its background
+  /// writer run even single-threaded.
   unsigned num_workers = 1;
   /// Separator symbol; must sort strictly above every alphabet symbol.
   char separator = kDocSeparator;

@@ -49,8 +49,9 @@ StatusOr<ClusterBuildResult> ClusterBuilder::Build(const TextInfo& text) {
   result.transfer_seconds = static_cast<double>(text.length) /
                             cluster_.network_bytes_per_second;
 
-  // Longest-processing-time assignment of groups to nodes (same LPT order
-  // the shared-memory pipeline feeds its queue, incl. deterministic ties).
+  // Longest-processing-time assignment of groups to nodes (the LPT order
+  // the shared-memory builder refines by tile affinity, incl. deterministic
+  // ties).
   std::vector<std::size_t> order = LptGroupOrder(plan.groups);
   std::vector<std::vector<std::size_t>> assignment(nodes);
   std::vector<uint64_t> load(nodes, 0);
@@ -78,30 +79,18 @@ StatusOr<ClusterBuildResult> ClusterBuilder::Build(const TextInfo& text) {
         ERA_ASSIGN_OR_RETURN(auto reader,
                              OpenStringReader(env, text.path, reader_options,
                                               &result.node_io[nd]));
-        std::unique_ptr<StringReader> suffix_reader;
-        std::unique_ptr<StringReader> edge_reader;
+        WaveFrontReaders wf;
         if (wavefront) {
-          StringReaderOptions wf_options;
-          wf_options.buffer_bytes = layout.input_buffer_bytes;
-          wf_options.bill_random_as_sequential = true;
-          wf_options.random_window_bytes = 512;
-          ERA_ASSIGN_OR_RETURN(suffix_reader,
-                               OpenStringReader(env, text.path, wf_options,
-                                                &result.node_io[nd]));
-          StringReaderOptions edge_options;
-          edge_options.buffer_bytes = layout.r_buffer_bytes;
-          edge_options.bill_random_as_sequential = true;
-          edge_options.random_window_bytes = 512;
-          ERA_ASSIGN_OR_RETURN(edge_reader,
-                               OpenStringReader(env, text.path, edge_options,
-                                                &result.node_io[nd]));
+          ERA_ASSIGN_OR_RETURN(wf, OpenWaveFrontReaders(env, text.path,
+                                                        layout,
+                                                        &result.node_io[nd]));
         }
         PrepareScratch scratch;  // one prepare arena for the node's groups
         for (std::size_t g : assignment[nd]) {
           if (wavefront) {
             ERA_RETURN_NOT_OK(WaveFrontProcessUnit(
                 text, node_options, plan.groups[g], g, reader.get(),
-                suffix_reader.get(), edge_reader.get(), &outputs[g]));
+                wf.suffix.get(), wf.edge.get(), &outputs[g]));
           } else {
             ERA_RETURN_NOT_OK(ProcessGroup(
                 text, node_options, layout, plan.groups[g], g, reader.get(),

@@ -214,9 +214,9 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
         RangePolicy::FromOptions(options, layout,
                                  WindowCode(text.alphabet).bits()),
         reader, text.length, text.alphabet, scratch);
-    // Stream: a resolved prefix is built and handed to the writer while the
-    // remaining prefixes are still scanning S (pipeline stages 2 and 3
-    // overlap stage 1 even inside a single group). Build/write time spent
+    // Stream: a resolved prefix is built and written (or handed to the
+    // writer) while the group's remaining prefixes are still scanning S, so
+    // its L and B are freed before the group ends. Build/write time spent
     // inside the emit callback is subtracted from the prepare phase so the
     // breakdown reflects the stages, not the call nesting.
     WallTimer prepare_timer;

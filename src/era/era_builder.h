@@ -89,7 +89,7 @@ class BackgroundSubTreeWriter;
 class CheckpointManager;
 
 /// Output of processing one virtual tree (used by serial and parallel
-/// drivers alike).
+/// drivers alike). One worker fills it.
 struct GroupOutput {
   struct SubTreeOut {
     std::string prefix;
@@ -97,8 +97,8 @@ struct GroupOutput {
     std::string filename;
   };
   /// Slot-indexed by the prefix's position in the group, so the (group, k)
-  /// assembly order is deterministic no matter which worker (or background
-  /// writer) finishes a sub-tree first.
+  /// assembly order is fixed whatever order the groups and the background
+  /// writes finish in.
   std::vector<SubTreeOut> subtrees;
   uint32_t rounds = 0;
   PrepareTimes prepare_times;
@@ -111,9 +111,8 @@ struct GroupOutput {
 /// synchronously (billing out->write_io) or hands it to `writer`. Each
 /// durably published file is reported to `checkpoint` (when given) with its
 /// CRC-32C, on the writer thread for enqueued writes. Returns the tree's
-/// in-memory size. Safe to call concurrently for distinct slots of the same
-/// GroupOutput. Synchronous writes bill their wall time to `profiler` (when
-/// given) as phase "subtree_write" under `worker`.
+/// in-memory size. Synchronous writes bill their wall time to `profiler`
+/// (when given) as phase "subtree_write" under `worker`.
 StatusOr<uint64_t> EmitBuiltSubTree(const BuildOptions& options,
                                     uint64_t group_id, std::size_t k,
                                     std::string prefix, uint64_t frequency,
@@ -123,12 +122,11 @@ StatusOr<uint64_t> EmitBuiltSubTree(const BuildOptions& options,
                                     PhaseProfiler* profiler = nullptr,
                                     unsigned worker = 0);
 
-/// The full per-prefix tail of the pipeline: BuildSubTree on a prepared
-/// prefix, then EmitBuiltSubTree. One body shared by the serial streaming
-/// callback and the parallel kBuildPrefix task so the two paths cannot
-/// diverge. Takes (L, B) by value, so the caller's copy is left empty, and
-/// frees them as soon as the tree is built. Returns the tree's in-memory
-/// size.
+/// The per-prefix tail of ProcessGroup's prepare stage: BuildSubTree on a
+/// prepared prefix, then EmitBuiltSubTree. Takes (L, B) by value, so the
+/// caller's copy is left empty, and frees them as soon as the tree is
+/// built, before the hand-off to `writer` can block. Returns the tree's
+/// in-memory size.
 StatusOr<uint64_t> BuildAndEmitPrefix(const BuildOptions& options,
                                       uint64_t text_length, uint64_t group_id,
                                       std::size_t k, PreparedSubTree prepared,

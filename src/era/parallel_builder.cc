@@ -7,15 +7,11 @@
 #include <thread>
 #include <vector>
 
-#include "alphabet/window_code.h"
 #include "common/timer.h"
-#include "era/build_subtree.h"
 #include "era/checkpoint.h"
 #include "era/memory_layout.h"
-#include "era/range_policy.h"
-#include "era/subtree_prepare.h"
+#include "era/prepare_scratch.h"
 #include "era/subtree_writer.h"
-#include "era/work_queue.h"
 #include "wavefront/wavefront.h"
 
 namespace era {
@@ -65,20 +61,6 @@ std::vector<std::size_t> TileAffinityOrder(
   }
   return order;
 }
-
-namespace {
-
-/// Hand-off area between a group's prepare stage and the (stealable) build
-/// tasks it spawns. `prepared` is slot-indexed; a slot is written by the
-/// preparing worker strictly before the matching task is pushed (the queue
-/// mutex publishes it), and moved out by whichever worker pops that task,
-/// which leaves it empty.
-struct GroupWork {
-  std::vector<PreparedSubTree> prepared;
-  std::atomic<uint64_t> tree_bytes{0};
-};
-
-}  // namespace
 
 StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   WallTimer total_timer;
@@ -135,7 +117,7 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   stats.num_groups = plan.groups.size();
   stats.num_subtrees = plan.NumSubTrees();
 
-  // ---- Horizontal phase: subtree-granular pipeline. ----
+  // ---- Horizontal phase: whole groups, builds inline, writes overlapped. ----
   WallTimer horizontal_timer;
   const std::size_t num_groups = plan.groups.size();
 
@@ -165,46 +147,37 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   }
 
   std::vector<GroupOutput> outputs(num_groups);
-  std::vector<GroupWork> works(num_groups);
   std::vector<IoStats> worker_io(num_workers_);
   std::vector<double> worker_seconds(num_workers_, 0);
   std::vector<double> worker_busy_seconds(num_workers_, 0);
   std::vector<Status> worker_status(num_workers_);
 
-  // Stage 3: finished trees leave the workers' critical path through a
-  // bounded background writer. The backlog bound reuses the tree area of
-  // one per-core share — memory the serial design would have spent holding
-  // a group's trees until its last prefix anyway.
+  // Finished trees leave the workers' critical path through a bounded
+  // background writer. The backlog bound reuses the tree area of one
+  // per-core share — memory the serial design would have spent holding a
+  // group's trees until its last prefix anyway.
   BackgroundSubTreeWriter writer(
       env, /*num_threads=*/2,
       /*max_queued_bytes=*/
       std::max<uint64_t>(layout.tree_area_bytes, 4ull << 20));
 
-  // Stage 1: injection queue in tile-affinity-refined LPT order (groups
-  // with overlapping text footprints run adjacently and convert each
-  // other's tile-cache misses into hits) + per-worker deques.
-  WorkStealingQueue queue(num_workers_);
-  {
-    std::vector<PipelineTask> seeds;
-    seeds.reserve(num_groups);
-    for (std::size_t g : TileAffinityOrder(plan.groups)) {
-      if (resume.group_done[g]) {
-        // Verified on disk by the resume pass: reconstruct the output from
-        // the plan and never schedule the group.
-        ReconstructGroupOutput(plan.groups[g], g, &outputs[g]);
-        continue;
-      }
-      seeds.push_back({PipelineTask::Kind::kGroup,
-                       static_cast<uint32_t>(g), 0});
+  // Groups in tile-affinity-refined LPT order (groups with overlapping text
+  // footprints run adjacently and convert each other's tile-cache misses
+  // into hits). Each worker takes the next one from a shared counter and
+  // runs it whole.
+  std::vector<std::size_t> order;
+  order.reserve(num_groups);
+  for (std::size_t g : TileAffinityOrder(plan.groups)) {
+    if (resume.group_done[g]) {
+      // Verified on disk by the resume pass: reconstruct the output from
+      // the plan and never schedule the group.
+      ReconstructGroupOutput(plan.groups[g], g, &outputs[g]);
+      continue;
     }
-    queue.SeedGlobal(std::move(seeds));
+    order.push_back(g);
   }
-
-  const RangePolicy policy =
-      RangePolicy::FromOptions(worker_options, layout,
-                               WindowCode(text.alphabet).bits());
-  const bool prepare_build =
-      !wavefront && worker_options.horizontal == HorizontalMethod::kPrepareBuild;
+  std::atomic<std::size_t> next_group{0};
+  std::atomic<bool> stop{false};
 
   std::vector<std::thread> workers;
   for (unsigned w = 0; w < num_workers_; ++w) {
@@ -221,96 +194,39 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
                                               &worker_io[w]));
         // One prepare arena serves every group this worker prepares.
         PrepareScratch scratch;
-        std::unique_ptr<StringReader> suffix_reader;
-        std::unique_ptr<StringReader> edge_reader;
+        WaveFrontReaders wf;
         if (wavefront) {
-          StringReaderOptions wf_options;
-          wf_options.buffer_bytes = layout.input_buffer_bytes;
-          wf_options.bill_random_as_sequential = true;
-          wf_options.random_window_bytes = 512;
-          ERA_ASSIGN_OR_RETURN(suffix_reader,
-                               OpenStringReader(env, text.path, wf_options,
-                                                &worker_io[w]));
-          StringReaderOptions edge_options;
-          edge_options.buffer_bytes = layout.r_buffer_bytes;
-          edge_options.bill_random_as_sequential = true;
-          edge_options.random_window_bytes = 512;
-          ERA_ASSIGN_OR_RETURN(edge_reader,
-                               OpenStringReader(env, text.path, edge_options,
-                                                &worker_io[w]));
+          ERA_ASSIGN_OR_RETURN(wf, OpenWaveFrontReaders(env, text.path,
+                                                        layout,
+                                                        &worker_io[w]));
         }
-
-        auto run_task = [&](const PipelineTask& task) -> Status {
-          const uint32_t g = task.group;
-          if (task.kind == PipelineTask::Kind::kBuildPrefix) {
-            GroupWork& gw = works[g];
-            ERA_ASSIGN_OR_RETURN(
-                uint64_t bytes,
-                BuildAndEmitPrefix(worker_options, text.length, g, task.prefix,
-                                   std::move(gw.prepared[task.prefix]),
-                                   &outputs[g], &writer, checkpoint.get(),
-                                   &profiler, w));
-            gw.tree_bytes.fetch_add(bytes, std::memory_order_relaxed);
-            return Status::OK();
-          }
+        // A failed group (here or on another worker) or a failed background
+        // write stops every worker before its next group; building more
+        // trees would only queue doomed work. Drain() reports a write error.
+        while (!stop.load(std::memory_order_relaxed) && !writer.Failed()) {
+          const std::size_t i =
+              next_group.fetch_add(1, std::memory_order_relaxed);
+          if (i >= order.size()) break;
+          const std::size_t g = order[i];
+          WallTimer group_timer;
+          Status s;
           if (wavefront) {
-            WallTimer unit_timer;
-            Status s = WaveFrontProcessUnit(text, worker_options,
-                                            plan.groups[g], g, reader.get(),
-                                            suffix_reader.get(),
-                                            edge_reader.get(), &outputs[g]);
-            profiler.Record("wavefront", w, unit_timer.Seconds());
-            return s;
+            s = WaveFrontProcessUnit(text, worker_options, plan.groups[g], g,
+                                     reader.get(), wf.suffix.get(),
+                                     wf.edge.get(), &outputs[g]);
+            profiler.Record("wavefront", w, group_timer.Seconds());
+          } else {
+            s = ProcessGroup(text, worker_options, layout, plan.groups[g], g,
+                             reader.get(), &outputs[g], &writer,
+                             checkpoint.get(), &profiler, w, &scratch);
           }
-          if (!prepare_build) {
-            // BranchEdge fuses prepare+build per group; only its writes
-            // overlap (the background writer).
-            return ProcessGroup(text, worker_options, layout, plan.groups[g],
-                                g, reader.get(), &outputs[g], &writer,
-                                checkpoint.get(), &profiler, w);
-          }
-          // Prepare stage: stream each resolved prefix out as a stealable
-          // build task, then keep draining our own deque LIFO.
-          const VirtualTree& group = plan.groups[g];
-          GroupWork& gw = works[g];
-          gw.prepared.resize(group.prefixes.size());
-          outputs[g].subtrees.resize(group.prefixes.size());
-          GroupPreparer preparer(group, policy, reader.get(), text.length,
-                                 text.alphabet, &scratch);
-          preparer.SetEmitCallback(
-              [&](std::size_t k, PreparedSubTree&& prepared) -> Status {
-                gw.prepared[k] = std::move(prepared);
-                queue.Push(w, {PipelineTask::Kind::kBuildPrefix, g,
-                               static_cast<uint32_t>(k)});
-                return Status::OK();
-              });
-          WallTimer prepare_timer;
-          ERA_RETURN_NOT_OK(preparer.Run());
-          profiler.Record("prepare", w, prepare_timer.Seconds());
-          outputs[g].rounds = preparer.stats().rounds;
-          outputs[g].prepare_times = preparer.stats().times;
-          return Status::OK();
-        };
-
-        PipelineTask task;
-        while (queue.Pop(w, &task)) {
-          if (writer.Failed()) {
-            // A background write already failed permanently; building more
-            // trees only queues more doomed work. Drain() reports the error.
-            queue.TaskDone();
-            queue.Abort();
-            break;
-          }
-          WallTimer task_timer;
-          Status s = run_task(task);
-          busy += task_timer.Seconds();
-          queue.TaskDone();
+          busy += group_timer.Seconds();
           ERA_RETURN_NOT_OK(s);
         }
         return Status::OK();
       };
       worker_status[w] = run();
-      if (!worker_status[w].ok()) queue.Abort();
+      if (!worker_status[w].ok()) stop.store(true, std::memory_order_relaxed);
       worker_seconds[w] = worker_timer.Seconds();
       worker_busy_seconds[w] = busy;
     });
@@ -323,10 +239,7 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   for (const IoStats& io : worker_io) stats.io.Add(io);
   stats.io.Add(writer.io());
   FoldTileCacheStats(tile_cache, &stats);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    GroupOutput& output = outputs[g];
-    output.tree_bytes +=
-        works[g].tree_bytes.load(std::memory_order_relaxed);
+  for (const GroupOutput& output : outputs) {
     stats.prepare_rounds += output.rounds;
     stats.prepare_times.Add(output.prepare_times);
     stats.peak_tree_bytes = std::max(stats.peak_tree_bytes, output.tree_bytes);

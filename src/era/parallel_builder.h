@@ -1,18 +1,21 @@
-// Shared-memory / shared-disk parallel construction (Section 5), pipelined.
+// Shared-memory / shared-disk parallel construction (Section 5).
 //
-// A master performs vertical partitioning, then the horizontal phase runs as
-// a two-stage pipeline over subtree-granular tasks:
+// A master performs vertical partitioning; then each worker takes the next
+// group of TileAffinityOrder from one shared counter and runs it whole
+// through ProcessGroup, the same function the serial EraBuilder runs:
 //
-//   1. Scheduling — group tasks seed a work-stealing queue in LPT order
-//      (era/work_queue.h); a group's prepare stage spawns one build task per
-//      prefix the moment that prefix resolves, so idle workers steal
-//      BuildSubTree work out of large groups mid-prepare.
-//   2. Write overlap — finished trees go to a bounded BackgroundSubTreeWriter
-//      instead of blocking the worker; (group, k) slot naming keeps the
-//      assembled index byte-identical for any worker count.
+//   * Builds inline — the preparing worker builds each prefix as soon as
+//     that prefix's (L, B) resolves, then frees them.
+//   * Writes overlapped — finished trees go to a bounded
+//     BackgroundSubTreeWriter instead of blocking the worker; (group, k)
+//     slot naming keeps the assembled index byte-identical for any worker
+//     count.
 //
-// Each worker reads S through its own synchronous StringReader, served from
-// the shared tile cache when one is open.
+// The WaveFront variant runs each single-prefix unit through
+// WaveFrontProcessUnit instead. A failed group or a failed background
+// write stops every worker before its next group. Each worker reads S
+// through its own synchronous StringReader, served from the shared tile
+// cache when one is open.
 //
 // All workers read the same input file (the architecture's strength) and
 // split the memory budget equally (its constraint): FM is computed from the
@@ -41,15 +44,14 @@ struct ParallelBuildResult {
   TreeIndex index;
   BuildStats stats;
   std::vector<double> worker_seconds;
-  /// Seconds each worker spent executing pipeline tasks (the rest of
-  /// worker_seconds is time idle-waiting for stealable work).
+  /// Seconds each worker spent running groups; the rest of worker_seconds
+  /// is idle time, once no group was left to take.
   std::vector<double> worker_busy_seconds;
 };
 
 /// LPT dispatch order: group indices sorted by descending total_frequency,
-/// ties by ascending index (deterministic). Seeding the queue in this order
-/// keeps one giant group from landing on the last free worker. Exposed for
-/// tests.
+/// ties by ascending index (deterministic). Dispatching in this order keeps
+/// one giant group from landing on the last free worker. Exposed for tests.
 std::vector<std::size_t> LptGroupOrder(const std::vector<VirtualTree>& groups);
 
 /// LPT order refined by tile-footprint affinity: starting from the LPT

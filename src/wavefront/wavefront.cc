@@ -212,6 +212,23 @@ Status WaveFrontProcessUnit(const TextInfo& text, const BuildOptions& options,
   return Status::OK();
 }
 
+StatusOr<WaveFrontReaders> OpenWaveFrontReaders(Env* env,
+                                                const std::string& path,
+                                                const MemoryLayout& layout,
+                                                IoStats* stats) {
+  StringReaderOptions options;
+  options.bill_random_as_sequential = true;  // BNL tile traffic
+  options.random_window_bytes = 512;
+  WaveFrontReaders readers;
+  options.buffer_bytes = layout.input_buffer_bytes;
+  ERA_ASSIGN_OR_RETURN(readers.suffix,
+                       OpenStringReader(env, path, options, stats));
+  options.buffer_bytes = layout.r_buffer_bytes;
+  ERA_ASSIGN_OR_RETURN(readers.edge,
+                       OpenStringReader(env, path, options, stats));
+  return readers;
+}
+
 StatusOr<BuildResult> WaveFrontBuilder::Build(const TextInfo& text) {
   WallTimer total_timer;
   ERA_RETURN_NOT_OK(ValidateBuildOptions(options_));
@@ -240,26 +257,15 @@ StatusOr<BuildResult> WaveFrontBuilder::Build(const TextInfo& text) {
   ERA_ASSIGN_OR_RETURN(auto scan_reader,
                        OpenStringReader(options_.GetEnv(), text.path,
                                         scan_options, &scan_io));
-  StringReaderOptions suffix_options;
-  suffix_options.buffer_bytes = layout.input_buffer_bytes;
-  suffix_options.bill_random_as_sequential = true;  // BNL tile traffic
-  suffix_options.random_window_bytes = 512;
-  ERA_ASSIGN_OR_RETURN(auto suffix_reader,
-                       OpenStringReader(options_.GetEnv(), text.path,
-                                        suffix_options, &scan_io));
-  StringReaderOptions edge_options;
-  edge_options.buffer_bytes = layout.r_buffer_bytes;
-  edge_options.bill_random_as_sequential = true;  // BNL tile traffic
-  edge_options.random_window_bytes = 512;
-  ERA_ASSIGN_OR_RETURN(auto edge_reader,
-                       OpenStringReader(options_.GetEnv(), text.path,
-                                        edge_options, &scan_io));
+  ERA_ASSIGN_OR_RETURN(WaveFrontReaders wf,
+                       OpenWaveFrontReaders(options_.GetEnv(), text.path,
+                                            layout, &scan_io));
 
   std::vector<GroupOutput> outputs(plan.groups.size());
   for (std::size_t g = 0; g < plan.groups.size(); ++g) {
     ERA_RETURN_NOT_OK(WaveFrontProcessUnit(
-        text, options_, plan.groups[g], g, scan_reader.get(),
-        suffix_reader.get(), edge_reader.get(), &outputs[g]));
+        text, options_, plan.groups[g], g, scan_reader.get(), wf.suffix.get(),
+        wf.edge.get(), &outputs[g]));
     stats.prepare_rounds += outputs[g].rounds;
     stats.peak_tree_bytes =
         std::max(stats.peak_tree_bytes, outputs[g].tree_bytes);

@@ -19,6 +19,7 @@
 #ifndef ERA_WAVEFRONT_WAVEFRONT_H_
 #define ERA_WAVEFRONT_WAVEFRONT_H_
 
+#include <memory>
 #include <string>
 
 #include "common/options.h"
@@ -31,6 +32,21 @@
 #include "text/corpus.h"
 
 namespace era {
+
+/// WaveFront's two nested-loop buffers over S: `suffix` streams new-suffix
+/// symbols through a B_S window, `edge` streams edge-label symbols through
+/// an R window. Both bill their random probes as sequential tile traffic in
+/// 512-byte windows.
+struct WaveFrontReaders {
+  std::unique_ptr<StringReader> suffix;
+  std::unique_ptr<StringReader> edge;
+};
+
+/// Opens the reader pair over `path`, sized from `layout`; both bill `stats`.
+StatusOr<WaveFrontReaders> OpenWaveFrontReaders(Env* env,
+                                                const std::string& path,
+                                                const MemoryLayout& layout,
+                                                IoStats* stats);
 
 /// Builds the sub-tree for one S-prefix by string-order insertion.
 /// `suffix_reader` feeds new-suffix symbols, `edge_reader` feeds edge-label

@@ -258,9 +258,9 @@ TEST(EraBuilderTest, GroupingReducesScansOfS) {
 }
 
 TEST(EraBuilderTest, BuildAndEmitPrefixLeavesTheCallerSlotEmpty) {
-  // The parallel builder parks each resolved (L, B) in a slot until a
-  // worker builds it; the build must take L and B (24 bytes per leaf) out
-  // of the slot instead of leaving them there until the build ends.
+  // L and B (24 bytes per leaf) must be freed once the tree is built,
+  // before the hand-off to the background writer, which may block on a
+  // full backlog; the caller's copy must not keep them alive either.
   MemEnv env;
   std::string text = testing::RandomText(Alphabet::Dna(), 5000, 31);
   ASSERT_TRUE(env.WriteFile("/s", text).ok());

@@ -1,7 +1,7 @@
 // FaultyEnv fault injection and retry-with-backoff: the deterministic fault
 // schedules, the durability model behind SimulateCrash, atomic publish
 // surviving crashes, and transient faults absorbed by RunWithRetry in
-// StringReader / TileCache / a full build.
+// StringReader / TileCache / a full serial or parallel build.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/env.h"
 #include "io/faulty_env.h"
 #include "io/mem_env.h"
@@ -357,7 +358,7 @@ TEST(RetryAbsorptionTest, TileCacheAbsorbsATransientLoadFault) {
 
 TEST(RetryAbsorptionTest, BuildUnderTransientFaultsIsByteIdentical) {
   // A build whose text reads randomly blip must absorb every fault and emit
-  // exactly the bytes a fault-free build emits.
+  // exactly the bytes a fault-free build emits, serial or parallel.
   MemEnv clean_env;
   std::string text = testing::RepetitiveText(Alphabet::Dna(), 12000, 29);
   auto info = MaterializeText(&clean_env, "/text", Alphabet::Dna(), text);
@@ -372,33 +373,48 @@ TEST(RetryAbsorptionTest, BuildUnderTransientFaultsIsByteIdentical) {
   auto ref = reference.Build(*info);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
-  MemEnv faulty_base;
-  ASSERT_TRUE(
-      MaterializeText(&faulty_base, "/text", Alphabet::Dna(), text).ok());
-  FaultSpec spec;
-  // The builder serves every text read through one shared TileCache, so a
-  // small text is a handful of tile loads; fail the first deterministically.
-  spec.fail_read_at = 1;
-  spec.path_filter = "/text";  // fault the scans, not the artifacts
-  FaultyEnv faulty(&faulty_base, spec);
-  BuildOptions faulted = options;
-  faulted.env = &faulty;
-  faulted.work_dir = "/out";
-  EraBuilder builder(faulted);
-  auto result = builder.Build(*info);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  EXPECT_GT(faulty.stats().read_faults, 0u)
-      << "the drill injected nothing: " << faulty.stats().ToString();
-  EXPECT_GE(result->stats.io.read_retries, faulty.stats().read_faults);
-
-  for (const SubTreeEntry& entry : ref->index.subtrees()) {
-    std::string want, have;
+  // The parallel build runs 3 workers with the budget scaled by 3, so each
+  // worker's share plans the reference's partition.
+  for (bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "ParallelBuilder, 3 workers" : "EraBuilder");
+    MemEnv faulty_base;
     ASSERT_TRUE(
-        clean_env.ReadFileToString("/ref/" + entry.filename, &want).ok());
-    ASSERT_TRUE(
-        faulty_base.ReadFileToString("/out/" + entry.filename, &have).ok());
-    EXPECT_EQ(want, have) << entry.filename;
+        MaterializeText(&faulty_base, "/text", Alphabet::Dna(), text).ok());
+    FaultSpec spec;
+    // The builders serve every text read through one shared TileCache, so a
+    // small text is a handful of tile loads; fail the first
+    // deterministically.
+    spec.fail_read_at = 1;
+    spec.path_filter = "/text";  // fault the scans, not the artifacts
+    FaultyEnv faulty(&faulty_base, spec);
+    BuildOptions faulted = options;
+    faulted.env = &faulty;
+    faulted.work_dir = "/out";
+    BuildStats stats;
+    if (parallel) {
+      faulted.memory_budget *= 3;
+      auto result = ParallelBuilder(faulted, 3).Build(*info);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      stats = result->stats;
+    } else {
+      auto result = EraBuilder(faulted).Build(*info);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      stats = result->stats;
+    }
+
+    EXPECT_GT(faulty.stats().read_faults, 0u)
+        << "the drill injected nothing: " << faulty.stats().ToString();
+    EXPECT_GE(stats.io.read_retries, faulty.stats().read_faults);
+    EXPECT_EQ(stats.num_subtrees, ref->stats.num_subtrees);
+
+    for (const SubTreeEntry& entry : ref->index.subtrees()) {
+      std::string want, have;
+      ASSERT_TRUE(
+          clean_env.ReadFileToString("/ref/" + entry.filename, &want).ok());
+      ASSERT_TRUE(
+          faulty_base.ReadFileToString("/out/" + entry.filename, &have).ok());
+      EXPECT_EQ(want, have) << entry.filename;
+    }
   }
 }
 

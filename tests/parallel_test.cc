@@ -11,6 +11,7 @@
 #include "era/cluster_builder.h"
 #include "era/memory_layout.h"
 #include "era/parallel_builder.h"
+#include "io/faulty_env.h"
 #include "io/mem_env.h"
 #include "suffixtree/validator.h"
 #include "tests/test_util.h"
@@ -225,6 +226,26 @@ TEST(ParallelBuilderTest, WaveFrontVariantMatchesOracle) {
   auto result = builder.Build(w->info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(testing::IndexMatchesOracle(&w->env, result->index, w->text));
+}
+
+TEST(ParallelBuilderTest, PermanentSubTreeWriteFaultFailsTheBuild) {
+  // Every sub-tree write fails while the text stays readable: once all
+  // three workers have stopped and been joined, the build must return the
+  // failed background write's error, which names its st_ file.
+  auto w = MakeWorkload(20000, 55);
+  FaultSpec spec;
+  spec.fail_write_at = 1;
+  spec.write_fail_permanent = true;
+  spec.path_filter = "st_";
+  FaultyEnv faulty(&w->env, spec);
+  ParallelBuilder builder(BaseOptions(&faulty, "/pfault"), 3);
+  auto result = builder.Build(w->info);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("st_"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_GE(faulty.stats().write_faults, 1u);
+  EXPECT_FALSE(w->env.FileExists("/pfault/MANIFEST"));
 }
 
 ClusterOptions MakeCluster(unsigned nodes) {

@@ -1,17 +1,14 @@
-// The pipelined horizontal phase: work-stealing scheduler, background
-// sub-tree writer, latency-injecting Env, and — the acceptance bar — a
-// byte-identical serialized index from ParallelBuilder at any worker count
-// versus the serial EraBuilder, on both MemEnv and PosixEnv.
+// The parallel horizontal phase: background sub-tree writer,
+// latency-injecting Env, and — the acceptance bar — a byte-identical
+// serialized index from ParallelBuilder at any worker count versus the
+// serial EraBuilder, on both MemEnv and PosixEnv.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/timer.h"
@@ -20,7 +17,6 @@
 #include "era/range_policy.h"
 #include "era/subtree_prepare.h"
 #include "era/subtree_writer.h"
-#include "era/work_queue.h"
 #include "io/latency_env.h"
 #include "io/mem_env.h"
 #include "suffixtree/serializer.h"
@@ -29,95 +25,6 @@
 
 namespace era {
 namespace {
-
-// ---------------------------------------------------------------------------
-// WorkStealingQueue
-// ---------------------------------------------------------------------------
-
-TEST(WorkStealingQueueTest, DrainsSeededTasksInOrder) {
-  WorkStealingQueue queue(1);
-  std::vector<PipelineTask> seeds;
-  for (uint32_t g = 0; g < 5; ++g) {
-    seeds.push_back({PipelineTask::Kind::kGroup, g, 0});
-  }
-  queue.SeedGlobal(seeds);
-  PipelineTask task;
-  for (uint32_t g = 0; g < 5; ++g) {
-    ASSERT_TRUE(queue.Pop(0, &task));
-    EXPECT_EQ(task.group, g) << "injection queue must preserve LPT order";
-    queue.TaskDone();
-  }
-  EXPECT_FALSE(queue.Pop(0, &task));
-}
-
-TEST(WorkStealingQueueTest, OwnDequeIsLifoAndBeatsGlobal) {
-  WorkStealingQueue queue(2);
-  queue.SeedGlobal({{PipelineTask::Kind::kGroup, 7, 0}});
-  queue.Push(0, {PipelineTask::Kind::kBuildPrefix, 1, 1});
-  queue.Push(0, {PipelineTask::Kind::kBuildPrefix, 1, 2});
-  PipelineTask task;
-  ASSERT_TRUE(queue.Pop(0, &task));  // own deque first, LIFO
-  EXPECT_EQ(task.prefix, 2u);
-  queue.TaskDone();
-  ASSERT_TRUE(queue.Pop(0, &task));
-  EXPECT_EQ(task.prefix, 1u);
-  queue.TaskDone();
-  ASSERT_TRUE(queue.Pop(0, &task));  // then the injection queue
-  EXPECT_EQ(task.group, 7u);
-  queue.TaskDone();
-}
-
-TEST(WorkStealingQueueTest, StealsOldestFromVictim) {
-  WorkStealingQueue queue(2);
-  // Worker 0 spawned two build tasks; worker 1 must steal the OLDEST.
-  queue.Push(0, {PipelineTask::Kind::kBuildPrefix, 3, 0});
-  queue.Push(0, {PipelineTask::Kind::kBuildPrefix, 3, 1});
-  PipelineTask task;
-  ASSERT_TRUE(queue.Pop(1, &task));
-  EXPECT_EQ(task.prefix, 0u) << "steals take the FIFO end";
-  queue.TaskDone();
-  ASSERT_TRUE(queue.Pop(1, &task));
-  EXPECT_EQ(task.prefix, 1u);
-  queue.TaskDone();
-}
-
-TEST(WorkStealingQueueTest, PopBlocksUntilSpawnedWorkOrCompletion) {
-  // Worker 1 parks in Pop while worker 0 holds the only outstanding task;
-  // it must wake for the task worker 0 spawns, not return early.
-  WorkStealingQueue queue(2);
-  queue.SeedGlobal({{PipelineTask::Kind::kGroup, 0, 0}});
-  PipelineTask task;
-  ASSERT_TRUE(queue.Pop(0, &task));
-
-  std::atomic<int> got{-1};
-  std::thread waiter([&] {
-    PipelineTask stolen;
-    got = queue.Pop(1, &stolen) ? static_cast<int>(stolen.prefix) : -2;
-    if (got >= 0) queue.TaskDone();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(got.load(), -1) << "Pop returned while work was in flight";
-  queue.Push(0, {PipelineTask::Kind::kBuildPrefix, 0, 9});
-  queue.TaskDone();  // the group task
-  waiter.join();
-  EXPECT_EQ(got.load(), 9);
-  EXPECT_FALSE(queue.Pop(1, &task));
-}
-
-TEST(WorkStealingQueueTest, AbortWakesEveryone) {
-  WorkStealingQueue queue(2);
-  queue.SeedGlobal({{PipelineTask::Kind::kGroup, 0, 0}});
-  PipelineTask task;
-  ASSERT_TRUE(queue.Pop(0, &task));  // in flight, never completed
-  std::thread waiter([&] {
-    PipelineTask t;
-    EXPECT_FALSE(queue.Pop(1, &t));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  queue.Abort();
-  waiter.join();
-  EXPECT_FALSE(queue.Pop(0, &task));
-}
 
 // ---------------------------------------------------------------------------
 // BackgroundSubTreeWriter
