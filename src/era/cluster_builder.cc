@@ -113,7 +113,8 @@ StatusOr<ClusterBuildResult> ClusterBuilder::Build(const TextInfo& text) {
   for (const GroupOutput& output : outputs) {
     stats.prepare_rounds += output.rounds;
     stats.prepare_times.Add(output.prepare_times);
-    stats.peak_tree_bytes = std::max(stats.peak_tree_bytes, output.tree_bytes);
+    stats.peak_tree_bytes =
+        std::max(stats.peak_tree_bytes, output.TreeBytes());
     stats.io.Add(output.write_io);
   }
 

@@ -103,70 +103,113 @@ void FoldTileCacheStats(const std::shared_ptr<TileCache>& cache,
   stats->io.bytes_read += snapshot.device_bytes_read;
 }
 
-StatusOr<uint64_t> BuildAndEmitPrefix(const BuildOptions& options,
-                                      uint64_t text_length, uint64_t group_id,
-                                      std::size_t k, PreparedSubTree prepared,
-                                      GroupOutput* out,
-                                      BackgroundSubTreeWriter* writer,
-                                      CheckpointManager* checkpoint,
-                                      PhaseProfiler* profiler,
-                                      unsigned worker) {
+uint64_t GroupOutput::TreeBytes() const {
+  uint64_t bytes = 0;
+  for (const SubTreeOut& sub : subtrees) bytes += sub.tree_bytes;
+  return bytes;
+}
+
+namespace {
+
+/// Records sub-tree k of `group_id` in out->subtrees[k]; returns its path.
+std::string RecordSubTree(const BuildOptions& options, uint64_t group_id,
+                          std::size_t k, const std::string& prefix,
+                          uint64_t frequency, GroupOutput* out) {
+  std::string filename = SubTreeFileName(group_id, k);
+  std::string path = options.work_dir + "/" + filename;
+  out->subtrees[k] = {prefix, frequency, std::move(filename)};
+  return path;
+}
+
+/// The writer's completion hook for sub-tree k of `group_id`: stores the
+/// tree's bytes in its slot and reports the published file to `checkpoint`
+/// (when given).
+BackgroundSubTreeWriter::WriteDone NoteWritten(GroupOutput* out,
+                                               uint64_t group_id,
+                                               std::size_t k,
+                                               CheckpointManager* checkpoint) {
+  return [out, group_id, k, checkpoint](const Status& s, uint32_t file_crc,
+                                        uint64_t tree_bytes) {
+    if (!s.ok()) return;
+    out->subtrees[k].tree_bytes = tree_bytes;
+    if (checkpoint != nullptr) {
+      checkpoint->NoteSubTreeWritten(group_id, k, file_crc);
+    }
+  };
+}
+
+/// Runs `enqueue`, a hand-off to the background writer. It blocks while the
+/// writer's backlog is full; that wait is the worker's, so it gets its own
+/// phase instead of going unattributed.
+template <typename Enqueue>
+void HandOff(PhaseProfiler* profiler, unsigned worker, Enqueue&& enqueue) {
+  WallTimer handoff_timer;
+  enqueue();
+  if (profiler != nullptr) {
+    profiler->Record("writer_handoff", worker, handoff_timer.Seconds());
+  }
+}
+
+}  // namespace
+
+Status BuildAndEmitPrefix(const BuildOptions& options, uint64_t text_length,
+                          uint64_t group_id, std::size_t k,
+                          PreparedSubTree prepared, GroupOutput* out,
+                          BackgroundSubTreeWriter* writer,
+                          CheckpointManager* checkpoint,
+                          PhaseProfiler* profiler, unsigned worker) {
+  const uint64_t frequency = prepared.leaves.size();
+  if (writer != nullptr) {
+    std::string path = RecordSubTree(options, group_id, k, prepared.prefix,
+                                     frequency, out);
+    HandOff(profiler, worker, [&] {
+      writer->EnqueuePrepared(std::move(path), std::move(prepared),
+                              text_length,
+                              NoteWritten(out, group_id, k, checkpoint));
+    });
+    return Status::OK();
+  }
   WallTimer build_timer;
   ERA_ASSIGN_OR_RETURN(TreeBuffer tree, BuildSubTree(prepared, text_length));
   if (profiler != nullptr) {
     profiler->Record("build_subtree", worker, build_timer.Seconds());
   }
-  const uint64_t frequency = prepared.leaves.size();
   // L and B (24 bytes per leaf) are dead once the tree exists; free them
-  // before the hand-off, which may block on a full writer backlog.
+  // before the write.
   std::vector<uint64_t>().swap(prepared.leaves);
   std::vector<BranchInfo>().swap(prepared.branches);
   return EmitBuiltSubTree(options, group_id, k, std::move(prepared.prefix),
-                          frequency, std::move(tree), out, writer, checkpoint,
-                          profiler, worker);
+                          frequency, std::move(tree), out, /*writer=*/nullptr,
+                          checkpoint, profiler, worker);
 }
 
-StatusOr<uint64_t> EmitBuiltSubTree(const BuildOptions& options,
-                                    uint64_t group_id, std::size_t k,
-                                    std::string prefix, uint64_t frequency,
-                                    TreeBuffer&& tree, GroupOutput* out,
-                                    BackgroundSubTreeWriter* writer,
-                                    CheckpointManager* checkpoint,
-                                    PhaseProfiler* profiler, unsigned worker) {
-  const uint64_t bytes = tree.MemoryBytes();
-  std::string filename = SubTreeFileName(group_id, k);
-  std::string path = options.work_dir + "/" + filename;
-  out->subtrees[k] = {prefix, frequency, std::move(filename)};
+Status EmitBuiltSubTree(const BuildOptions& options, uint64_t group_id,
+                        std::size_t k, std::string prefix, uint64_t frequency,
+                        TreeBuffer&& tree, GroupOutput* out,
+                        BackgroundSubTreeWriter* writer,
+                        CheckpointManager* checkpoint, PhaseProfiler* profiler,
+                        unsigned worker) {
+  std::string path =
+      RecordSubTree(options, group_id, k, prefix, frequency, out);
   if (writer != nullptr) {
-    // Enqueue blocks while the writer's backlog is full; that wait is the
-    // worker's, so it gets its own phase instead of going unattributed.
-    WallTimer handoff_timer;
-    writer->Enqueue(std::move(path), std::move(prefix), std::move(tree),
-                    checkpoint == nullptr
-                        ? BackgroundSubTreeWriter::WriteDone()
-                        : [checkpoint, group_id, k](const Status& s,
-                                                    uint32_t file_crc) {
-                            if (s.ok()) {
-                              checkpoint->NoteSubTreeWritten(group_id, k,
-                                                             file_crc);
-                            }
-                          });
-    if (profiler != nullptr) {
-      profiler->Record("writer_handoff", worker, handoff_timer.Seconds());
-    }
-  } else {
-    WallTimer write_timer;
-    uint32_t file_crc = 0;
-    ERA_RETURN_NOT_OK(WriteSubTree(options.GetEnv(), path, prefix, tree,
-                                   &out->write_io, &file_crc));
-    if (profiler != nullptr) {
-      profiler->Record("subtree_write", worker, write_timer.Seconds());
-    }
-    if (checkpoint != nullptr) {
-      checkpoint->NoteSubTreeWritten(group_id, k, file_crc);
-    }
+    HandOff(profiler, worker, [&] {
+      writer->Enqueue(std::move(path), std::move(prefix), std::move(tree),
+                      NoteWritten(out, group_id, k, checkpoint));
+    });
+    return Status::OK();
   }
-  return bytes;
+  out->subtrees[k].tree_bytes = tree.MemoryBytes();
+  WallTimer write_timer;
+  uint32_t file_crc = 0;
+  ERA_RETURN_NOT_OK(WriteSubTree(options.GetEnv(), path, prefix, tree,
+                                 &out->write_io, &file_crc));
+  if (profiler != nullptr) {
+    profiler->Record("subtree_write", worker, write_timer.Seconds());
+  }
+  if (checkpoint != nullptr) {
+    checkpoint->NoteSubTreeWritten(group_id, k, file_crc);
+  }
+  return Status::OK();
 }
 
 void ReconstructGroupOutput(const VirtualTree& group, uint64_t group_id,
@@ -201,12 +244,9 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
     out->rounds = builder.stats().rounds;
     for (std::size_t k = 0; k < builder.results().size(); ++k) {
       auto& [prefix, tree] = builder.results()[k];
-      ERA_ASSIGN_OR_RETURN(
-          uint64_t bytes,
-          EmitBuiltSubTree(options, group_id, k, prefix,
-                           group.prefixes[k].frequency, std::move(tree), out,
-                           writer, checkpoint, profiler, worker));
-      out->tree_bytes += bytes;
+      ERA_RETURN_NOT_OK(EmitBuiltSubTree(
+          options, group_id, k, prefix, group.prefixes[k].frequency,
+          std::move(tree), out, writer, checkpoint, profiler, worker));
     }
   } else {
     GroupPreparer preparer(
@@ -214,24 +254,22 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
         RangePolicy::FromOptions(options, layout,
                                  WindowCode(text.alphabet).bits()),
         reader, text.length, text.alphabet, scratch);
-    // Stream: a resolved prefix is built and written (or handed to the
-    // writer) while the group's remaining prefixes are still scanning S, so
-    // its L and B are freed before the group ends. Build/write time spent
-    // inside the emit callback is subtracted from the prepare phase so the
-    // breakdown reflects the stages, not the call nesting.
+    // Stream: a resolved prefix leaves (handed to the writer, or built and
+    // written inline) while the group's remaining prefixes are still
+    // scanning S, so its L and B never wait for the group's end. Time spent
+    // inside the emit callback (the hand-off, or the inline build and
+    // write) is subtracted from the prepare phase so the breakdown reflects
+    // the stages, not the call nesting.
     WallTimer prepare_timer;
     double nested_seconds = 0;
     preparer.SetEmitCallback(
         [&](std::size_t k, PreparedSubTree&& prepared) -> Status {
           WallTimer nested_timer;
-          ERA_ASSIGN_OR_RETURN(
-              uint64_t bytes,
-              BuildAndEmitPrefix(options, text.length, group_id, k,
-                                 std::move(prepared), out, writer,
-                                 checkpoint, profiler, worker));
-          out->tree_bytes += bytes;
+          Status s = BuildAndEmitPrefix(options, text.length, group_id, k,
+                                        std::move(prepared), out, writer,
+                                        checkpoint, profiler, worker);
           nested_seconds += nested_timer.Seconds();
-          return Status::OK();
+          return s;
         });
     ERA_RETURN_NOT_OK(preparer.Run());
     if (profiler != nullptr) {
@@ -345,7 +383,7 @@ StatusOr<BuildResult> EraBuilder::Build(const TextInfo& text) {
     stats.prepare_rounds += outputs[g].rounds;
     stats.prepare_times.Add(outputs[g].prepare_times);
     stats.peak_tree_bytes =
-        std::max(stats.peak_tree_bytes, outputs[g].tree_bytes);
+        std::max(stats.peak_tree_bytes, outputs[g].TreeBytes());
     stats.io.Add(outputs[g].write_io);
   }
   stats.io.Add(scan_stats);

@@ -89,12 +89,14 @@ class BackgroundSubTreeWriter;
 class CheckpointManager;
 
 /// Output of processing one virtual tree (used by serial and parallel
-/// drivers alike). One worker fills it.
+/// drivers alike). One worker fills it; with a background writer, the
+/// writer threads fill each sub-tree's `tree_bytes`.
 struct GroupOutput {
   struct SubTreeOut {
     std::string prefix;
     uint64_t frequency = 0;
     std::string filename;
+    uint64_t tree_bytes = 0;  // in-memory size of the built tree
   };
   /// Slot-indexed by the prefix's position in the group, so the (group, k)
   /// assembly order is fixed whatever order the groups and the background
@@ -102,47 +104,51 @@ struct GroupOutput {
   std::vector<SubTreeOut> subtrees;
   uint32_t rounds = 0;
   PrepareTimes prepare_times;
-  uint64_t tree_bytes = 0;  // sum of the group's sub-tree bytes
-  IoStats write_io;         // synchronous serialization traffic
+  IoStats write_io;  // synchronous serialization traffic
+
+  /// Sum of the group's sub-tree bytes. Complete once the group's writes
+  /// have drained.
+  uint64_t TreeBytes() const;
 };
 
-/// Names one built sub-tree `st_<group_id>_<k>.bin`, records it in
-/// out->subtrees[k] (which must already be sized), and either writes it
-/// synchronously (billing out->write_io) or hands it to `writer`. Each
-/// durably published file is reported to `checkpoint` (when given) with its
-/// CRC-32C, on the writer thread for enqueued writes. Returns the tree's
-/// in-memory size. Synchronous writes bill their wall time to `profiler`
-/// (when given) as phase "subtree_write" under `worker`.
-StatusOr<uint64_t> EmitBuiltSubTree(const BuildOptions& options,
-                                    uint64_t group_id, std::size_t k,
-                                    std::string prefix, uint64_t frequency,
-                                    TreeBuffer&& tree, GroupOutput* out,
-                                    BackgroundSubTreeWriter* writer,
-                                    CheckpointManager* checkpoint = nullptr,
-                                    PhaseProfiler* profiler = nullptr,
-                                    unsigned worker = 0);
+/// Names one built sub-tree `st_<group_id>_<k>.bin`, records it and its
+/// bytes in out->subtrees[k] (which must already be sized), and either
+/// writes it synchronously (billing out->write_io) or hands it to `writer`.
+/// Each durably published file is reported to `checkpoint` (when given)
+/// with its CRC-32C, on the writer thread for enqueued writes. Synchronous
+/// writes bill their wall time to `profiler` (when given) as phase
+/// "subtree_write" under `worker`.
+Status EmitBuiltSubTree(const BuildOptions& options, uint64_t group_id,
+                        std::size_t k, std::string prefix, uint64_t frequency,
+                        TreeBuffer&& tree, GroupOutput* out,
+                        BackgroundSubTreeWriter* writer,
+                        CheckpointManager* checkpoint = nullptr,
+                        PhaseProfiler* profiler = nullptr,
+                        unsigned worker = 0);
 
-/// The per-prefix tail of ProcessGroup's prepare stage: BuildSubTree on a
-/// prepared prefix, then EmitBuiltSubTree. Takes (L, B) by value, so the
-/// caller's copy is left empty, and frees them as soon as the tree is
-/// built, before the hand-off to `writer` can block. Returns the tree's
-/// in-memory size.
-StatusOr<uint64_t> BuildAndEmitPrefix(const BuildOptions& options,
-                                      uint64_t text_length, uint64_t group_id,
-                                      std::size_t k, PreparedSubTree prepared,
-                                      GroupOutput* out,
-                                      BackgroundSubTreeWriter* writer,
-                                      CheckpointManager* checkpoint = nullptr,
-                                      PhaseProfiler* profiler = nullptr,
-                                      unsigned worker = 0);
+/// The per-prefix tail of ProcessGroup's prepare stage. Takes (L, B) by
+/// value, so the caller's copy is left empty. With a `writer`, records the
+/// sub-tree in out->subtrees[k] and hands (L, B) to it: a writer thread
+/// builds, encodes and writes the tree and stores its bytes in
+/// out->subtrees[k]. Without one, runs BuildSubTree inline (billed to
+/// `profiler` as "build_subtree" under `worker`), frees L and B, and
+/// writes the tree through EmitBuiltSubTree.
+Status BuildAndEmitPrefix(const BuildOptions& options, uint64_t text_length,
+                          uint64_t group_id, std::size_t k,
+                          PreparedSubTree prepared, GroupOutput* out,
+                          BackgroundSubTreeWriter* writer,
+                          CheckpointManager* checkpoint = nullptr,
+                          PhaseProfiler* profiler = nullptr,
+                          unsigned worker = 0);
 
 /// Builds all sub-trees of `group`, writes them under `options.work_dir`
 /// with filenames `st_<group_id>_<k>`, and reports what was written.
 /// `reader` supplies the (instrumented) scans of S. The prepare stage
-/// streams: each prefix is built and written (or enqueued on `writer`, when
-/// given) as soon as it resolves, before the group's remaining prefixes
-/// finish preparing. `scratch`, when given, is the caller's prepare arena,
-/// reused across its groups.
+/// streams: each prefix leaves through BuildAndEmitPrefix as soon as it
+/// resolves, before the group's remaining prefixes finish preparing — to
+/// `writer`, when given, which builds and writes it, so the calling worker
+/// only prepares; otherwise built and written inline. `scratch`, when
+/// given, is the caller's prepare arena, reused across its groups.
 Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
                     const MemoryLayout& layout, const VirtualTree& group,
                     uint64_t group_id, StringReader* reader,

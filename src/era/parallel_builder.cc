@@ -117,7 +117,7 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   stats.num_groups = plan.groups.size();
   stats.num_subtrees = plan.NumSubTrees();
 
-  // ---- Horizontal phase: whole groups, builds inline, writes overlapped. ----
+  // ---- Horizontal phase: whole groups; builds and writes overlapped. ----
   WallTimer horizontal_timer;
   const std::size_t num_groups = plan.groups.size();
 
@@ -152,12 +152,17 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   std::vector<double> worker_busy_seconds(num_workers_, 0);
   std::vector<Status> worker_status(num_workers_);
 
-  // Finished trees leave the workers' critical path through a bounded
-  // background writer. The backlog bound reuses the tree area of one
-  // per-core share — memory the serial design would have spent holding a
-  // group's trees until its last prefix anyway.
+  // Each resolved prefix leaves the workers' critical path as its (L, B):
+  // the bounded background writer's threads build, encode and write the
+  // tree, so workers only prepare. One writer thread per worker (at least
+  // two, so writes still overlap a lone worker): each holds one tree at a
+  // time, as each per-core tree area plans, and the backlog left when the
+  // workers finish drains on as many threads as there were workers. The
+  // backlog bound reuses the tree area of one per-core share — memory the
+  // serial design would have spent holding a group's trees until its last
+  // prefix anyway.
   BackgroundSubTreeWriter writer(
-      env, /*num_threads=*/2,
+      env, /*num_threads=*/std::max(2u, num_workers_),
       /*max_queued_bytes=*/
       std::max<uint64_t>(layout.tree_area_bytes, 4ull << 20));
 
@@ -242,12 +247,18 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   for (const GroupOutput& output : outputs) {
     stats.prepare_rounds += output.rounds;
     stats.prepare_times.Add(output.prepare_times);
-    stats.peak_tree_bytes = std::max(stats.peak_tree_bytes, output.tree_bytes);
+    stats.peak_tree_bytes =
+        std::max(stats.peak_tree_bytes, output.TreeBytes());
     stats.io.Add(output.write_io);
   }
   stats.horizontal_seconds = horizontal_timer.Seconds();
-  // Background serialization ran off the workers' critical path; attribute
-  // it to a synthetic worker column one past the build workers.
+  // Background builds and serialization ran off the workers' critical
+  // path; attribute them to a synthetic worker column one past the build
+  // workers.
+  if (writer.jobs_built() > 0) {
+    profiler.Record("build_subtree", num_workers_, writer.build_seconds(),
+                    writer.jobs_built());
+  }
   if (writer.jobs_written() > 0) {
     profiler.Record("subtree_write", num_workers_, writer.write_seconds(),
                     writer.jobs_written());

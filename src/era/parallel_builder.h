@@ -4,14 +4,17 @@
 // group of TileAffinityOrder from one shared counter and runs it whole
 // through ProcessGroup, the same function the serial EraBuilder runs:
 //
-//   * Builds inline — the preparing worker builds each prefix as soon as
-//     that prefix's (L, B) resolves, then frees them.
-//   * Writes overlapped — finished trees go to a bounded
-//     BackgroundSubTreeWriter instead of blocking the worker; (group, k)
-//     slot naming keeps the assembled index byte-identical for any worker
-//     count.
+//   * Workers only prepare — as soon as a prefix's (L, B) resolves, the
+//     worker hands them to a bounded BackgroundSubTreeWriter and goes on
+//     preparing.
+//   * Writers build, encode and write — a writer thread runs BuildSubTree
+//     on the (L, B), frees them and serializes the tree; (group, k) slot
+//     naming keeps the assembled index byte-identical for any worker
+//     count. Build and write time land in the phase profile's writer
+//     column, one past the workers.
 //
-// The WaveFront variant runs each single-prefix unit through
+// BranchEdge groups hand their fused pass's built trees to the same
+// writer. The WaveFront variant runs each single-prefix unit through
 // WaveFrontProcessUnit instead. A failed group or a failed background
 // write stops every worker before its next group. Each worker reads S
 // through its own synchronous StringReader, served from the shared tile

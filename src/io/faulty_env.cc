@@ -188,13 +188,16 @@ Status FaultyEnv::BeforeAppend(const std::string& path, std::size_t n,
   return Status::OK();
 }
 
-void FaultyEnv::NotePersisted(const std::string& path, uint64_t n,
-                              bool durable) {
+Status FaultyEnv::Persist(WritableFile* base, const std::string& path,
+                          const char* data, std::size_t n, bool durable) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (crashed_) return CrashedStatus("write " + path);
+  ERA_RETURN_NOT_OK(base->Append(data, n));
   FileState& state = files_[path];
   state.persisted_bytes += n;
   if (durable) state.durable_bytes = state.persisted_bytes;
   persisted_total_ += n;
+  return Status::OK();
 }
 
 Status FaultyEnv::NoteSync(const std::string& path) {
@@ -289,8 +292,8 @@ class FaultyWritableFileImpl : public WritableFile {
     ERA_RETURN_NOT_OK(
         env_->BeforeAppend(path_, n, &persist_n, &crash_after, &durable));
     if (persist_n > 0) {
-      ERA_RETURN_NOT_OK(base_->Append(data, persist_n));
-      env_->NotePersisted(path_, persist_n, durable);
+      ERA_RETURN_NOT_OK(
+          env_->Persist(base_.get(), path_, data, persist_n, durable));
     }
     if (crash_after) {
       env_->SimulateCrash();

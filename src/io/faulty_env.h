@@ -117,7 +117,11 @@ class FaultyEnv : public Env {
   Status BeforeAppend(const std::string& path, std::size_t n,
                       std::size_t* persist_n, bool* crash_after,
                       bool* durable);
-  void NotePersisted(const std::string& path, uint64_t n, bool durable);
+  /// Forwards `n` bytes of an admitted append to `base` and records them.
+  /// Holds the env's lock, so a crash another thread simulates never
+  /// overlaps a base append, and an append after that crash fails.
+  Status Persist(WritableFile* base, const std::string& path,
+                 const char* data, std::size_t n, bool durable);
   Status NoteSync(const std::string& path);
 
  private:

@@ -104,7 +104,11 @@ class StringReader {
   /// r's bytes reach `sink(r, offset, piece)` as FetchSpans pieces. A
   /// request inside the resident window costs one bounds check and one
   /// call, and the window advances once per gap instead of once per
-  /// request — the batch drives exactly one pass over the buffer.
+  /// request — the batch drives exactly one pass over the buffer. A
+  /// request no longer than the window that runs past its end, followed by
+  /// one starting before that end, reloads the window at its own start
+  /// (billed as a seek) and arrives in one piece; other requests that run
+  /// past the window arrive in several.
   template <typename Sink>
   Status FetchBatch(std::span<const FetchRequest> requests, Sink&& sink);
 
@@ -188,14 +192,33 @@ Status StringReader::FetchBatch(std::span<const FetchRequest> requests,
           "FetchBatch request stream is not sorted by position");
     }
     scan_pos_ = request.pos;
-    // Fast path: runs of adjacent and overlapping windows land in the
-    // resident buffer.
-    if (InWindow(request.pos) &&
-        request.pos + request.len <= buffer_start_ + buffer_len_) {
-      sink(r, uint64_t{0},
-           std::span<const char>(
-               buffer_.data() + (request.pos - buffer_start_), request.len));
-      continue;
+    if (InWindow(request.pos)) {
+      const uint64_t window_end = buffer_start_ + buffer_len_;
+      // Fast path: runs of adjacent and overlapping windows land in the
+      // resident buffer.
+      if (request.pos + request.len <= window_end) {
+        sink(r, uint64_t{0},
+             std::span<const char>(
+                 buffer_.data() + (request.pos - buffer_start_),
+                 request.len));
+        continue;
+      }
+      // A request that runs past the window's end, when the next request
+      // starts before that end, reloads the window at its own start (a
+      // seek): it arrives whole and the next one stays resident, where
+      // continuing at the window's end would make the next one seek back
+      // and reload. Otherwise the scan continues at the window's end, as
+      // does a request longer than the window or one the window already
+      // holds up to EOF, served in pieces below.
+      if (request.len <= buffer_.size() && window_end < file_->Size() &&
+          r + 1 < requests.size() && requests[r + 1].pos < window_end) {
+        ERA_RETURN_NOT_OK(Refill(request.pos, /*sequential=*/false));
+        sink(r, uint64_t{0},
+             std::span<const char>(
+                 buffer_.data(),
+                 std::min<uint64_t>(request.len, buffer_len_)));
+        continue;
+      }
     }
     ERA_RETURN_NOT_OK(FetchSpans(
         request.pos, request.len,

@@ -203,12 +203,11 @@ Status WaveFrontProcessUnit(const TextInfo& text, const BuildOptions& options,
                        WaveFrontBuildSubTree(prefix, occ, text.length,
                                              suffix_reader, edge_reader));
   out->rounds = 1;
-  out->tree_bytes = tree.MemoryBytes();
   std::string filename = "st_" + std::to_string(unit_id) + "_0.bin";
   ERA_RETURN_NOT_OK(WriteSubTree(options.GetEnv(),
                                  options.work_dir + "/" + filename, prefix,
                                  tree, &out->write_io));
-  out->subtrees.push_back({prefix, occ.size(), filename});
+  out->subtrees.push_back({prefix, occ.size(), filename, tree.MemoryBytes()});
   return Status::OK();
 }
 
@@ -268,7 +267,7 @@ StatusOr<BuildResult> WaveFrontBuilder::Build(const TextInfo& text) {
         wf.edge.get(), &outputs[g]));
     stats.prepare_rounds += outputs[g].rounds;
     stats.peak_tree_bytes =
-        std::max(stats.peak_tree_bytes, outputs[g].tree_bytes);
+        std::max(stats.peak_tree_bytes, outputs[g].TreeBytes());
     stats.io.Add(outputs[g].write_io);
   }
   stats.io.Add(scan_io);

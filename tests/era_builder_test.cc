@@ -9,6 +9,7 @@
 #include "era/parallel_builder.h"
 #include "era/range_policy.h"
 #include "era/subtree_prepare.h"
+#include "era/subtree_writer.h"
 #include "io/mem_env.h"
 #include "suffixtree/validator.h"
 #include "tests/test_util.h"
@@ -258,9 +259,9 @@ TEST(EraBuilderTest, GroupingReducesScansOfS) {
 }
 
 TEST(EraBuilderTest, BuildAndEmitPrefixLeavesTheCallerSlotEmpty) {
-  // L and B (24 bytes per leaf) must be freed once the tree is built,
-  // before the hand-off to the background writer, which may block on a
-  // full backlog; the caller's copy must not keep them alive either.
+  // L and B (24 bytes per leaf) must be freed once the tree is built; the
+  // caller's copy must not keep them alive, whether the tree is built
+  // inline or by the background writer.
   MemEnv env;
   std::string text = testing::RandomText(Alphabet::Dna(), 5000, 31);
   ASSERT_TRUE(env.WriteFile("/s", text).ok());
@@ -281,14 +282,28 @@ TEST(EraBuilderTest, BuildAndEmitPrefixLeavesTheCallerSlotEmpty) {
   PreparedSubTree& slot = preparer.results()[0];
   const uint64_t leaves = slot.leaves.size();
   ASSERT_GT(leaves, 1u);
-  auto bytes = BuildAndEmitPrefix(options, text.size(), /*group_id=*/0,
-                                  /*k=*/0, std::move(slot), &out,
-                                  /*writer=*/nullptr);
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  EXPECT_GT(*bytes, 0u);
+  Status status = BuildAndEmitPrefix(options, text.size(), /*group_id=*/0,
+                                     /*k=*/0, std::move(slot), &out,
+                                     /*writer=*/nullptr);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_GT(out.subtrees[0].tree_bytes, 0u);
   EXPECT_EQ(slot.leaves.capacity(), 0u);
   EXPECT_EQ(slot.branches.capacity(), 0u);
   EXPECT_EQ(out.subtrees[0].frequency, leaves);
+
+  // Handed to a writer, the prefix's tree is built and written on a writer
+  // thread, which reports its bytes into the slot.
+  PreparedSubTree& handed = preparer.results()[1];
+  BackgroundSubTreeWriter writer(&env, /*num_threads=*/1, 1 << 20);
+  status = BuildAndEmitPrefix(options, text.size(), /*group_id=*/0, /*k=*/1,
+                              std::move(handed), &out, &writer);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(handed.leaves.capacity(), 0u);
+  EXPECT_EQ(handed.branches.capacity(), 0u);
+  ASSERT_TRUE(writer.Drain().ok());
+  EXPECT_EQ(writer.jobs_built(), 1u);
+  EXPECT_GT(out.subtrees[1].tree_bytes, 0u);
+  EXPECT_TRUE(env.FileExists("/idx/" + out.subtrees[1].filename));
 }
 
 TEST(EraBuilderTest, PrepareSubPhasesNestInsidePrepare) {

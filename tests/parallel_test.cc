@@ -219,6 +219,34 @@ TEST(ParallelBuilderTest, LptOrderMatchesRealPartitionPlan) {
   }
 }
 
+TEST(ParallelBuilderTest, WriterThreadsBuildEverySubTree) {
+  // Workers only prepare: every build_subtree entry of the phase profile
+  // sits in the writer column, one past the workers, with one call per
+  // sub-tree, and the workers hand (L, B) off instead.
+  auto w = MakeWorkload(20000, 59);
+  constexpr unsigned kWorkers = 3;
+  ParallelBuilder builder(BaseOptions(&w->env, "/pwriter"), kWorkers);
+  auto result = builder.Build(w->info);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  uint64_t build_calls = 0;
+  uint64_t handoffs = 0;
+  for (const PhaseProfiler::Entry& e : result->stats.phases) {
+    if (e.phase == "build_subtree") {
+      EXPECT_EQ(e.worker, kWorkers) << "build_subtree under worker "
+                                    << e.worker;
+      build_calls += e.calls;
+    }
+    if (e.phase == "writer_handoff") {
+      EXPECT_LT(e.worker, kWorkers);
+      handoffs += e.calls;
+    }
+  }
+  EXPECT_EQ(build_calls, result->stats.num_subtrees);
+  EXPECT_EQ(handoffs, result->stats.num_subtrees);
+  EXPECT_GT(result->stats.peak_tree_bytes, 0u);
+  EXPECT_TRUE(testing::IndexMatchesOracle(&w->env, result->index, w->text));
+}
+
 TEST(ParallelBuilderTest, WaveFrontVariantMatchesOracle) {
   auto w = MakeWorkload(10000, 54);
   ParallelBuilder builder(BaseOptions(&w->env, "/pwf"), 4,

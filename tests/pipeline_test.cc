@@ -66,6 +66,28 @@ TEST(BackgroundSubTreeWriterTest, WritesEverythingAndCountsIo) {
   }
 }
 
+/// The (L, B) of every prefix of `prefixes` over `text`, prepared from a
+/// copy of the text at "/s" in `env`.
+std::vector<PreparedSubTree> PrepareAll(
+    MemEnv* env, const std::string& text,
+    const std::vector<std::string>& prefixes) {
+  EXPECT_TRUE(env->WriteFile("/s", text).ok());
+  IoStats io;
+  auto reader = OpenStringReader(env, "/s", {}, &io);
+  EXPECT_TRUE(reader.ok());
+  const VirtualTree group = testing::CountedGroup(text, prefixes);
+  GroupPreparer preparer(group, RangePolicy::Elastic(1 << 16, 4, 256),
+                         reader->get(), text.size(), Alphabet::Dna());
+  EXPECT_TRUE(preparer.Run().ok());
+  return std::move(preparer.results());
+}
+
+/// What an EnqueuePrepared job counts against the backlog bound.
+uint64_t PreparedBytes(const PreparedSubTree& prepared) {
+  return prepared.leaves.capacity() * sizeof(uint64_t) +
+         prepared.branches.capacity() * sizeof(BranchInfo);
+}
+
 TEST(BackgroundSubTreeWriterTest, BackpressureBoundsTheBacklog) {
   MemEnv env;
   LatencyModel slow;
@@ -81,6 +103,63 @@ TEST(BackgroundSubTreeWriterTest, BackpressureBoundsTheBacklog) {
   ASSERT_TRUE(writer.Drain().ok());
   EXPECT_LE(writer.peak_queued_bytes(), 2 * tree_bytes);
   EXPECT_EQ(env.FileCount(), 12u);
+
+  // Prepared prefixes count their L and B bytes: a bound of two jobs holds
+  // while 12 of them are built and written through the same slow device.
+  MemEnv text_env;
+  const std::string text = testing::RandomText(Alphabet::Dna(), 4000, 77);
+  std::vector<PreparedSubTree> prepared =
+      PrepareAll(&text_env, text,
+                 {"AA", "AC", "AG", "AT", "CA", "CC", "CG", "CT", "GA", "GC",
+                  "GG", "GT"});
+  uint64_t job_bytes = 0;
+  for (const PreparedSubTree& p : prepared) {
+    job_bytes = std::max(job_bytes, PreparedBytes(p));
+  }
+  ASSERT_GT(job_bytes, 0u);
+  BackgroundSubTreeWriter building(&latency_env, 1, 2 * job_bytes);
+  for (std::size_t k = 0; k < prepared.size(); ++k) {
+    building.EnqueuePrepared("/pt_" + std::to_string(k),
+                             std::move(prepared[k]), text.size());
+  }
+  ASSERT_TRUE(building.Drain().ok());
+  EXPECT_GE(building.peak_queued_bytes(), job_bytes / 2);
+  EXPECT_LE(building.peak_queued_bytes(), 2 * job_bytes);
+  EXPECT_EQ(building.jobs_built(), 12u);
+  EXPECT_EQ(env.FileCount(), 24u);
+}
+
+TEST(BackgroundSubTreeWriterTest, FailedBuildFailsTheWriterAndWritesNothing) {
+  // An undefined B entry makes BuildSubTree fail with Internal on the
+  // writer thread: Drain() returns it, no file is written for it, and every
+  // later job is dropped with the same error.
+  MemEnv env;
+  const std::string text = testing::RandomText(Alphabet::Dna(), 4000, 79);
+  std::vector<PreparedSubTree> prepared =
+      PrepareAll(&env, text, {"AA", "AC", "AG", "AT"});
+  ASSERT_GT(prepared[0].branches.size(), 1u);
+  prepared[0].branches[1].defined = false;
+  BackgroundSubTreeWriter writer(&env, 1, 1 << 20);
+  std::vector<Status> done(prepared.size());
+  std::vector<int> calls(prepared.size(), 0);
+  for (std::size_t k = 0; k < prepared.size(); ++k) {
+    writer.EnqueuePrepared(
+        "/st_" + std::to_string(k), std::move(prepared[k]), text.size(),
+        [&done, &calls, k](const Status& s, uint32_t, uint64_t) {
+          done[k] = s;
+          ++calls[k];
+        });
+  }
+  Status s = writer.Drain();
+  EXPECT_TRUE(s.IsInternal()) << s.ToString();
+  EXPECT_TRUE(writer.Failed());
+  for (std::size_t k = 0; k < prepared.size(); ++k) {
+    EXPECT_EQ(calls[k], 1) << "job " << k;
+    EXPECT_TRUE(done[k].IsInternal()) << "job " << k;
+    EXPECT_EQ(done[k].message(), s.message()) << "job " << k;
+    EXPECT_FALSE(env.FileExists("/st_" + std::to_string(k))) << "job " << k;
+  }
+  EXPECT_EQ(writer.jobs_written(), 0u);
 }
 
 TEST(BackgroundSubTreeWriterTest, ReportsFirstWriteError) {
@@ -173,6 +252,11 @@ void CheckDeterminismOn(Env* env, const std::string& root) {
           << "file " << files[i].first << " diverged at " << workers
           << " workers";
     }
+    // The writer threads report the trees they build, so the peak matches
+    // the serial build, whose worker builds every tree itself.
+    EXPECT_EQ(result->stats.peak_tree_bytes,
+              serial_result->stats.peak_tree_bytes)
+        << workers << " workers";
   }
 }
 

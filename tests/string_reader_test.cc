@@ -206,20 +206,52 @@ TEST_F(StringReaderTest, FetchBatchMatchesContentAndCoalesces) {
 }
 
 TEST_F(StringReaderTest, FetchBatchHandsPiecesAcrossRefills) {
-  // A request that runs past the resident window arrives in two pieces,
-  // each a span of the window at the time: no copy is made.
+  // A request that runs past the resident window but fits in one window
+  // is reloaded whole when the next request overlaps it; otherwise it, like
+  // a request longer than the window, arrives in pieces, each a span of
+  // the window at the time: no copy is made.
   StringReaderOptions options;
   options.buffer_bytes = 4096;
   auto reader = Open(options);
   reader->BeginScan();
-  const std::vector<FetchRequest> requests = {{100, 50}, {4000, 200}};
+  const std::vector<FetchRequest> requests = {
+      {100, 50}, {4000, 200}, {4100, 64}, {8000, 200}, {9000, 10000}};
   std::vector<std::string> got;
   std::vector<int> pieces;
   ASSERT_TRUE(CollectBatch(reader.get(), requests, &got, &pieces).ok());
-  EXPECT_EQ(got[0], data_.substr(100, 50));
-  EXPECT_EQ(got[1], data_.substr(4000, 200));
-  EXPECT_EQ(pieces, (std::vector<int>{1, 2}));  // window [100, 4196)
-  EXPECT_EQ(stats_.sequential_refills, 2u);
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    EXPECT_EQ(got[r], data_.substr(requests[r].pos, requests[r].len));
+  }
+  // Windows [100, 4196), then [4000, 8096) reloaded at the straddling
+  // request, then [8096, 12192) continuing past the second straddle (the
+  // request after it starts beyond 8096), then [12192, 16288) and
+  // [16288, 20384) for the long one.
+  EXPECT_EQ(pieces, (std::vector<int>{1, 1, 1, 2, 3}));
+  EXPECT_EQ(stats_.sequential_refills, 4u);
+  EXPECT_EQ(stats_.seeks, 1u);
+}
+
+TEST_F(StringReaderTest, FetchBatchReloadsAStraddleAtItsStart) {
+  // Overlapping windows across the resident window's end, the prepare
+  // request shape: the straddling request costs one refill, at its own
+  // start, and the requests after it stay resident instead of seeking back
+  // before the new window.
+  StringReaderOptions options;
+  options.buffer_bytes = 4096;
+  auto reader = Open(options);
+  reader->BeginScan();
+  const std::vector<FetchRequest> requests = {
+      {0, 64}, {4064, 64}, {4080, 64}, {4090, 64}};
+  std::vector<std::string> got;
+  std::vector<int> pieces;
+  ASSERT_TRUE(CollectBatch(reader.get(), requests, &got, &pieces).ok());
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    EXPECT_EQ(got[r], data_.substr(requests[r].pos, 64));
+    EXPECT_EQ(pieces[r], 1) << "request " << r;
+  }
+  EXPECT_EQ(stats_.sequential_refills, 1u);  // [0, 4096)
+  EXPECT_EQ(stats_.seeks, 1u);               // [4064, 8160)
+  EXPECT_EQ(stats_.bytes_read, 2u * 4096);
 }
 
 TEST_F(StringReaderTest, FetchBatchShortReadsAtEof) {
