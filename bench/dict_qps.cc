@@ -35,7 +35,7 @@
 #include "bench/bench_common.h"
 #include "common/options.h"
 #include "common/timer.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/latency_env.h"
 #include "io/posix_env.h"
 #include "io/string_reader.h"
@@ -101,7 +101,7 @@ int Main(int argc, char** argv) {
     options.env = posix;
     options.work_dir = index_dir;
     options.memory_budget = static_cast<uint64_t>(budget_mb * 1024 * 1024);
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     if (!result.ok()) {
       std::fprintf(stderr, "build failed: %s\n",

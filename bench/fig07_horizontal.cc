@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 
 namespace era {
 namespace bench {
@@ -19,7 +19,7 @@ Timing RunOnce(const TextInfo& text, uint64_t budget, HorizontalMethod method,
                const std::string& tag) {
   BuildOptions options = BenchOptions(budget, tag);
   options.horizontal = method;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(text);
   if (!result.ok()) {
     std::fprintf(stderr, "build failed: %s\n",

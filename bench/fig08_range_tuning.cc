@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 
 namespace era {
 namespace bench {
@@ -28,7 +28,7 @@ void Sweep(CorpusKind kind, const std::vector<uint64_t>& r_sizes_kib) {
     for (uint64_t r_kib : r_sizes_kib) {
       BuildOptions options = BenchOptions(budget, "fig8");
       options.r_buffer_bytes = Scaled(r_kib << 10);
-      EraBuilder builder(options);
+      ParallelBuilder builder(options, 1);
       auto result = builder.Build(text);
       if (!result.ok()) {
         std::fprintf(stderr, "build failed: %s\n",

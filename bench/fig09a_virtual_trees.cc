@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 
 namespace era {
 namespace bench {
@@ -25,7 +25,7 @@ void Run() {
     for (int grouped = 0; grouped <= 1; ++grouped) {
       BuildOptions options = BenchOptions(budget, "fig9a");
       options.group_virtual_trees = grouped == 1;
-      EraBuilder builder(options);
+      ParallelBuilder builder(options, 1);
       auto result = builder.Build(text);
       if (!result.ok()) {
         std::fprintf(stderr, "build failed: %s\n",

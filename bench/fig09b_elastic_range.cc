@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 
 namespace era {
 namespace bench {
@@ -17,7 +17,7 @@ BuildStats RunOnce(const TextInfo& text, uint64_t budget,
   BuildOptions options = BenchOptions(budget, "fig9b");
   options.range_policy = policy;
   options.fixed_range = fixed_range;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(text);
   if (!result.ok()) {
     std::fprintf(stderr, "build failed: %s\n",

@@ -10,9 +10,8 @@
 
 #include "b2st/b2st.h"
 #include "bench/bench_common.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "trellis/trellis.h"
-#include "wavefront/wavefront.h"
 
 namespace era {
 namespace bench {
@@ -30,7 +29,8 @@ void Run() {
     uint64_t budget = Scaled(static_cast<uint64_t>(kb) << 10);
     std::vector<std::string> row{Mib(budget)};
 
-    WaveFrontBuilder wf(BenchOptions(budget, "f10a_wf"));
+    ParallelBuilder wf(BenchOptions(budget, "f10a_wf"), 1,
+                       ParallelAlgorithm::kWaveFront);
     auto wf_result = wf.Build(text);
     double wf_time = -1;
     if (wf_result.ok()) {
@@ -60,7 +60,7 @@ void Run() {
       row.push_back("-");  // S does not fit in memory (paper: plot gap)
     }
 
-    EraBuilder era_builder(BenchOptions(budget, "f10a_era"));
+    ParallelBuilder era_builder(BenchOptions(budget, "f10a_era"), 1);
     auto era_result = era_builder.Build(text);
     if (!era_result.ok()) {
       std::fprintf(stderr, "ERA failed: %s\n",

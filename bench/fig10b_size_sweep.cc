@@ -7,8 +7,7 @@
 
 #include "b2st/b2st.h"
 #include "bench/bench_common.h"
-#include "era/era_builder.h"
-#include "wavefront/wavefront.h"
+#include "era/parallel_builder.h"
 
 namespace era {
 namespace bench {
@@ -24,11 +23,12 @@ void Run() {
     uint64_t n = Scaled(static_cast<uint64_t>(kb) << 10);
     TextInfo text = MakeCorpus(CorpusKind::kDna, n);
 
-    WaveFrontBuilder wf(BenchOptions(budget, "f10b_wf"));
+    ParallelBuilder wf(BenchOptions(budget, "f10b_wf"), 1,
+                       ParallelAlgorithm::kWaveFront);
     auto wf_result = wf.Build(text);
     B2stBuilder b2st(BenchOptions(budget, "f10b_b2st"));
     auto b2st_result = b2st.Build(text);
-    EraBuilder era_builder(BenchOptions(budget, "f10b_era"));
+    ParallelBuilder era_builder(BenchOptions(budget, "f10b_era"), 1);
     auto era_result = era_builder.Build(text);
     if (!wf_result.ok() || !b2st_result.ok() || !era_result.ok()) {
       std::fprintf(stderr, "build failed\n");

@@ -7,8 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "era/era_builder.h"
-#include "wavefront/wavefront.h"
+#include "era/parallel_builder.h"
 
 namespace era {
 namespace bench {
@@ -24,9 +23,10 @@ void Run() {
     for (CorpusKind kind :
          {CorpusKind::kDna, CorpusKind::kProtein, CorpusKind::kEnglish}) {
       TextInfo text = MakeCorpus(kind, n);
-      EraBuilder era_builder(BenchOptions(budget, "f11_era"));
+      ParallelBuilder era_builder(BenchOptions(budget, "f11_era"), 1);
       auto era_result = era_builder.Build(text);
-      WaveFrontBuilder wf(BenchOptions(budget, "f11_wf"));
+      ParallelBuilder wf(BenchOptions(budget, "f11_wf"), 1,
+                       ParallelAlgorithm::kWaveFront);
       auto wf_result = wf.Build(text);
       if (!era_result.ok() || !wf_result.ok()) {
         std::fprintf(stderr, "build failed\n");

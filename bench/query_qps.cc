@@ -33,7 +33,7 @@
 
 #include "bench/bench_common.h"
 #include "common/options.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/latency_env.h"
 #include "io/posix_env.h"
 #include "query/query_engine.h"
@@ -110,7 +110,7 @@ int Main(int argc, char** argv) {
     options.env = posix;
     options.work_dir = index.dir;
     options.memory_budget = static_cast<uint64_t>(budget_mb * 1024 * 1024);
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     if (!result.ok()) {
       std::fprintf(stderr, "build failed: %s\n",

@@ -53,7 +53,7 @@
 #include "common/metrics.h"
 #include "common/options.h"
 #include "common/query_context.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/latency_env.h"
 #include "io/posix_env.h"
 #include "query/admission.h"
@@ -348,7 +348,7 @@ int Main(int argc, char** argv) {
     options.env = posix;
     options.work_dir = root + "/idx";
     options.memory_budget = static_cast<uint64_t>(budget_mb * 1024 * 1024);
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     if (!result.ok()) {
       std::fprintf(stderr, "build failed: %s\n",

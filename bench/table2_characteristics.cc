@@ -7,10 +7,9 @@
 
 #include "b2st/b2st.h"
 #include "bench/bench_common.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "trellis/trellis.h"
 #include "ukkonen/ukkonen.h"
-#include "wavefront/wavefront.h"
 
 namespace era {
 namespace bench {
@@ -76,7 +75,8 @@ void Run() {
     }
   }
   {
-    WaveFrontBuilder wf(BenchOptions(budget, "t2_wf"));
+    ParallelBuilder wf(BenchOptions(budget, "t2_wf"), 1,
+                       ParallelAlgorithm::kWaveFront);
     auto result = wf.Build(text);
     if (!result.ok()) std::exit(1);
     table.AddRow({"WaveFront", "Out-of-core", "O(n^2)", "Yes", "Sequential",
@@ -96,7 +96,7 @@ void Run() {
   {
     BuildOptions options = BenchOptions(budget, "t2_era");
     options.seek_optimization = false;  // pure sequential mode
-    EraBuilder era_builder(options);
+    ParallelBuilder era_builder(options, 1);
     auto result = era_builder.Build(text);
     if (!result.ok()) std::exit(1);
     table.AddRow({"ERA", "Out-of-core", "O(n^2)", "Yes", "Sequential",

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/env.h"
 #include "query/applications.h"
 #include "text/text_generator.h"
@@ -57,7 +57,7 @@ int main() {
   BuildOptions options;
   options.work_dir = dir + "/index";
   options.memory_budget = 4 << 20;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(*text);
   if (!result.ok()) {
     std::fprintf(stderr, "build failed: %s\n",

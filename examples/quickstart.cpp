@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/env.h"
 #include "query/query_engine.h"
 #include "text/corpus.h"
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   BuildOptions options;
   options.work_dir = dir + "/index";
   options.memory_budget = std::max<uint64_t>(1 << 20, body_length / 2);
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(*text);
   if (!result.ok()) {
     std::fprintf(stderr, "build failed: %s\n",

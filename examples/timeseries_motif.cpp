@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/env.h"
 #include "query/applications.h"
 #include "query/query_engine.h"
@@ -94,7 +94,7 @@ int main() {
   BuildOptions options;
   options.work_dir = dir + "/index";
   options.memory_budget = 2 << 20;  // out-of-core regime on purpose
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(*text);
   if (!result.ok()) {
     std::fprintf(stderr, "build failed: %s\n",

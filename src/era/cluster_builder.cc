@@ -6,6 +6,7 @@
 
 #include "common/timer.h"
 #include "era/memory_layout.h"
+#include "era/subtree_writer.h"
 #include "wavefront/wavefront.h"
 
 namespace era {
@@ -71,36 +72,47 @@ StatusOr<ClusterBuildResult> ClusterBuilder::Build(const TextInfo& text) {
   for (unsigned nd = 0; nd < nodes; ++nd) {
     threads.emplace_back([&, nd] {
       WallTimer node_timer;
+      // A shared-nothing node owns its writer too: one thread builds and
+      // writes the node's sub-trees while the node prepares.
+      BackgroundSubTreeWriter writer(env, /*num_threads=*/1,
+                                     WriterBacklogBytes(layout));
       auto run = [&]() -> Status {
         // Private handles: a shared-nothing node owns its disk.
-        StringReaderOptions reader_options;
-        reader_options.buffer_bytes = layout.input_buffer_bytes;
-        reader_options.seek_optimization = node_options.seek_optimization;
-        ERA_ASSIGN_OR_RETURN(auto reader,
-                             OpenStringReader(env, text.path, reader_options,
-                                              &result.node_io[nd]));
+        std::unique_ptr<StringReader> reader;
         WaveFrontReaders wf;
         if (wavefront) {
           ERA_ASSIGN_OR_RETURN(wf, OpenWaveFrontReaders(env, text.path,
                                                         layout,
                                                         &result.node_io[nd]));
+        } else {
+          StringReaderOptions reader_options;
+          reader_options.buffer_bytes = layout.input_buffer_bytes;
+          reader_options.seek_optimization = node_options.seek_optimization;
+          ERA_ASSIGN_OR_RETURN(reader,
+                               OpenStringReader(env, text.path,
+                                                reader_options,
+                                                &result.node_io[nd]));
         }
         PrepareScratch scratch;  // one prepare arena for the node's groups
         for (std::size_t g : assignment[nd]) {
+          // A failed write dooms the build; Drain() below reports it.
+          if (writer.Failed()) break;
           if (wavefront) {
             ERA_RETURN_NOT_OK(WaveFrontProcessUnit(
-                text, node_options, plan.groups[g], g, reader.get(),
-                wf.suffix.get(), wf.edge.get(), &outputs[g]));
+                text, node_options, plan.groups[g], g, &wf, &outputs[g]));
           } else {
             ERA_RETURN_NOT_OK(ProcessGroup(
                 text, node_options, layout, plan.groups[g], g, reader.get(),
-                &outputs[g], /*writer=*/nullptr, /*checkpoint=*/nullptr,
+                &outputs[g], &writer, /*checkpoint=*/nullptr,
                 /*profiler=*/nullptr, /*worker=*/0, &scratch));
           }
         }
         return Status::OK();
       };
-      node_status[nd] = run();
+      Status s = run();
+      Status write_status = writer.Drain();
+      node_status[nd] = s.ok() ? write_status : s;
+      result.node_io[nd].Add(writer.io());
       result.node_seconds[nd] = node_timer.Seconds();
     });
   }

@@ -8,7 +8,10 @@
 //   * vertical partitioning: executed serially on the master (the paper did
 //     not parallelize it either).
 // Groups are assigned by longest-processing-time (greedy by frequency),
-// which is what makes ERA's speed-up in Table 3 near-optimal.
+// which is what makes ERA's speed-up in Table 3 near-optimal. Each node
+// prepares its groups through ProcessGroup and hands every sub-tree to its
+// own one-thread BackgroundSubTreeWriter, which builds and writes it; a
+// node's time and I/O include draining that writer.
 
 #ifndef ERA_ERA_CLUSTER_BUILDER_H_
 #define ERA_ERA_CLUSTER_BUILDER_H_

@@ -6,12 +6,10 @@
 #include "alphabet/window_code.h"
 #include "common/timer.h"
 #include "era/branch_edge.h"
-#include "era/build_subtree.h"
 #include "era/checkpoint.h"
 #include "era/range_policy.h"
 #include "era/subtree_prepare.h"
 #include "era/subtree_writer.h"
-#include "suffixtree/serializer.h"
 
 namespace era {
 
@@ -152,64 +150,36 @@ void HandOff(PhaseProfiler* profiler, unsigned worker, Enqueue&& enqueue) {
 
 }  // namespace
 
-Status BuildAndEmitPrefix(const BuildOptions& options, uint64_t text_length,
-                          uint64_t group_id, std::size_t k,
-                          PreparedSubTree prepared, GroupOutput* out,
-                          BackgroundSubTreeWriter* writer,
-                          CheckpointManager* checkpoint,
-                          PhaseProfiler* profiler, unsigned worker) {
-  const uint64_t frequency = prepared.leaves.size();
-  if (writer != nullptr) {
-    std::string path = RecordSubTree(options, group_id, k, prepared.prefix,
-                                     frequency, out);
-    HandOff(profiler, worker, [&] {
-      writer->EnqueuePrepared(std::move(path), std::move(prepared),
-                              text_length,
-                              NoteWritten(out, group_id, k, checkpoint));
-    });
-    return Status::OK();
-  }
-  WallTimer build_timer;
-  ERA_ASSIGN_OR_RETURN(TreeBuffer tree, BuildSubTree(prepared, text_length));
-  if (profiler != nullptr) {
-    profiler->Record("build_subtree", worker, build_timer.Seconds());
-  }
-  // L and B (24 bytes per leaf) are dead once the tree exists; free them
-  // before the write.
-  std::vector<uint64_t>().swap(prepared.leaves);
-  std::vector<BranchInfo>().swap(prepared.branches);
-  return EmitBuiltSubTree(options, group_id, k, std::move(prepared.prefix),
-                          frequency, std::move(tree), out, /*writer=*/nullptr,
-                          checkpoint, profiler, worker);
-}
-
-Status EmitBuiltSubTree(const BuildOptions& options, uint64_t group_id,
-                        std::size_t k, std::string prefix, uint64_t frequency,
-                        TreeBuffer&& tree, GroupOutput* out,
+void BuildAndEmitPrefix(const BuildOptions& options, uint64_t text_length,
+                        uint64_t group_id, std::size_t k,
+                        PreparedSubTree prepared, GroupOutput* out,
                         BackgroundSubTreeWriter* writer,
                         CheckpointManager* checkpoint, PhaseProfiler* profiler,
                         unsigned worker) {
+  std::string path = RecordSubTree(options, group_id, k, prepared.prefix,
+                                   prepared.leaves.size(), out);
+  HandOff(profiler, worker, [&] {
+    writer->EnqueuePrepared(std::move(path), std::move(prepared), text_length,
+                            NoteWritten(out, group_id, k, checkpoint));
+  });
+}
+
+void EmitBuiltSubTree(const BuildOptions& options, uint64_t group_id,
+                      std::size_t k, std::string prefix, uint64_t frequency,
+                      TreeBuffer&& tree, GroupOutput* out,
+                      BackgroundSubTreeWriter* writer,
+                      CheckpointManager* checkpoint, PhaseProfiler* profiler,
+                      unsigned worker) {
   std::string path =
       RecordSubTree(options, group_id, k, prefix, frequency, out);
-  if (writer != nullptr) {
-    HandOff(profiler, worker, [&] {
-      writer->Enqueue(std::move(path), std::move(prefix), std::move(tree),
-                      NoteWritten(out, group_id, k, checkpoint));
-    });
-    return Status::OK();
-  }
-  out->subtrees[k].tree_bytes = tree.MemoryBytes();
-  WallTimer write_timer;
-  uint32_t file_crc = 0;
-  ERA_RETURN_NOT_OK(WriteSubTree(options.GetEnv(), path, prefix, tree,
-                                 &out->write_io, &file_crc));
-  if (profiler != nullptr) {
-    profiler->Record("subtree_write", worker, write_timer.Seconds());
-  }
-  if (checkpoint != nullptr) {
-    checkpoint->NoteSubTreeWritten(group_id, k, file_crc);
-  }
-  return Status::OK();
+  HandOff(profiler, worker, [&] {
+    writer->Enqueue(std::move(path), std::move(prefix), std::move(tree),
+                    NoteWritten(out, group_id, k, checkpoint));
+  });
+}
+
+uint64_t WriterBacklogBytes(const MemoryLayout& layout) {
+  return std::max<uint64_t>(layout.tree_area_bytes, 4ull << 20);
 }
 
 void ReconstructGroupOutput(const VirtualTree& group, uint64_t group_id,
@@ -244,9 +214,9 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
     out->rounds = builder.stats().rounds;
     for (std::size_t k = 0; k < builder.results().size(); ++k) {
       auto& [prefix, tree] = builder.results()[k];
-      ERA_RETURN_NOT_OK(EmitBuiltSubTree(
-          options, group_id, k, prefix, group.prefixes[k].frequency,
-          std::move(tree), out, writer, checkpoint, profiler, worker));
+      EmitBuiltSubTree(options, group_id, k, prefix,
+                       group.prefixes[k].frequency, std::move(tree), out,
+                       writer, checkpoint, profiler, worker);
     }
   } else {
     GroupPreparer preparer(
@@ -254,22 +224,21 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
         RangePolicy::FromOptions(options, layout,
                                  WindowCode(text.alphabet).bits()),
         reader, text.length, text.alphabet, scratch);
-    // Stream: a resolved prefix leaves (handed to the writer, or built and
-    // written inline) while the group's remaining prefixes are still
-    // scanning S, so its L and B never wait for the group's end. Time spent
-    // inside the emit callback (the hand-off, or the inline build and
-    // write) is subtracted from the prepare phase so the breakdown reflects
-    // the stages, not the call nesting.
+    // Stream: a resolved prefix leaves for the writer while the group's
+    // remaining prefixes are still scanning S, so its L and B never wait
+    // for the group's end. Time spent inside the emit callback (the
+    // hand-off) is subtracted from the prepare phase so the breakdown
+    // reflects the stages, not the call nesting.
     WallTimer prepare_timer;
     double nested_seconds = 0;
     preparer.SetEmitCallback(
         [&](std::size_t k, PreparedSubTree&& prepared) -> Status {
           WallTimer nested_timer;
-          Status s = BuildAndEmitPrefix(options, text.length, group_id, k,
-                                        std::move(prepared), out, writer,
-                                        checkpoint, profiler, worker);
+          BuildAndEmitPrefix(options, text.length, group_id, k,
+                             std::move(prepared), out, writer, checkpoint,
+                             profiler, worker);
           nested_seconds += nested_timer.Seconds();
-          return s;
+          return Status::OK();
         });
     ERA_RETURN_NOT_OK(preparer.Run());
     if (profiler != nullptr) {
@@ -304,101 +273,6 @@ StatusOr<TreeIndex> AssembleIndex(const TextInfo& text,
   ERA_ASSIGN_OR_RETURN(TreeIndex loaded,
                        TreeIndex::Load(options.GetEnv(), options.work_dir));
   return loaded;
-}
-
-StatusOr<BuildResult> EraBuilder::Build(const TextInfo& text) {
-  WallTimer total_timer;
-  ERA_RETURN_NOT_OK(ValidateBuildOptions(options_));
-  ERA_RETURN_NOT_OK(options_.GetEnv()->CreateDir(options_.work_dir));
-
-  BuildStats stats;
-  stats.text_bytes = text.length;
-  ERA_ASSIGN_OR_RETURN(MemoryLayout layout,
-                       PlanMemoryForBuild(options_, text, /*num_workers=*/1));
-  stats.fm = layout.fm;
-
-  ERA_ASSIGN_OR_RETURN(
-      std::shared_ptr<TileCache> tile_cache,
-      OpenBuildTileCache(options_.GetEnv(), text, layout, /*num_workers=*/1));
-
-  PhaseProfiler profiler;
-  ERA_ASSIGN_OR_RETURN(
-      PartitionPlan plan,
-      VerticalPartition(text, options_, layout.fm, tile_cache));
-  stats.vertical_seconds = plan.seconds;
-  profiler.Record("vertical_partition", 0, plan.seconds);
-  stats.io.Add(plan.io);
-  stats.num_groups = plan.groups.size();
-  stats.num_subtrees = plan.NumSubTrees();
-
-  WallTimer horizontal_timer;
-  StringReaderOptions reader_options;
-  reader_options.buffer_bytes = options_.input_buffer_bytes;
-  reader_options.seek_optimization = options_.seek_optimization;
-  reader_options.tile_cache = tile_cache;
-  IoStats scan_stats;
-  ERA_ASSIGN_OR_RETURN(auto reader,
-                       OpenStringReader(options_.GetEnv(), text.path,
-                                        reader_options, &scan_stats));
-
-  const CheckpointFingerprint fingerprint{text.length, layout.fm,
-                                          plan.groups.size(),
-                                          plan.NumSubTrees()};
-  ResumePlan resume;
-  resume.group_done.assign(plan.groups.size(), 0);
-  if (options_.resume) {
-    resume = PlanResume(options_.GetEnv(), options_.work_dir, fingerprint,
-                        plan);
-    stats.groups_resumed = resume.groups_skipped;
-    stats.subtrees_verified = resume.subtrees_verified;
-  }
-
-  std::unique_ptr<CheckpointManager> checkpoint;
-  if (options_.checkpoint) {
-    std::vector<uint64_t> group_sizes(plan.groups.size());
-    for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-      group_sizes[g] = plan.groups[g].prefixes.size();
-    }
-    checkpoint = std::make_unique<CheckpointManager>(
-        options_.GetEnv(), options_.work_dir, fingerprint,
-        std::move(group_sizes));
-    for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-      if (resume.group_done[g]) {
-        checkpoint->MarkGroupVerified(g, resume.group_crcs[g]);
-      }
-    }
-  }
-
-  std::vector<GroupOutput> outputs(plan.groups.size());
-  PrepareScratch scratch;
-  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-    if (resume.group_done[g]) {
-      ReconstructGroupOutput(plan.groups[g], g, &outputs[g]);
-      continue;
-    }
-    ERA_RETURN_NOT_OK(ProcessGroup(text, options_, layout, plan.groups[g], g,
-                                   reader.get(), &outputs[g],
-                                   /*writer=*/nullptr, checkpoint.get(),
-                                   &profiler, /*worker=*/0, &scratch));
-    stats.prepare_rounds += outputs[g].rounds;
-    stats.prepare_times.Add(outputs[g].prepare_times);
-    stats.peak_tree_bytes =
-        std::max(stats.peak_tree_bytes, outputs[g].TreeBytes());
-    stats.io.Add(outputs[g].write_io);
-  }
-  stats.io.Add(scan_stats);
-  FoldTileCacheStats(tile_cache, &stats);
-  stats.horizontal_seconds = horizontal_timer.Seconds();
-
-  BuildResult result;
-  WallTimer assemble_timer;
-  ERA_ASSIGN_OR_RETURN(result.index,
-                       AssembleIndex(text, options_, plan, outputs));
-  profiler.Record("assemble_index", 0, assemble_timer.Seconds());
-  stats.total_seconds = total_timer.Seconds();
-  stats.phases = profiler.Entries();
-  result.stats = stats;
-  return result;
 }
 
 }  // namespace era

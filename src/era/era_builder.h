@@ -1,6 +1,8 @@
-// Serial ERA driver (Section 4): vertical partitioning, then per virtual
-// tree SubTreePrepare + BuildSubTree (or BranchEdge), serialization, and
-// assembly of the final index behind the top-level trie.
+// The ERA build stages (Section 4) that ParallelBuilder and ClusterBuilder
+// drive: per virtual tree SubTreePrepare (or BranchEdge) on the preparing
+// worker, BuildSubTree and serialization on a BackgroundSubTreeWriter, and
+// assembly of the final index behind the top-level trie. The serial ERA of
+// Section 4 is ParallelBuilder at one worker.
 
 #ifndef ERA_ERA_ERA_BUILDER_H_
 #define ERA_ERA_ERA_BUILDER_H_
@@ -88,9 +90,8 @@ struct BuildResult {
 class BackgroundSubTreeWriter;
 class CheckpointManager;
 
-/// Output of processing one virtual tree (used by serial and parallel
-/// drivers alike). One worker fills it; with a background writer, the
-/// writer threads fill each sub-tree's `tree_bytes`.
+/// Output of processing one virtual tree. The preparing worker fills it; the
+/// background writer's threads fill each sub-tree's `tree_bytes`.
 struct GroupOutput {
   struct SubTreeOut {
     std::string prefix;
@@ -104,59 +105,58 @@ struct GroupOutput {
   std::vector<SubTreeOut> subtrees;
   uint32_t rounds = 0;
   PrepareTimes prepare_times;
-  IoStats write_io;  // synchronous serialization traffic
+  IoStats write_io;  // the WaveFront and TRELLIS baselines' own writes
 
   /// Sum of the group's sub-tree bytes. Complete once the group's writes
   /// have drained.
   uint64_t TreeBytes() const;
 };
 
-/// Names one built sub-tree `st_<group_id>_<k>.bin`, records it and its
-/// bytes in out->subtrees[k] (which must already be sized), and either
-/// writes it synchronously (billing out->write_io) or hands it to `writer`.
-/// Each durably published file is reported to `checkpoint` (when given)
-/// with its CRC-32C, on the writer thread for enqueued writes. Synchronous
-/// writes bill their wall time to `profiler` (when given) as phase
-/// "subtree_write" under `worker`.
-Status EmitBuiltSubTree(const BuildOptions& options, uint64_t group_id,
-                        std::size_t k, std::string prefix, uint64_t frequency,
-                        TreeBuffer&& tree, GroupOutput* out,
+/// Names one built sub-tree `st_<group_id>_<k>.bin`, records it in
+/// out->subtrees[k] (which must already be sized) and hands it to `writer`,
+/// whose thread writes it, stores its bytes in the slot and reports the
+/// published file to `checkpoint` (when given) with its CRC-32C. A failed
+/// write surfaces through writer->Drain(). The hand-off's backpressure wait
+/// is billed to `profiler` (when given) as "writer_handoff" under `worker`.
+void EmitBuiltSubTree(const BuildOptions& options, uint64_t group_id,
+                      std::size_t k, std::string prefix, uint64_t frequency,
+                      TreeBuffer&& tree, GroupOutput* out,
+                      BackgroundSubTreeWriter* writer,
+                      CheckpointManager* checkpoint = nullptr,
+                      PhaseProfiler* profiler = nullptr, unsigned worker = 0);
+
+/// The per-prefix tail of ProcessGroup's prepare stage. Takes (L, B) by
+/// value, so the caller's copy is left empty: records the sub-tree in
+/// out->subtrees[k] and hands (L, B) to `writer`, whose thread builds,
+/// encodes and writes the tree and stores its bytes in out->subtrees[k].
+/// Billing and failure reporting as for EmitBuiltSubTree.
+void BuildAndEmitPrefix(const BuildOptions& options, uint64_t text_length,
+                        uint64_t group_id, std::size_t k,
+                        PreparedSubTree prepared, GroupOutput* out,
                         BackgroundSubTreeWriter* writer,
                         CheckpointManager* checkpoint = nullptr,
                         PhaseProfiler* profiler = nullptr,
                         unsigned worker = 0);
 
-/// The per-prefix tail of ProcessGroup's prepare stage. Takes (L, B) by
-/// value, so the caller's copy is left empty. With a `writer`, records the
-/// sub-tree in out->subtrees[k] and hands (L, B) to it: a writer thread
-/// builds, encodes and writes the tree and stores its bytes in
-/// out->subtrees[k]. Without one, runs BuildSubTree inline (billed to
-/// `profiler` as "build_subtree" under `worker`), frees L and B, and
-/// writes the tree through EmitBuiltSubTree.
-Status BuildAndEmitPrefix(const BuildOptions& options, uint64_t text_length,
-                          uint64_t group_id, std::size_t k,
-                          PreparedSubTree prepared, GroupOutput* out,
-                          BackgroundSubTreeWriter* writer,
-                          CheckpointManager* checkpoint = nullptr,
-                          PhaseProfiler* profiler = nullptr,
-                          unsigned worker = 0);
-
 /// Builds all sub-trees of `group`, writes them under `options.work_dir`
 /// with filenames `st_<group_id>_<k>`, and reports what was written.
 /// `reader` supplies the (instrumented) scans of S. The prepare stage
-/// streams: each prefix leaves through BuildAndEmitPrefix as soon as it
-/// resolves, before the group's remaining prefixes finish preparing — to
-/// `writer`, when given, which builds and writes it, so the calling worker
-/// only prepares; otherwise built and written inline. `scratch`, when
-/// given, is the caller's prepare arena, reused across its groups.
+/// streams: each prefix leaves through BuildAndEmitPrefix to `writer` as
+/// soon as it resolves, before the group's remaining prefixes finish
+/// preparing, so the calling worker only prepares. `scratch`, when given,
+/// is the caller's prepare arena, reused across its groups.
 Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
                     const MemoryLayout& layout, const VirtualTree& group,
                     uint64_t group_id, StringReader* reader,
-                    GroupOutput* out,
-                    BackgroundSubTreeWriter* writer = nullptr,
+                    GroupOutput* out, BackgroundSubTreeWriter* writer,
                     CheckpointManager* checkpoint = nullptr,
                     PhaseProfiler* profiler = nullptr, unsigned worker = 0,
                     PrepareScratch* scratch = nullptr);
+
+/// The background writer's backlog bound for a build planned with `layout`:
+/// the tree area of one share, which a group's trees would otherwise have
+/// filled before its last prefix, but at least 4 MiB.
+uint64_t WriterBacklogBytes(const MemoryLayout& layout);
 
 /// Fills `out` for a group that a resume pass verified on disk: sub-tree
 /// entries are reconstructed from the plan (prefix, frequency) and the
@@ -193,18 +193,6 @@ StatusOr<TreeIndex> AssembleIndex(const TextInfo& text,
                                   const BuildOptions& options,
                                   const PartitionPlan& plan,
                                   const std::vector<GroupOutput>& outputs);
-
-/// The serial ERA builder (Section 4).
-class EraBuilder {
- public:
-  explicit EraBuilder(const BuildOptions& options) : options_(options) {}
-
-  /// Builds the suffix-tree index of `text`.
-  StatusOr<BuildResult> Build(const TextInfo& text);
-
- private:
-  BuildOptions options_;
-};
 
 }  // namespace era
 

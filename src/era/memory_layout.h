@@ -7,9 +7,8 @@
 // and the trie area above their floors. I, A and P live inside the tree area:
 // they are only needed by SubTreePrepare, and BuildSubTree — which is what
 // fills the tree area — runs afterwards and only needs L and B, so the
-// regions can safely overlap. The serial builders fill the tree area on the
-// preparing thread; ParallelBuilder hands each prefix's L and B to its
-// background writer, whose threads each fill one tree at a time.
+// regions can safely overlap. Every ERA build hands each prefix's L and B to
+// its background writer, whose threads each fill one tree at a time.
 //
 // FM (Equation 1) is MTS / (2 * sizeof(TreeNode)), further constrained by the
 // per-leaf processing footprint. Figure 6 gives the processing area the other

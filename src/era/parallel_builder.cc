@@ -154,17 +154,12 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
 
   // Each resolved prefix leaves the workers' critical path as its (L, B):
   // the bounded background writer's threads build, encode and write the
-  // tree, so workers only prepare. One writer thread per worker (at least
-  // two, so writes still overlap a lone worker): each holds one tree at a
-  // time, as each per-core tree area plans, and the backlog left when the
-  // workers finish drains on as many threads as there were workers. The
-  // backlog bound reuses the tree area of one per-core share — memory the
-  // serial design would have spent holding a group's trees until its last
-  // prefix anyway.
-  BackgroundSubTreeWriter writer(
-      env, /*num_threads=*/std::max(2u, num_workers_),
-      /*max_queued_bytes=*/
-      std::max<uint64_t>(layout.tree_area_bytes, 4ull << 20));
+  // tree, so workers only prepare. One writer thread per worker: each holds
+  // one tree at a time, as each per-core tree area plans, and the backlog
+  // left when the workers finish drains on as many threads as there were
+  // workers.
+  BackgroundSubTreeWriter writer(env, num_workers_,
+                                 WriterBacklogBytes(layout));
 
   // Groups in tile-affinity-refined LPT order (groups with overlapping text
   // footprints run adjacently and convert each other's tile-cache misses
@@ -190,21 +185,25 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
       WallTimer worker_timer;
       double busy = 0;
       auto run = [&]() -> Status {
-        StringReaderOptions reader_options;
-        reader_options.buffer_bytes = layout.input_buffer_bytes;
-        reader_options.seek_optimization = worker_options.seek_optimization;
-        if (!wavefront) reader_options.tile_cache = tile_cache;
-        ERA_ASSIGN_OR_RETURN(auto reader,
-                             OpenStringReader(env, text.path, reader_options,
-                                              &worker_io[w]));
-        // One prepare arena serves every group this worker prepares.
-        PrepareScratch scratch;
+        std::unique_ptr<StringReader> reader;
         WaveFrontReaders wf;
         if (wavefront) {
           ERA_ASSIGN_OR_RETURN(wf, OpenWaveFrontReaders(env, text.path,
                                                         layout,
                                                         &worker_io[w]));
+        } else {
+          StringReaderOptions reader_options;
+          reader_options.buffer_bytes = layout.input_buffer_bytes;
+          reader_options.seek_optimization =
+              worker_options.seek_optimization;
+          reader_options.tile_cache = tile_cache;
+          ERA_ASSIGN_OR_RETURN(reader,
+                               OpenStringReader(env, text.path,
+                                                reader_options,
+                                                &worker_io[w]));
         }
+        // One prepare arena serves every group this worker prepares.
+        PrepareScratch scratch;
         // A failed group (here or on another worker) or a failed background
         // write stops every worker before its next group; building more
         // trees would only queue doomed work. Drain() reports a write error.
@@ -217,8 +216,7 @@ StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
           Status s;
           if (wavefront) {
             s = WaveFrontProcessUnit(text, worker_options, plan.groups[g], g,
-                                     reader.get(), wf.suffix.get(),
-                                     wf.edge.get(), &outputs[g]);
+                                     &wf, &outputs[g]);
             profiler.Record("wavefront", w, group_timer.Seconds());
           } else {
             s = ProcessGroup(text, worker_options, layout, plan.groups[g], g,

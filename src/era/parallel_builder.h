@@ -1,24 +1,25 @@
-// Shared-memory / shared-disk parallel construction (Section 5).
+// ERA construction, serial (Section 4) and shared-memory / shared-disk
+// parallel (Section 5), through one driver: the serial ERA is one worker.
 //
 // A master performs vertical partitioning; then each worker takes the next
 // group of TileAffinityOrder from one shared counter and runs it whole
-// through ProcessGroup, the same function the serial EraBuilder runs:
+// through ProcessGroup:
 //
 //   * Workers only prepare — as soon as a prefix's (L, B) resolves, the
 //     worker hands them to a bounded BackgroundSubTreeWriter and goes on
 //     preparing.
-//   * Writers build, encode and write — a writer thread runs BuildSubTree
-//     on the (L, B), frees them and serializes the tree; (group, k) slot
-//     naming keeps the assembled index byte-identical for any worker
-//     count. Build and write time land in the phase profile's writer
-//     column, one past the workers.
+//   * Writers build, encode and write — one writer thread per worker runs
+//     BuildSubTree on the (L, B), frees them and serializes the tree;
+//     (group, k) slot naming keeps the assembled index byte-identical for
+//     any worker count. Build and write time land in the phase profile's
+//     writer column, one past the workers.
 //
 // BranchEdge groups hand their fused pass's built trees to the same
 // writer. The WaveFront variant runs each single-prefix unit through
-// WaveFrontProcessUnit instead. A failed group or a failed background
-// write stops every worker before its next group. Each worker reads S
-// through its own synchronous StringReader, served from the shared tile
-// cache when one is open.
+// WaveFrontProcessUnit instead, over its own three readers. A failed group
+// or a failed background write stops every worker before its next group.
+// Each ERA worker reads S through its own synchronous StringReader, served
+// from the shared tile cache when one is open.
 //
 // All workers read the same input file (the architecture's strength) and
 // split the memory budget equally (its constraint): FM is computed from the
@@ -69,7 +70,7 @@ std::vector<std::size_t> LptGroupOrder(const std::vector<VirtualTree>& groups);
 std::vector<std::size_t> TileAffinityOrder(
     const std::vector<VirtualTree>& groups);
 
-/// Multicore builder over a shared Env/input file.
+/// ERA builder over a shared Env/input file, at any worker count.
 class ParallelBuilder {
  public:
   /// `options.memory_budget` is the TOTAL budget; it is divided equally

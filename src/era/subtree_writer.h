@@ -1,5 +1,8 @@
-// Bounded background construction and serialization of sub-trees (the
-// build-and-write stage of the pipelined horizontal phase).
+// Bounded background construction and serialization of sub-trees: the
+// build-and-write stage of every ERA build, and the only way a sub-tree
+// leaves its preparing worker. ParallelBuilder runs one writer thread per
+// worker (a serial build is one preparing thread plus one writer thread);
+// each ClusterBuilder node runs its own one-thread writer.
 //
 // A worker hands each resolved prefix's (L, B) off and immediately returns
 // to preparing; a ThreadPool runs BuildSubTree on it, frees L and B, and

@@ -5,49 +5,61 @@
 
 namespace era {
 
+/// One file's bytes. Its writer appends while readers of the same path and
+/// MemEnv::FileSize read them, so every access holds `mu`.
+struct MemFile {
+  mutable std::mutex mu;
+  std::string data;
+};
+
 namespace {
 
 class MemRandomAccessFile : public RandomAccessFile {
  public:
-  explicit MemRandomAccessFile(std::shared_ptr<std::string> data)
-      : data_(std::move(data)) {}
+  explicit MemRandomAccessFile(std::shared_ptr<MemFile> file)
+      : file_(std::move(file)) {}
 
+  // Holds the file's lock, so the inherited ReadAt default (forward to
+  // Read) is safe to call concurrently, also while the file is written.
   Status Read(uint64_t offset, std::size_t n, char* scratch,
               std::size_t* out_n) const override {
-    if (offset >= data_->size()) {
+    std::lock_guard<std::mutex> lock(file_->mu);
+    const std::string& data = file_->data;
+    if (offset >= data.size()) {
       *out_n = 0;
       return Status::OK();
     }
-    std::size_t avail = data_->size() - offset;
+    std::size_t avail = data.size() - offset;
     std::size_t take = std::min(n, avail);
-    std::memcpy(scratch, data_->data() + offset, take);
+    std::memcpy(scratch, data.data() + offset, take);
     *out_n = take;
     return Status::OK();
   }
 
-  // The backing string is immutable once opened (writers replace the map
-  // entry with a fresh shared_ptr), so the inherited ReadAt default
-  // (forward to Read) is safe to call concurrently.
-  uint64_t Size() const override { return data_->size(); }
+  uint64_t Size() const override {
+    std::lock_guard<std::mutex> lock(file_->mu);
+    return file_->data.size();
+  }
 
  private:
-  std::shared_ptr<std::string> data_;
+  std::shared_ptr<MemFile> file_;
 };
 
 class MemWritableFile : public WritableFile {
  public:
-  explicit MemWritableFile(std::shared_ptr<std::string> data)
-      : data_(std::move(data)) {}
+  explicit MemWritableFile(std::shared_ptr<MemFile> file)
+      : file_(std::move(file)) {}
 
   Status Append(const char* data, std::size_t n) override {
-    data_->append(data, n);
+    std::lock_guard<std::mutex> lock(file_->mu);
+    file_->data.append(data, n);
     return Status::OK();
   }
 
   Status Close() override { return Status::OK(); }
 
  private:
-  std::shared_ptr<std::string> data_;
+  std::shared_ptr<MemFile> file_;
 };
 
 }  // namespace
@@ -66,9 +78,9 @@ StatusOr<std::unique_ptr<RandomAccessFile>> MemEnv::OpenRandomAccess(
 StatusOr<std::unique_ptr<WritableFile>> MemEnv::NewWritable(
     const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto data = std::make_shared<std::string>();
-  files_[path] = data;
-  return std::unique_ptr<WritableFile>(new MemWritableFile(std::move(data)));
+  auto file = std::make_shared<MemFile>();
+  files_[path] = file;
+  return std::unique_ptr<WritableFile>(new MemWritableFile(std::move(file)));
 }
 
 bool MemEnv::FileExists(const std::string& path) {
@@ -82,7 +94,8 @@ StatusOr<uint64_t> MemEnv::FileSize(const std::string& path) {
   if (it == files_.end()) {
     return Status::IOError("mem file not found: " + path);
   }
-  return static_cast<uint64_t>(it->second->size());
+  std::lock_guard<std::mutex> file_lock(it->second->mu);
+  return static_cast<uint64_t>(it->second->data.size());
 }
 
 Status MemEnv::DeleteFile(const std::string& path) {

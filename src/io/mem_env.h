@@ -12,8 +12,12 @@
 
 namespace era {
 
-/// Env whose files live in a process-local map. Thread-safe. Directories are
-/// implicit (CreateDir is a no-op bookkeeping call).
+struct MemFile;  // one file's bytes and their lock (mem_env.cc)
+
+/// Env whose files live in a process-local map. Thread-safe, also while a
+/// file is being written: its appends, FileSize and the reads of readers
+/// opened on its path share one lock per file. Directories are implicit
+/// (CreateDir is a no-op bookkeeping call).
 class MemEnv : public Env {
  public:
   StatusOr<std::unique_ptr<RandomAccessFile>> OpenRandomAccess(
@@ -32,7 +36,7 @@ class MemEnv : public Env {
  private:
   std::mutex mutex_;
   // shared_ptr so open readers survive deletion/replacement of the path.
-  std::map<std::string, std::shared_ptr<std::string>> files_;
+  std::map<std::string, std::shared_ptr<MemFile>> files_;
 };
 
 }  // namespace era

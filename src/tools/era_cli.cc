@@ -56,7 +56,6 @@
 #include "suffixtree/validator.h"
 #include "text/corpus.h"
 #include "text/text_generator.h"
-#include "wavefront/wavefront.h"
 
 namespace era {
 namespace {
@@ -349,31 +348,16 @@ int CmdBuild(const std::vector<std::string>& args) {
   options.resume = HasFlag(args, "--resume");
   options.checkpoint = !HasFlag(args, "--no-checkpoint");
 
-  BuildStats stats;
-  Status build_status;
-  if (algorithm == "wavefront" && threads <= 1) {
-    WaveFrontBuilder builder(options);
-    auto result = builder.Build(info);
-    build_status = result.status();
-    if (result.ok()) stats = result->stats;
-  } else if (threads > 1) {
-    ParallelAlgorithm pa = algorithm == "wavefront"
-                               ? ParallelAlgorithm::kWaveFront
-                               : ParallelAlgorithm::kEra;
-    ParallelBuilder builder(options, threads, pa);
-    auto result = builder.Build(info);
-    build_status = result.status();
-    if (result.ok()) stats = result->stats;
-  } else {
-    EraBuilder builder(options);
-    auto result = builder.Build(info);
-    build_status = result.status();
-    if (result.ok()) stats = result->stats;
-  }
+  ParallelBuilder builder(options, threads,
+                          algorithm == "wavefront"
+                              ? ParallelAlgorithm::kWaveFront
+                              : ParallelAlgorithm::kEra);
+  auto result = builder.Build(info);
   if (faulty != nullptr) {
     std::printf("faults: %s\n", faulty->stats().ToString().c_str());
   }
-  if (!build_status.ok()) return Fail(build_status);
+  if (!result.ok()) return Fail(result.status());
+  const BuildStats& stats = result->stats;
   std::printf("%s\n", stats.ToString().c_str());
   const std::string phase_table = FormatPhaseTable(stats.phases);
   if (!phase_table.empty()) std::printf("%s", phase_table.c_str());

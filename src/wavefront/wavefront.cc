@@ -1,8 +1,8 @@
 #include "wavefront/wavefront.h"
 
 #include <algorithm>
+#include <limits>
 
-#include "common/timer.h"
 #include "suffixtree/serializer.h"
 #include "text/aho_corasick.h"
 
@@ -56,6 +56,15 @@ StatusOr<TreeBuffer> WaveFrontBuildSubTree(const std::string& prefix,
                                            uint64_t text_length,
                                            StringReader* suffix_reader,
                                            StringReader* edge_reader) {
+  // Every edge label is a substring of S, so a text length that fits the
+  // 32-bit edge field bounds every edge_len assigned below (BranchEdge's
+  // CheckEdgeLimit makes the same argument).
+  if (text_length > std::numeric_limits<uint32_t>::max()) {
+    return Status::Internal(
+        "text length " + std::to_string(text_length) +
+        " exceeds the 32-bit tree-node edge limit; WaveFront cannot "
+        "represent its leaf edges");
+  }
   // First symbols come from values the traversal reads anyway (the prefix,
   // `want`, `old_sym`, `new_sym`), so storing them adds no device reads.
   TreeBuffer tree;
@@ -178,9 +187,7 @@ StatusOr<TreeBuffer> WaveFrontBuildSubTree(const std::string& prefix,
 
 Status WaveFrontProcessUnit(const TextInfo& text, const BuildOptions& options,
                             const VirtualTree& unit, uint64_t unit_id,
-                            StringReader* scan_reader,
-                            StringReader* suffix_reader,
-                            StringReader* edge_reader, GroupOutput* out) {
+                            WaveFrontReaders* readers, GroupOutput* out) {
   if (unit.prefixes.size() != 1) {
     return Status::InvalidArgument(
         "WaveFront processes one sub-tree per unit (no virtual trees)");
@@ -193,7 +200,7 @@ Status WaveFrontProcessUnit(const TextInfo& text, const BuildOptions& options,
   std::vector<uint64_t> occ;
   occ.reserve(unit.prefixes[0].frequency);
   ERA_RETURN_NOT_OK(matcher.ScanAll(
-      scan_reader,
+      readers->scan.get(),
       [&](int32_t, uint64_t pos) { occ.push_back(pos); }));
   if (occ.size() != unit.prefixes[0].frequency) {
     return Status::Internal("occurrence count mismatch for " + prefix);
@@ -201,7 +208,8 @@ Status WaveFrontProcessUnit(const TextInfo& text, const BuildOptions& options,
 
   ERA_ASSIGN_OR_RETURN(TreeBuffer tree,
                        WaveFrontBuildSubTree(prefix, occ, text.length,
-                                             suffix_reader, edge_reader));
+                                             readers->suffix.get(),
+                                             readers->edge.get()));
   out->rounds = 1;
   std::string filename = "st_" + std::to_string(unit_id) + "_0.bin";
   ERA_RETURN_NOT_OK(WriteSubTree(options.GetEnv(),
@@ -215,10 +223,14 @@ StatusOr<WaveFrontReaders> OpenWaveFrontReaders(Env* env,
                                                 const std::string& path,
                                                 const MemoryLayout& layout,
                                                 IoStats* stats) {
+  WaveFrontReaders readers;
   StringReaderOptions options;
+  options.buffer_bytes = std::max<uint64_t>(4096, layout.trie_bytes);
+  options.seek_optimization = false;  // WaveFront reads S in full
+  ERA_ASSIGN_OR_RETURN(readers.scan,
+                       OpenStringReader(env, path, options, stats));
   options.bill_random_as_sequential = true;  // BNL tile traffic
   options.random_window_bytes = 512;
-  WaveFrontReaders readers;
   options.buffer_bytes = layout.input_buffer_bytes;
   ERA_ASSIGN_OR_RETURN(readers.suffix,
                        OpenStringReader(env, path, options, stats));
@@ -226,59 +238,6 @@ StatusOr<WaveFrontReaders> OpenWaveFrontReaders(Env* env,
   ERA_ASSIGN_OR_RETURN(readers.edge,
                        OpenStringReader(env, path, options, stats));
   return readers;
-}
-
-StatusOr<BuildResult> WaveFrontBuilder::Build(const TextInfo& text) {
-  WallTimer total_timer;
-  ERA_RETURN_NOT_OK(ValidateBuildOptions(options_));
-  ERA_RETURN_NOT_OK(options_.GetEnv()->CreateDir(options_.work_dir));
-
-  BuildStats stats;
-  ERA_ASSIGN_OR_RETURN(MemoryLayout layout,
-                       PlanMemoryWaveFront(options_, text.alphabet.size()));
-  stats.fm = layout.fm;
-  stats.text_bytes = text.length;
-
-  BuildOptions partition_options = options_;
-  partition_options.group_virtual_trees = false;
-  ERA_ASSIGN_OR_RETURN(PartitionPlan plan,
-                       VerticalPartition(text, partition_options, layout.fm));
-  stats.vertical_seconds = plan.seconds;
-  stats.io.Add(plan.io);
-  stats.num_groups = plan.groups.size();
-  stats.num_subtrees = plan.NumSubTrees();
-
-  WallTimer horizontal_timer;
-  IoStats scan_io;
-  StringReaderOptions scan_options;
-  scan_options.buffer_bytes = std::max<uint64_t>(4096, layout.trie_bytes);
-  scan_options.seek_optimization = false;  // WaveFront reads S in full
-  ERA_ASSIGN_OR_RETURN(auto scan_reader,
-                       OpenStringReader(options_.GetEnv(), text.path,
-                                        scan_options, &scan_io));
-  ERA_ASSIGN_OR_RETURN(WaveFrontReaders wf,
-                       OpenWaveFrontReaders(options_.GetEnv(), text.path,
-                                            layout, &scan_io));
-
-  std::vector<GroupOutput> outputs(plan.groups.size());
-  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-    ERA_RETURN_NOT_OK(WaveFrontProcessUnit(
-        text, options_, plan.groups[g], g, scan_reader.get(), wf.suffix.get(),
-        wf.edge.get(), &outputs[g]));
-    stats.prepare_rounds += outputs[g].rounds;
-    stats.peak_tree_bytes =
-        std::max(stats.peak_tree_bytes, outputs[g].TreeBytes());
-    stats.io.Add(outputs[g].write_io);
-  }
-  stats.io.Add(scan_io);
-  stats.horizontal_seconds = horizontal_timer.Seconds();
-
-  BuildResult result;
-  ERA_ASSIGN_OR_RETURN(result.index,
-                       AssembleIndex(text, options_, plan, outputs));
-  stats.total_seconds = total_timer.Seconds();
-  result.stats = stats;
-  return result;
 }
 
 }  // namespace era

@@ -14,7 +14,9 @@
 //     sensitivity to |Σ|.
 //
 // Suffix-side symbols stream through one buffer; edge-label symbols through
-// the other (the nested-loop tiling). Both are instrumented.
+// the other (the nested-loop tiling). Both are instrumented. The drivers are
+// ParallelBuilder and ClusterBuilder with ParallelAlgorithm::kWaveFront; the
+// serial WaveFront is ParallelBuilder at one worker.
 
 #ifndef ERA_WAVEFRONT_WAVEFRONT_H_
 #define ERA_WAVEFRONT_WAVEFRONT_H_
@@ -33,16 +35,20 @@
 
 namespace era {
 
-/// WaveFront's two nested-loop buffers over S: `suffix` streams new-suffix
-/// symbols through a B_S window, `edge` streams edge-label symbols through
-/// an R window. Both bill their random probes as sequential tile traffic in
-/// 512-byte windows.
+/// One WaveFront worker's readers over S: `scan` finds each unit's
+/// occurrences through a window the size of the trie area and reads S in
+/// full (no seek skipping); `suffix` streams new-suffix symbols through a
+/// B_S window and `edge` streams edge-label symbols through an R window, the
+/// two nested-loop buffers, both billing their random probes as sequential
+/// tile traffic in 512-byte windows.
 struct WaveFrontReaders {
+  std::unique_ptr<StringReader> scan;
   std::unique_ptr<StringReader> suffix;
   std::unique_ptr<StringReader> edge;
 };
 
-/// Opens the reader pair over `path`, sized from `layout`; both bill `stats`.
+/// Opens the three readers over `path`, sized from `layout`; all bill
+/// `stats`.
 StatusOr<WaveFrontReaders> OpenWaveFrontReaders(Env* env,
                                                 const std::string& path,
                                                 const MemoryLayout& layout,
@@ -50,7 +56,8 @@ StatusOr<WaveFrontReaders> OpenWaveFrontReaders(Env* env,
 
 /// Builds the sub-tree for one S-prefix by string-order insertion.
 /// `suffix_reader` feeds new-suffix symbols, `edge_reader` feeds edge-label
-/// symbols (WaveFront's two nested-loop buffers).
+/// symbols (WaveFront's two nested-loop buffers). Fails with Internal when
+/// `text_length` passes the 32-bit edge field of the tree node.
 StatusOr<TreeBuffer> WaveFrontBuildSubTree(const std::string& prefix,
                                            const std::vector<uint64_t>& occ,
                                            uint64_t text_length,
@@ -58,23 +65,10 @@ StatusOr<TreeBuffer> WaveFrontBuildSubTree(const std::string& prefix,
                                            StringReader* edge_reader);
 
 /// Processes one single-prefix work unit end to end (occurrence scan +
-/// insertion + serialization). Shared by the serial and parallel drivers.
+/// insertion + serialization) through `readers`.
 Status WaveFrontProcessUnit(const TextInfo& text, const BuildOptions& options,
                             const VirtualTree& unit, uint64_t unit_id,
-                            StringReader* scan_reader,
-                            StringReader* suffix_reader,
-                            StringReader* edge_reader, GroupOutput* out);
-
-/// The serial WaveFront builder.
-class WaveFrontBuilder {
- public:
-  explicit WaveFrontBuilder(const BuildOptions& options) : options_(options) {}
-
-  StatusOr<BuildResult> Build(const TextInfo& text);
-
- private:
-  BuildOptions options_;
-};
+                            WaveFrontReaders* readers, GroupOutput* out);
 
 }  // namespace era
 

@@ -5,6 +5,7 @@
 
 #include "b2st/b2st.h"
 #include "era/build_subtree.h"
+#include "era/parallel_builder.h"
 #include "sa/lcp.h"
 #include "io/mem_env.h"
 #include "suffixtree/serializer.h"
@@ -12,7 +13,6 @@
 #include "tests/test_util.h"
 #include "trellis/trellis.h"
 #include "ukkonen/ukkonen.h"
-#include "wavefront/wavefront.h"
 
 namespace era {
 namespace {
@@ -47,7 +47,8 @@ TEST_P(WaveFrontEndToEnd, MatchesOracle) {
   auto info = MaterializeText(&env, "/text", c.alphabet, text);
   ASSERT_TRUE(info.ok());
 
-  WaveFrontBuilder builder(MakeOptions(&env, c, "/wf"));
+  ParallelBuilder builder(MakeOptions(&env, c, "/wf"), 1,
+                          ParallelAlgorithm::kWaveFront);
   auto result = builder.Build(*info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(testing::IndexMatchesOracle(&env, result->index, text));
@@ -73,7 +74,8 @@ TEST(WaveFrontTest, OneScanPerSubTree) {
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
   BaselineCase c{"x", Alphabet::Dna(), 0, 0, false, 256 << 10};
-  WaveFrontBuilder builder(MakeOptions(&env, c, "/wf"));
+  ParallelBuilder builder(MakeOptions(&env, c, "/wf"), 1,
+                          ParallelAlgorithm::kWaveFront);
   auto result = builder.Build(*info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(result->stats.io.scans_started, result->stats.num_subtrees);
@@ -229,13 +231,14 @@ TEST(BaselineAgreementTest, AllBuildersProduceTheSameTree) {
   ASSERT_TRUE(info.ok());
   BaselineCase c{"agree", Alphabet::Dna(), 0, 0, false, 1 << 20};
 
-  EraBuilder era_builder(MakeOptions(&env, c, "/era"));
+  ParallelBuilder era_builder(MakeOptions(&env, c, "/era"), 1);
   auto era_result = era_builder.Build(*info);
   ASSERT_TRUE(era_result.ok());
   auto era_order = testing::GlobalLeafOrder(&env, era_result->index);
   ASSERT_TRUE(era_order.ok());
 
-  WaveFrontBuilder wf_builder(MakeOptions(&env, c, "/wf"));
+  ParallelBuilder wf_builder(MakeOptions(&env, c, "/wf"), 1,
+                             ParallelAlgorithm::kWaveFront);
   auto wf_result = wf_builder.Build(*info);
   ASSERT_TRUE(wf_result.ok());
   auto wf_order = testing::GlobalLeafOrder(&env, wf_result->index);

@@ -19,7 +19,7 @@
 
 #include "common/codec.h"
 #include "common/crc32.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/mem_env.h"
 #include "suffixtree/canonical.h"
 #include "suffixtree/compressed_tree.h"
@@ -320,7 +320,7 @@ TEST(CompressedPayloadTest, PinnedPayloadChecksums) {
   options.work_dir = "/idx";
   options.memory_budget = 256 << 10;
   options.input_buffer_bytes = 4096;
-  auto result = EraBuilder(options).Build(*info);
+  auto result = ParallelBuilder(options, 1).Build(*info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const std::vector<SubTreeEntry>& subtrees = result->index.subtrees();
   ASSERT_GT(subtrees.size(), 1u);

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/crc32.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/mem_env.h"
 #include "query/query_engine.h"
 #include "suffixtree/serializer.h"
@@ -39,7 +39,7 @@ struct BuiltIndex {
     options.work_dir = "/idx";
     options.memory_budget = 2 << 20;
     options.input_buffer_bytes = 4096;
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(info);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     subtrees = result->index.subtrees();

@@ -13,7 +13,7 @@
 
 #include "collection/collection_builder.h"
 #include "collection/doc_engine.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/faulty_env.h"
 #include "io/latency_env.h"
 #include "io/mem_env.h"
@@ -90,7 +90,7 @@ TEST(DictMatcherEquivalence, MatchesPerPatternLoopAcrossAlphabets) {
     const std::string text = testing::RepetitiveText(alphabet, 6000, 29);
     auto info = MaterializeText(&env, "/text", alphabet, text);
     ASSERT_TRUE(info.ok());
-    EraBuilder builder(SmallBuildOptions(&env, "/idx"));
+    ParallelBuilder builder(SmallBuildOptions(&env, "/idx"), 1);
     auto result = builder.Build(*info);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     auto engine = QueryEngine::Open(&env, "/idx");
@@ -132,7 +132,7 @@ TEST(DictMatcherEquivalence, AhoCorasickStreamingBaselineAgreesOnCounts) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 53);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&env, "/idx"));
+  ParallelBuilder builder(SmallBuildOptions(&env, "/idx"), 1);
   ASSERT_TRUE(builder.Build(*info).ok());
   auto engine = QueryEngine::Open(&env, "/idx");
   ASSERT_TRUE(engine.ok());
@@ -181,7 +181,7 @@ TEST(DictMatcherEquivalence, DescentReadsTextOnlyForEdgeLabels) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 61);
   auto info = MaterializeText(&mem, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&mem, "/idx"));
+  ParallelBuilder builder(SmallBuildOptions(&mem, "/idx"), 1);
   ASSERT_TRUE(builder.Build(*info).ok());
   FaultSpec spec;
   spec.path_filter = "/text";  // count text reads only
@@ -216,7 +216,7 @@ class DictMatcherTest : public ::testing::Test {
     text_ = testing::RepetitiveText(Alphabet::Dna(), 8000, 71);
     auto info = MaterializeText(&env_, "/text", Alphabet::Dna(), text_);
     ASSERT_TRUE(info.ok());
-    EraBuilder builder(SmallBuildOptions(&env_, "/idx"));
+    ParallelBuilder builder(SmallBuildOptions(&env_, "/idx"), 1);
     auto result = builder.Build(*info);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     auto engine = QueryEngine::Open(&env_, "/idx");
@@ -386,7 +386,7 @@ TEST(DictMatcherServingTest, MidDictionaryCancellationLeavesEngineReusable) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 12000, 47);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&env, "/idx"));
+  ParallelBuilder builder(SmallBuildOptions(&env, "/idx"), 1);
   ASSERT_TRUE(builder.Build(*info).ok());
 
   // ~1ms of device time per request and an all-straggler dictionary (no
@@ -460,7 +460,7 @@ TEST(DictMatcherConcurrencyTest, ParallelDictionariesReturnIdenticalOutcomes) {
   const std::string text = testing::RepetitiveText(Alphabet::Dna(), 8000, 13);
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
-  EraBuilder builder(SmallBuildOptions(&env, "/idx"));
+  ParallelBuilder builder(SmallBuildOptions(&env, "/idx"), 1);
   ASSERT_TRUE(builder.Build(*info).ok());
   QueryEngineOptions engine_options;
   engine_options.cache.budget_bytes = 128 << 10;  // keep evictions happening

@@ -8,14 +8,15 @@
 
 #include "era/branch_edge.h"
 #include "era/build_subtree.h"
-#include "era/era_builder.h"
 #include "era/memory_layout.h"
+#include "era/parallel_builder.h"
 #include "era/range_policy.h"
 #include "era/subtree_prepare.h"
 #include "era/vertical_partitioner.h"
 #include "io/mem_env.h"
 #include "suffixtree/validator.h"
 #include "tests/test_util.h"
+#include "wavefront/wavefront.h"
 
 namespace era {
 namespace {
@@ -31,7 +32,7 @@ void BuildAndVerify(const std::string& text, const Alphabet& alphabet,
   options.work_dir = "/idx";
   options.memory_budget = budget;
   options.input_buffer_bytes = 4096;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(*info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(testing::IndexMatchesOracle(&env, result->index, text));
@@ -171,7 +172,7 @@ TEST(EdgeCaseTest, FixedRangeOneSymbol) {
   options.input_buffer_bytes = 4096;
   options.range_policy = RangePolicyKind::kFixed;
   options.fixed_range = 1;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(*info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(testing::IndexMatchesOracle(&env, result->index, text));
@@ -203,6 +204,23 @@ TEST(EdgeCaseTest, BuildSubTreeRejectsEdgeLenOverflow) {
   prepared.branches.resize(1);
   prepared.branches[0].defined = true;
   auto tree = BuildSubTree(prepared, /*text_length=*/5 + kMax + 1);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_TRUE(tree.status().IsInternal()) << tree.status().ToString();
+}
+
+TEST(EdgeCaseTest, WaveFrontBuildSubTreeRejectsEdgeLenOverflow) {
+  // WaveFront's insertion fills the same 32-bit edge field: one leaf whose
+  // edge runs one past the boundary used to come back as edge_len 0.
+  const uint64_t kMax = std::numeric_limits<uint32_t>::max();
+  MemEnv env;
+  ASSERT_TRUE(env.WriteFile("/s", "AAAAAA~").ok());
+  IoStats io;
+  auto suffix_reader = OpenStringReader(&env, "/s", {}, &io);
+  auto edge_reader = OpenStringReader(&env, "/s", {}, &io);
+  ASSERT_TRUE(suffix_reader.ok());
+  ASSERT_TRUE(edge_reader.ok());
+  auto tree = WaveFrontBuildSubTree("A", {5}, /*text_length=*/5 + kMax + 1,
+                                    suffix_reader->get(), edge_reader->get());
   ASSERT_FALSE(tree.ok());
   EXPECT_TRUE(tree.status().IsInternal()) << tree.status().ToString();
 }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <thread>
 
 #include "io/env.h"
 #include "io/mem_env.h"
@@ -174,6 +176,42 @@ TEST(MemEnvTest, ReaderSurvivesDeletion) {
   std::size_t got = 0;
   ASSERT_TRUE((*file)->Read(0, 7, buf, &got).ok());
   EXPECT_EQ(std::string(buf, got), "persist");
+}
+
+TEST(MemEnvTest, AppendsRaceNeitherSizesNorReads) {
+  // One thread appends while another sizes the path and reads it through a
+  // reader opened before the first append: every size is a whole number of
+  // appends, never shrinks, and every read returns the appended bytes.
+  MemEnv env;
+  auto file = env.NewWritable("/f");
+  ASSERT_TRUE(file.ok());
+  auto reader = env.OpenRandomAccess("/f");
+  ASSERT_TRUE(reader.ok());
+  const std::string chunk(64, 'x');
+  constexpr uint64_t kAppends = 2000;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < kAppends; ++i) {
+      EXPECT_TRUE((*file)->Append(chunk.data(), chunk.size()).ok());
+    }
+    done.store(true);
+  });
+  uint64_t last = 0;
+  char buf[256];
+  while (!done.load()) {
+    auto size = env.FileSize("/f");
+    EXPECT_TRUE(size.ok());
+    const uint64_t now = size.ok() ? *size : last;
+    EXPECT_GE(now, last);
+    EXPECT_EQ(now % chunk.size(), 0u);
+    EXPECT_GE((*reader)->Size(), now);
+    last = now;
+    std::size_t got = 0;
+    EXPECT_TRUE((*reader)->Read(now / 2, sizeof(buf), buf, &got).ok());
+    EXPECT_EQ(std::string(buf, got), std::string(got, 'x'));
+  }
+  writer.join();
+  EXPECT_EQ((*reader)->Size(), kAppends * chunk.size());
 }
 
 TEST(MemEnvTest, FileCount) {

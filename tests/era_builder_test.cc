@@ -1,6 +1,6 @@
-// End-to-end tests of the serial ERA builder against the SA-IS oracle,
-// sweeping alphabets, text shapes, memory budgets, range policies, grouping
-// and the two horizontal methods.
+// End-to-end tests of the one-worker (serial) ERA build against the SA-IS
+// oracle, sweeping alphabets, text shapes, memory budgets, range policies,
+// grouping and the two horizontal methods.
 
 #include "era/era_builder.h"
 
@@ -52,7 +52,7 @@ class EraBuilderEndToEnd : public ::testing::TestWithParam<BuilderCase> {
     options.fixed_range = c.fixed_range;
     options.horizontal = c.horizontal;
 
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     if (!result.ok()) return "";
@@ -128,7 +128,7 @@ TEST(EraBuilderTest, DeterministicAcrossRuns) {
     options.work_dir = "/idx";
     options.memory_budget = c.memory_budget;
     options.input_buffer_bytes = 4096;
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     EXPECT_TRUE(result.ok());
     std::string manifest;
@@ -151,7 +151,7 @@ TEST(EraBuilderTest, VariantsProduceIdenticalTrees) {
     options.work_dir = dir;
     options.memory_budget = 1 << 20;
     options.input_buffer_bytes = 4096;
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     auto order = testing::GlobalLeafOrder(&env, result->index);
@@ -187,7 +187,7 @@ TEST(EraBuilderTest, FailsCleanlyOnMissingText) {
   options.env = &env;
   options.work_dir = "/idx";
   TextInfo info{"/missing", 100, Alphabet::Dna()};
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(info);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
@@ -200,7 +200,7 @@ TEST(EraBuilderTest, FailsCleanlyOnLengthMismatch) {
   options.env = &env;
   options.work_dir = "/idx";
   TextInfo info{"/text", 100, Alphabet::Dna()};  // wrong length
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(info);
   EXPECT_FALSE(result.ok());
 }
@@ -215,7 +215,7 @@ TEST(EraBuilderTest, StatsAreCoherent) {
   options.work_dir = "/idx";
   options.memory_budget = 128 << 10;
   options.input_buffer_bytes = 4096;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(*info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -249,7 +249,7 @@ TEST(EraBuilderTest, GroupingReducesScansOfS) {
     options.memory_budget = 256 << 10;
     options.input_buffer_bytes = 4096;
     options.group_virtual_trees = grouping;
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     EXPECT_TRUE(result.ok());
     return result->stats.io.scans_started;
@@ -260,8 +260,9 @@ TEST(EraBuilderTest, GroupingReducesScansOfS) {
 
 TEST(EraBuilderTest, BuildAndEmitPrefixLeavesTheCallerSlotEmpty) {
   // L and B (24 bytes per leaf) must be freed once the tree is built; the
-  // caller's copy must not keep them alive, whether the tree is built
-  // inline or by the background writer.
+  // caller's copy must not keep them alive. Handed to the writer, the
+  // prefix's tree is built and written on a writer thread, which reports
+  // its bytes into the slot.
   MemEnv env;
   std::string text = testing::RandomText(Alphabet::Dna(), 5000, 31);
   ASSERT_TRUE(env.WriteFile("/s", text).ok());
@@ -279,31 +280,19 @@ TEST(EraBuilderTest, BuildAndEmitPrefixLeavesTheCallerSlotEmpty) {
   options.work_dir = "/idx";
   GroupOutput out;
   out.subtrees.resize(group.prefixes.size());
-  PreparedSubTree& slot = preparer.results()[0];
-  const uint64_t leaves = slot.leaves.size();
+  PreparedSubTree& handed = preparer.results()[0];
+  const uint64_t leaves = handed.leaves.size();
   ASSERT_GT(leaves, 1u);
-  Status status = BuildAndEmitPrefix(options, text.size(), /*group_id=*/0,
-                                     /*k=*/0, std::move(slot), &out,
-                                     /*writer=*/nullptr);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_GT(out.subtrees[0].tree_bytes, 0u);
-  EXPECT_EQ(slot.leaves.capacity(), 0u);
-  EXPECT_EQ(slot.branches.capacity(), 0u);
-  EXPECT_EQ(out.subtrees[0].frequency, leaves);
-
-  // Handed to a writer, the prefix's tree is built and written on a writer
-  // thread, which reports its bytes into the slot.
-  PreparedSubTree& handed = preparer.results()[1];
   BackgroundSubTreeWriter writer(&env, /*num_threads=*/1, 1 << 20);
-  status = BuildAndEmitPrefix(options, text.size(), /*group_id=*/0, /*k=*/1,
-                              std::move(handed), &out, &writer);
-  ASSERT_TRUE(status.ok()) << status.ToString();
+  BuildAndEmitPrefix(options, text.size(), /*group_id=*/0, /*k=*/0,
+                     std::move(handed), &out, &writer);
   EXPECT_EQ(handed.leaves.capacity(), 0u);
   EXPECT_EQ(handed.branches.capacity(), 0u);
   ASSERT_TRUE(writer.Drain().ok());
   EXPECT_EQ(writer.jobs_built(), 1u);
-  EXPECT_GT(out.subtrees[1].tree_bytes, 0u);
-  EXPECT_TRUE(env.FileExists("/idx/" + out.subtrees[1].filename));
+  EXPECT_GT(out.subtrees[0].tree_bytes, 0u);
+  EXPECT_EQ(out.subtrees[0].frequency, leaves);
+  EXPECT_TRUE(env.FileExists("/idx/" + out.subtrees[0].filename));
 }
 
 TEST(EraBuilderTest, PrepareSubPhasesNestInsidePrepare) {
@@ -337,7 +326,7 @@ TEST(EraBuilderTest, PrepareSubPhasesNestInsidePrepare) {
     EXPECT_NE(stats.ToString().find("prepare{scan="), std::string::npos);
   };
   options.work_dir = "/serial";
-  auto serial = EraBuilder(options).Build(*info);
+  auto serial = ParallelBuilder(options, 1).Build(*info);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   check(serial->stats);
 

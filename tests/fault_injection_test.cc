@@ -1,7 +1,7 @@
 // FaultyEnv fault injection and retry-with-backoff: the deterministic fault
 // schedules, the durability model behind SimulateCrash, atomic publish
 // surviving crashes, and transient faults absorbed by RunWithRetry in
-// StringReader / TileCache / a full serial or parallel build.
+// StringReader / TileCache / a full one- or three-worker build.
 
 #include <gtest/gtest.h>
 
@@ -358,7 +358,7 @@ TEST(RetryAbsorptionTest, TileCacheAbsorbsATransientLoadFault) {
 
 TEST(RetryAbsorptionTest, BuildUnderTransientFaultsIsByteIdentical) {
   // A build whose text reads randomly blip must absorb every fault and emit
-  // exactly the bytes a fault-free build emits, serial or parallel.
+  // exactly the bytes a fault-free build emits, at one worker or three.
   MemEnv clean_env;
   std::string text = testing::RepetitiveText(Alphabet::Dna(), 12000, 29);
   auto info = MaterializeText(&clean_env, "/text", Alphabet::Dna(), text);
@@ -369,14 +369,13 @@ TEST(RetryAbsorptionTest, BuildUnderTransientFaultsIsByteIdentical) {
   options.work_dir = "/ref";
   options.memory_budget = 2 << 20;
   options.input_buffer_bytes = 4096;
-  EraBuilder reference(options);
-  auto ref = reference.Build(*info);
+  auto ref = ParallelBuilder(options, 1).Build(*info);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
-  // The parallel build runs 3 workers with the budget scaled by 3, so each
-  // worker's share plans the reference's partition.
-  for (bool parallel : {false, true}) {
-    SCOPED_TRACE(parallel ? "ParallelBuilder, 3 workers" : "EraBuilder");
+  // The budget scales with the workers, so each worker's share plans the
+  // reference's partition.
+  for (unsigned workers : {1u, 3u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
     MemEnv faulty_base;
     ASSERT_TRUE(
         MaterializeText(&faulty_base, "/text", Alphabet::Dna(), text).ok());
@@ -390,17 +389,10 @@ TEST(RetryAbsorptionTest, BuildUnderTransientFaultsIsByteIdentical) {
     BuildOptions faulted = options;
     faulted.env = &faulty;
     faulted.work_dir = "/out";
-    BuildStats stats;
-    if (parallel) {
-      faulted.memory_budget *= 3;
-      auto result = ParallelBuilder(faulted, 3).Build(*info);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      stats = result->stats;
-    } else {
-      auto result = EraBuilder(faulted).Build(*info);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      stats = result->stats;
-    }
+    faulted.memory_budget *= workers;
+    auto result = ParallelBuilder(faulted, workers).Build(*info);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const BuildStats& stats = result->stats;
 
     EXPECT_GT(faulty.stats().read_faults, 0u)
         << "the drill injected nothing: " << faulty.stats().ToString();

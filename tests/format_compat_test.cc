@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "b2st/b2st.h"
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/mem_env.h"
 #include "query/query_engine.h"
 #include "suffixtree/canonical.h"
@@ -21,7 +21,6 @@
 #include "tests/test_util.h"
 #include "trellis/trellis.h"
 #include "ukkonen/ukkonen.h"
-#include "wavefront/wavefront.h"
 
 namespace era {
 namespace {
@@ -71,22 +70,20 @@ void ExpectAnswersMatchText(QueryEngine* engine, const std::string& text) {
 class BuilderFormatTest
     : public ::testing::TestWithParam<std::pair<const char*, int>> {};
 
-StatusOr<BuildResult> BuildWith(int which, const BuildOptions& options,
-                                const TextInfo& info) {
-  switch (which) {
-    case 0: {
-      EraBuilder builder(options);
-      return builder.Build(info);
-    }
-    case 1: {
-      WaveFrontBuilder builder(options);
-      return builder.Build(info);
-    }
-    default: {
-      TrellisBuilder builder(options);
-      return builder.Build(info);
-    }
+StatusOr<TreeIndex> BuildWith(int which, const BuildOptions& options,
+                              const TextInfo& info) {
+  if (which == 2) {
+    ERA_ASSIGN_OR_RETURN(BuildResult result,
+                         TrellisBuilder(options).Build(info));
+    return std::move(result.index);
   }
+  ERA_ASSIGN_OR_RETURN(
+      ParallelBuildResult result,
+      ParallelBuilder(options, 1,
+                      which == 0 ? ParallelAlgorithm::kEra
+                                 : ParallelAlgorithm::kWaveFront)
+          .Build(info));
+  return std::move(result.index);
 }
 
 TEST_P(BuilderFormatTest, EmitsPackedFilesThatValidateAndAnswerLikeTheText) {
@@ -98,7 +95,7 @@ TEST_P(BuilderFormatTest, EmitsPackedFilesThatValidateAndAnswerLikeTheText) {
   auto result =
       BuildWith(GetParam().second, SmallBuildOptions(&env, "/idx"), *info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const TreeIndex& index = result->index;
+  const TreeIndex& index = *result;
   ASSERT_GT(index.subtrees().size(), 1u);
 
   // Every emitted file is version 4, validates, and serves smaller than the

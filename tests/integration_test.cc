@@ -15,7 +15,6 @@
 #include "tests/test_util.h"
 #include "text/corpus.h"
 #include "text/text_generator.h"
-#include "wavefront/wavefront.h"
 
 namespace era {
 namespace {
@@ -43,7 +42,7 @@ TEST_F(IntegrationTest, EndToEndOnDisk) {
   BuildOptions options;
   options.work_dir = base_ + "/index";
   options.memory_budget = 128 << 10;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(*info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->stats.num_groups, 4u)
@@ -88,7 +87,7 @@ TEST_F(IntegrationTest, ParallelAndSerialAgreeOnDisk) {
   BuildOptions serial_options;
   serial_options.work_dir = base_ + "/serial";
   serial_options.memory_budget = 256 << 10;
-  EraBuilder serial(serial_options);
+  ParallelBuilder serial(serial_options, 1);
   auto serial_result = serial.Build(*info);
   ASSERT_TRUE(serial_result.ok()) << serial_result.status().ToString();
 
@@ -96,7 +95,7 @@ TEST_F(IntegrationTest, ParallelAndSerialAgreeOnDisk) {
   parallel_options.work_dir = base_ + "/parallel";
   parallel_options.memory_budget = 256 << 10;
   // NOTE: per-worker budget = total/workers, so the partition plans differ
-  // from the serial build; canonical suffix order must still agree.
+  // from the one-worker build; canonical suffix order must still agree.
   ParallelBuilder parallel(parallel_options, 3);
   auto parallel_result = parallel.Build(*info);
   ASSERT_TRUE(parallel_result.ok()) << parallel_result.status().ToString();
@@ -117,7 +116,7 @@ TEST_F(IntegrationTest, WaveFrontProducesIdenticalIndexOnDisk) {
   BuildOptions options;
   options.work_dir = base_ + "/wf";
   options.memory_budget = 192 << 10;
-  WaveFrontBuilder builder(options);
+  ParallelBuilder builder(options, 1, ParallelAlgorithm::kWaveFront);
   auto result = builder.Build(*info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(testing::IndexMatchesOracle(env_, result->index, text));
@@ -132,7 +131,7 @@ TEST_F(IntegrationTest, EnglishCorpusRoundTrip) {
   BuildOptions options;
   options.work_dir = base_ + "/idx";
   options.memory_budget = 192 << 10;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(*info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(testing::IndexMatchesOracle(env_, result->index, text));
@@ -155,7 +154,7 @@ TEST_F(IntegrationTest, RebuildingIntoSameDirectoryIsClean) {
   BuildOptions options;
   options.work_dir = base_ + "/idx";
   options.memory_budget = 96 << 10;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   ASSERT_TRUE(builder.Build(*info1).ok());
   auto second = builder.Build(*info2);  // overwrite with a different text
   ASSERT_TRUE(second.ok());

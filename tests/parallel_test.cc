@@ -1,5 +1,6 @@
 // Shared-memory and shared-nothing parallel construction: identical output
-// to the serial builder, clean work division, and coherent phase accounting.
+// to the one-worker (serial) build, clean work division, and coherent phase
+// accounting.
 
 #include <gtest/gtest.h>
 
@@ -363,6 +364,26 @@ TEST(ClusterBuilderTest, WaveFrontClusterMatchesOracle) {
   auto result = builder.Build(w->info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(testing::IndexMatchesOracle(&w->env, result->index, w->text));
+}
+
+TEST(ClusterBuilderTest, PermanentSubTreeWriteFaultFailsTheBuild) {
+  // Every sub-tree write fails while the text stays readable: once all
+  // three nodes have drained their writers, the build must return the
+  // failed background write's error, which names its st_ file.
+  auto w = MakeWorkload(20000, 55);
+  FaultSpec spec;
+  spec.fail_write_at = 1;
+  spec.write_fail_permanent = true;
+  spec.path_filter = "st_";
+  FaultyEnv faulty(&w->env, spec);
+  ClusterBuilder builder(BaseOptions(&faulty, "/cfault"), MakeCluster(3));
+  auto result = builder.Build(w->info);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("st_"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_GE(faulty.stats().write_faults, 1u);
+  EXPECT_FALSE(w->env.FileExists("/cfault/MANIFEST"));
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {

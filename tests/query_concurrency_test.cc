@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/mem_env.h"
 #include "query/query_engine.h"
 #include "query/query_workload.h"
@@ -31,7 +31,7 @@ class QueryConcurrencyTest : public ::testing::Test {
     options.work_dir = "/idx";
     options.memory_budget = 256 << 10;  // force several sub-trees
     options.input_buffer_bytes = 4096;
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "era/era_builder.h"
+#include "era/parallel_builder.h"
 #include "io/faulty_env.h"
 #include "io/mem_env.h"
 #include "query/applications.h"
@@ -29,7 +29,7 @@ class QueryEngineTest : public ::testing::Test {
     options.work_dir = "/idx";
     options.memory_budget = 512 << 10;  // force several sub-trees
     options.input_buffer_bytes = 4096;
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -200,7 +200,7 @@ class TextFreeLookupTest : public ::testing::Test {
     options.work_dir = "/idx";
     options.memory_budget = 8 << 20;
     options.input_buffer_bytes = 4096;
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     // Counts only the text file's device reads: every one is a reader
@@ -308,7 +308,7 @@ class ApplicationsTest : public ::testing::Test {
     options.work_dir = dir;
     options.memory_budget = 512 << 10;
     options.input_buffer_bytes = 4096;
-    EraBuilder builder(options);
+    ParallelBuilder builder(options, 1);
     auto result = builder.Build(*info);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result->index);

@@ -55,9 +55,9 @@ std::map<std::string, std::string> IndexBytes(Env* env,
 }
 
 /// The reference index: one clean build of TestText() at a given worker
-/// count (0 = serial EraBuilder). Worker counts matter: the parallel builder
-/// derives FM from the per-worker memory share, so different counts build
-/// legitimately different (but internally deterministic) indexes.
+/// count. Worker counts matter: the builder derives FM from the per-worker
+/// memory share, so different counts build legitimately different (but
+/// internally deterministic) indexes.
 struct Reference {
   MemEnv env;
   TextInfo info;
@@ -69,24 +69,16 @@ struct Reference {
         MaterializeText(&env, "/text", Alphabet::Dna(), TestText());
     EXPECT_TRUE(materialized.ok());
     info = *materialized;
-    if (workers == 0) {
-      EraBuilder builder(SmallOptions(&env, "/idx"));
-      Capture(builder.Build(info));
-    } else {
-      ParallelBuilder builder(SmallOptions(&env, "/idx"), workers);
-      Capture(builder.Build(info));
-    }
-  }
-
-  template <typename Result>
-  void Capture(Result result) {
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ParallelBuilder builder(SmallOptions(&env, "/idx"), workers);
+    auto result = builder.Build(info);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return;
     bytes = IndexBytes(&env, "/idx", result->index);
     num_groups = result->stats.num_groups;
   }
 };
 
-Reference& Ref(unsigned workers = 0) {
+Reference& Ref(unsigned workers = 1) {
   static std::map<unsigned, Reference*>* refs =
       new std::map<unsigned, Reference*>();
   auto it = refs->find(workers);
@@ -96,8 +88,8 @@ Reference& Ref(unsigned workers = 0) {
   return *it->second;
 }
 
-/// Builds with `workers` (0 = serial EraBuilder) and returns (status,
-/// groups_resumed, index bytes on success).
+/// Builds with `workers` and returns (status, groups_resumed, index bytes
+/// on success).
 struct TrialResult {
   Status status = Status::OK();
   uint64_t groups_resumed = 0;
@@ -109,22 +101,12 @@ TrialResult RunBuild(Env* env, const TextInfo& info, unsigned workers,
   BuildOptions options = SmallOptions(env, "/idx");
   options.resume = resume;
   TrialResult out;
-  if (workers == 0) {
-    EraBuilder builder(options);
-    auto result = builder.Build(info);
-    out.status = result.status();
-    if (result.ok()) {
-      out.groups_resumed = result->stats.groups_resumed;
-      out.bytes = IndexBytes(env, "/idx", result->index);
-    }
-  } else {
-    ParallelBuilder builder(options, workers);
-    auto result = builder.Build(info);
-    out.status = result.status();
-    if (result.ok()) {
-      out.groups_resumed = result->stats.groups_resumed;
-      out.bytes = IndexBytes(env, "/idx", result->index);
-    }
+  ParallelBuilder builder(options, workers);
+  auto result = builder.Build(info);
+  out.status = result.status();
+  if (result.ok()) {
+    out.groups_resumed = result->stats.groups_resumed;
+    out.bytes = IndexBytes(env, "/idx", result->index);
   }
   return out;
 }
@@ -162,7 +144,7 @@ TEST(ResumeTest, KillSweepConvergesByteIdenticalSerial) {
   uint64_t total_resumed = 0;
   for (uint64_t kill_at : {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}) {
     bool crash_fired = false;
-    total_resumed += CrashThenResume(kill_at, /*workers=*/0, &crash_fired);
+    total_resumed += CrashThenResume(kill_at, /*workers=*/1, &crash_fired);
     if (!crash_fired) break;  // past the last write: nothing left to kill
   }
   EXPECT_GT(total_resumed, 0u)
@@ -183,9 +165,9 @@ TEST(ResumeTest, ResumeAfterCompleteBuildSkipsEveryGroup) {
   MemEnv env;
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), TestText());
   ASSERT_TRUE(info.ok());
-  TrialResult first = RunBuild(&env, *info, 0, /*resume=*/false);
+  TrialResult first = RunBuild(&env, *info, 1, /*resume=*/false);
   ASSERT_TRUE(first.status.ok());
-  TrialResult second = RunBuild(&env, *info, 0, /*resume=*/true);
+  TrialResult second = RunBuild(&env, *info, 1, /*resume=*/true);
   ASSERT_TRUE(second.status.ok());
   EXPECT_EQ(second.groups_resumed, Ref().num_groups);
   EXPECT_EQ(second.bytes, Ref().bytes);
@@ -232,10 +214,10 @@ TEST(ResumeTest, VerifiedGroupsAreNotRewritten) {
   MemEnv env;
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), TestText());
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE(RunBuild(&env, *info, 0, /*resume=*/false).status.ok());
+  ASSERT_TRUE(RunBuild(&env, *info, 1, /*resume=*/false).status.ok());
 
   RecordingEnv recording(&env);
-  TrialResult resumed = RunBuild(&recording, *info, 0, /*resume=*/true);
+  TrialResult resumed = RunBuild(&recording, *info, 1, /*resume=*/true);
   ASSERT_TRUE(resumed.status.ok());
   EXPECT_EQ(resumed.groups_resumed, Ref().num_groups);
   for (const std::string& path : recording.written()) {
@@ -248,7 +230,7 @@ TEST(ResumeTest, CorruptSubTreeGetsItsGroupRebuilt) {
   MemEnv env;
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), TestText());
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE(RunBuild(&env, *info, 0, /*resume=*/false).status.ok());
+  ASSERT_TRUE(RunBuild(&env, *info, 1, /*resume=*/false).status.ok());
 
   // Flip one byte in the first sub-tree of group 0.
   std::string victim = "/idx/" + SubTreeFileName(0, 0);
@@ -257,7 +239,7 @@ TEST(ResumeTest, CorruptSubTreeGetsItsGroupRebuilt) {
   bytes[bytes.size() / 2] ^= 0x40;
   ASSERT_TRUE(env.WriteFile(victim, bytes).ok());
 
-  TrialResult resumed = RunBuild(&env, *info, 0, /*resume=*/true);
+  TrialResult resumed = RunBuild(&env, *info, 1, /*resume=*/true);
   ASSERT_TRUE(resumed.status.ok());
   EXPECT_EQ(resumed.groups_resumed, Ref().num_groups - 1)
       << "exactly the damaged group must rebuild";
@@ -268,7 +250,7 @@ TEST(ResumeTest, OldFormatSubTreeGetsItsGroupRebuilt) {
   MemEnv env;
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), TestText());
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE(RunBuild(&env, *info, 0, /*resume=*/false).status.ok());
+  ASSERT_TRUE(RunBuild(&env, *info, 1, /*resume=*/false).status.ok());
 
   // A build of an older release left group 0's first file: header version 3
   // and a CHECKPOINT whose recorded CRC matches it.
@@ -294,7 +276,7 @@ TEST(ResumeTest, OldFormatSubTreeGetsItsGroupRebuilt) {
   ASSERT_TRUE(env.WriteFile("/idx/CHECKPOINT", checkpoint).ok());
   ASSERT_TRUE(LoadCheckpoint(&env, "/idx").ok()) << "sanity: re-sealed";
 
-  TrialResult resumed = RunBuild(&env, *info, 0, /*resume=*/true);
+  TrialResult resumed = RunBuild(&env, *info, 1, /*resume=*/true);
   ASSERT_TRUE(resumed.status.ok());
   EXPECT_EQ(resumed.groups_resumed, Ref().num_groups - 1)
       << "the group holding the old-format file must rebuild";
@@ -305,7 +287,7 @@ TEST(ResumeTest, FingerprintMismatchForcesFullRebuild) {
   MemEnv env;
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), TestText());
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE(RunBuild(&env, *info, 0, /*resume=*/false).status.ok());
+  ASSERT_TRUE(RunBuild(&env, *info, 1, /*resume=*/false).status.ok());
 
   // A different text under the same work_dir: the old CHECKPOINT describes a
   // different plan and must be ignored wholesale.
@@ -314,7 +296,7 @@ TEST(ResumeTest, FingerprintMismatchForcesFullRebuild) {
   ASSERT_TRUE(other_info.ok());
   BuildOptions options = SmallOptions(&env, "/idx");
   options.resume = true;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   auto result = builder.Build(*other_info);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stats.groups_resumed, 0u);
@@ -323,7 +305,7 @@ TEST(ResumeTest, FingerprintMismatchForcesFullRebuild) {
   // produces.
   MemEnv clean;
   ASSERT_TRUE(MaterializeText(&clean, "/text2", Alphabet::Dna(), other).ok());
-  EraBuilder clean_builder(SmallOptions(&clean, "/idx"));
+  ParallelBuilder clean_builder(SmallOptions(&clean, "/idx"), 1);
   auto clean_result = clean_builder.Build(*other_info);
   ASSERT_TRUE(clean_result.ok());
   EXPECT_EQ(IndexBytes(&env, "/idx", result->index),
@@ -336,12 +318,12 @@ TEST(ResumeTest, CheckpointOffMeansNoFileAndResumeDegrades) {
   ASSERT_TRUE(info.ok());
   BuildOptions options = SmallOptions(&env, "/idx");
   options.checkpoint = false;
-  EraBuilder builder(options);
+  ParallelBuilder builder(options, 1);
   ASSERT_TRUE(builder.Build(*info).ok());
   EXPECT_FALSE(env.FileExists("/idx/CHECKPOINT"));
 
   // resume with nothing to resume from: silent full rebuild.
-  TrialResult resumed = RunBuild(&env, *info, 0, /*resume=*/true);
+  TrialResult resumed = RunBuild(&env, *info, 1, /*resume=*/true);
   ASSERT_TRUE(resumed.status.ok());
   EXPECT_EQ(resumed.groups_resumed, 0u);
   EXPECT_EQ(resumed.bytes, Ref().bytes);
@@ -366,7 +348,7 @@ TEST(CheckpointFileTest, TamperedBodyIsCorruption) {
   MemEnv env;
   auto info = MaterializeText(&env, "/text", Alphabet::Dna(), TestText());
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE(RunBuild(&env, *info, 0, /*resume=*/false).status.ok());
+  ASSERT_TRUE(RunBuild(&env, *info, 1, /*resume=*/false).status.ok());
   ASSERT_TRUE(LoadCheckpoint(&env, "/idx").ok()) << "sanity: valid as built";
 
   std::string content;
